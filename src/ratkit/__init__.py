@@ -4,33 +4,16 @@ Builds BM25 fuzzy-match indexes over translation memories, augments corpora
 with retrieved suggestions (top-k or shuffled sampling from a larger pool),
 constructs relevant / less-relevant TM scenarios, and evaluates outputs with
 corpus BLEU, suggestion-usage overlap, and paired bootstrap significance.
+
+The package root exports the README's Python API and the error types;
+everything else is imported from its submodule (``ratkit.pipeline``,
+``ratkit.retrieval``, ...).
 """
 
 from __future__ import annotations
 
-from .augmentation import (
-    DEFAULT_POOL_SIZE,
-    DEFAULT_SEPARATOR,
-    MODES,
-    AugmentationConfig,
-    AugmentedExample,
-    augment_corpus,
-    flatten_input,
-    read_augmented,
-    sample_suggestions,
-    take_top_k,
-    write_augmented,
-)
-from .corpus import (
-    SentencePair,
-    TranslationMemory,
-    analyze_for_index,
-    load_corpus,
-    read_lines,
-    save_corpus,
-    tokenize_13a,
-    write_lines,
-)
+from .augmentation import AugmentationConfig, augment_corpus
+from .corpus import load_corpus
 from .errors import (
     AggregationError,
     ConfigurationError,
@@ -39,118 +22,27 @@ from .errors import (
     TranslatorError,
     ValidationError,
 )
-from .evaluation import (
-    BleuScore,
-    CellResult,
-    EvalReport,
-    GroupAverage,
-    OverlapResult,
-    SignificanceResult,
-    aggregate_report,
-    bleu_corpus,
-    paired_bootstrap,
-    report_to_markdown,
-    score_from_stats,
-    sentence_stats,
-    suggestion_overlap,
-)
-from .pipeline import (
-    TRANSLATOR_KINDS,
-    BootstrapConfig,
-    ExperimentManifest,
-    TranslatorSpec,
-    load_manifest,
-    run_experiment,
-    translate,
-)
-from .retrieval import (
-    INDEX_MAGIC,
-    Bm25Params,
-    DocMeta,
-    FuzzyMatch,
-    TmIndex,
-    bm25_score,
-    build_index,
-    idf,
-    load_index,
-    query_top_n,
-    save_index,
-)
-from .scenarios import (
-    RELEVANCES,
-    ScenarioSpec,
-    ScenarioValidation,
-    build_scenario,
-    validate_scenario,
-    write_scenario_sidecar,
-)
-from .seeding import derive_seed, derived_rng
+from .evaluation import bleu_corpus, paired_bootstrap, suggestion_overlap
+from .retrieval import Bm25Params, build_index, query_top_n
+from .scenarios import build_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AggregationError",
     "AugmentationConfig",
-    "AugmentedExample",
-    "BleuScore",
     "Bm25Params",
-    "BootstrapConfig",
-    "CellResult",
     "ConfigurationError",
     "CorpusFormatError",
-    "DEFAULT_POOL_SIZE",
-    "DEFAULT_SEPARATOR",
-    "DocMeta",
-    "EvalReport",
-    "ExperimentManifest",
-    "FuzzyMatch",
-    "GroupAverage",
-    "INDEX_MAGIC",
-    "MODES",
-    "OverlapResult",
-    "RELEVANCES",
     "RatkitError",
-    "ScenarioSpec",
-    "ScenarioValidation",
-    "SentencePair",
-    "SignificanceResult",
-    "TRANSLATOR_KINDS",
-    "TmIndex",
-    "TranslationMemory",
     "TranslatorError",
-    "TranslatorSpec",
     "ValidationError",
-    "aggregate_report",
-    "analyze_for_index",
     "augment_corpus",
     "bleu_corpus",
-    "bm25_score",
     "build_index",
     "build_scenario",
-    "derive_seed",
-    "derived_rng",
-    "flatten_input",
-    "idf",
     "load_corpus",
-    "load_index",
-    "load_manifest",
     "paired_bootstrap",
     "query_top_n",
-    "read_augmented",
-    "read_lines",
-    "report_to_markdown",
-    "run_experiment",
-    "sample_suggestions",
-    "save_corpus",
-    "save_index",
-    "score_from_stats",
-    "sentence_stats",
     "suggestion_overlap",
-    "take_top_k",
-    "tokenize_13a",
-    "translate",
-    "validate_scenario",
-    "write_augmented",
-    "write_lines",
-    "write_scenario_sidecar",
 ]

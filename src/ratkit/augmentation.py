@@ -34,13 +34,12 @@ DEFAULT_POOL_SIZE = 10
 class AugmentationConfig:
     """Settings for one augmentation run.
 
-    ``pool_size`` only matters in shuffle mode; ``seed`` only feeds the
-    per-example sample draws. ``exclude_self`` keeps the query pair itself
-    (and exact source duplicates) out of the suggestions, which is required
-    when a training corpus is augmented against its own index. With
-    ``sort_by_rank`` (default) sampled suggestions are re-sorted into
-    retrieval order before flattening; disable it to keep the random draw
-    order.
+    ``pool_size`` and ``seed`` only matter in shuffle mode, so only shuffle
+    mode requires ``pool_size >= k``; topk never reads the pool. Suggestions
+    are always flattened in retrieval-rank order. ``exclude_self`` keeps the
+    query pair itself (and exact source duplicates) out of the suggestions,
+    which is required when a training corpus is augmented against its own
+    index.
     """
 
     k: int
@@ -49,14 +48,13 @@ class AugmentationConfig:
     seed: int = 0
     exclude_self: bool = False
     separator: str = DEFAULT_SEPARATOR
-    sort_by_rank: bool = True
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.k < 1:
             raise ValidationError(f"k must be >= 1, got {self.k}")
-        if self.pool_size < self.k:
+        if self.mode == "shuffle" and self.pool_size < self.k:
             raise ValidationError(
                 f"pool_size must be >= k, got pool_size={self.pool_size} k={self.k}"
             )
@@ -84,31 +82,24 @@ def flatten_input(source: str, suggestions: Iterable[FuzzyMatch], separator: str
     return " ".join(parts)
 
 
-def take_top_k(matches: list[FuzzyMatch], k: int) -> list[FuzzyMatch]:
-    """First min(k, len) items of a rank-ordered match list."""
-    return list(matches[: max(k, 0)])
-
-
 def sample_suggestions(
     matches: list[FuzzyMatch],
     k: int,
     pool_size: int,
     rng: random.Random,
-    sort_by_rank: bool = True,
 ) -> list[FuzzyMatch]:
-    """Uniform without-replacement sample of k suggestions from the top pool.
+    """Uniform without-replacement sample of k suggestions from the top pool,
+    returned in rank order.
 
     The pool is the first min(pool_size, len(matches)) items; when it holds
-    fewer than k candidates, all of them are returned. The draw consumes rng
-    state deterministically regardless of ``sort_by_rank``.
+    fewer than k candidates, all of them are returned.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     pool = matches[:pool_size]
     take = min(k, len(pool))
     picked = rng.sample(pool, take)
-    if sort_by_rank:
-        picked.sort(key=lambda match: match.rank)
+    picked.sort(key=lambda match: match.rank)
     return picked
 
 
@@ -143,11 +134,9 @@ def augment_corpus(
         matches = query_top_n(index, pair.source, n, exclusions)
         if cfg.mode == "shuffle":
             rng = derived_rng(cfg.seed, pair.id)
-            suggestions = sample_suggestions(
-                matches, cfg.k, cfg.pool_size, rng, sort_by_rank=cfg.sort_by_rank
-            )
+            suggestions = sample_suggestions(matches, cfg.k, cfg.pool_size, rng)
         else:
-            suggestions = take_top_k(matches, cfg.k)
+            suggestions = matches
         yield AugmentedExample(
             pair_id=pair.id,
             source=pair.source,
@@ -185,11 +174,33 @@ def write_augmented(
     return jsonl_path, flat_path, ref_path
 
 
+def _example_from_record(record: dict) -> AugmentedExample:
+    suggestions = tuple(
+        FuzzyMatch(
+            pair_id=s["id"],
+            score=s["score"],
+            rank=s["rank"],
+            source="",
+            target=s["tgt"],
+            domain="",
+        )
+        for s in record["suggestions"]
+    )
+    return AugmentedExample(
+        pair_id=record["id"],
+        source=record["src"],
+        reference=record["ref"],
+        suggestions=suggestions,
+        flat_input=record["flat"],
+    )
+
+
 def read_augmented(path: str | Path) -> list[AugmentedExample]:
     """Load augmented examples back from a JSONL file.
 
     The record format stores only (id, rank, score, tgt) per suggestion, so
-    reconstructed matches carry empty source and domain fields.
+    reconstructed matches carry empty source and domain fields. A line that
+    is not a complete record raises a ValidationError naming path and line.
     """
     examples = []
     try:
@@ -197,28 +208,13 @@ def read_augmented(path: str | Path) -> list[AugmentedExample]:
     except OSError as exc:
         raise ValidationError(f"cannot read augmented file {path}: {exc}") from exc
     with fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            suggestions = tuple(
-                FuzzyMatch(
-                    pair_id=s["id"],
-                    score=s["score"],
-                    rank=s["rank"],
-                    source="",
-                    target=s["tgt"],
-                    domain="",
-                )
-                for s in record["suggestions"]
-            )
-            examples.append(
-                AugmentedExample(
-                    pair_id=record["id"],
-                    source=record["src"],
-                    reference=record["ref"],
-                    suggestions=suggestions,
-                    flat_input=record["flat"],
-                )
-            )
+            try:
+                examples.append(_example_from_record(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValidationError(
+                    f"{path}:{lineno}: malformed augmented record ({type(exc).__name__}: {exc})"
+                ) from exc
     return examples

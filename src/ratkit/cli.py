@@ -24,7 +24,7 @@ from .augmentation import (
     write_augmented,
 )
 from .corpus import load_corpus, read_lines
-from .errors import RatkitError
+from .errors import RatkitError, ValidationError
 from .evaluation import (
     CellResult,
     aggregate_report,
@@ -76,7 +76,7 @@ def _cmd_augment(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     config = AugmentationConfig(
         k=args.k,
-        pool_size=max(args.pool, args.k) if args.mode == "topk" else args.pool,
+        pool_size=args.pool,
         mode=args.mode,
         seed=args.seed,
         exclude_self=args.exclude_self,
@@ -128,12 +128,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_cell(path: Path) -> CellResult:
+    try:
+        return CellResult.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"{path}: malformed cell file ({type(exc).__name__}: {exc})") from exc
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     cell_files = sorted(Path(args.cells).glob("**/cell.json"))
     if not cell_files:
         print(f"error: no cell.json files under {args.cells}", file=sys.stderr)
         return 2
-    cells = [CellResult.from_dict(json.loads(p.read_text(encoding="utf-8"))) for p in cell_files]
+    cells = [_read_cell(p) for p in cell_files]
     report = aggregate_report(cells)
     out = Path(args.out)
     out.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")

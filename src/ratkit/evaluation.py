@@ -392,10 +392,15 @@ def aggregate_report(
     significance: dict[tuple[str, int, str, str, str], SignificanceResult] | None = None,
     failed: dict[tuple[str, int, str, str], str] | None = None,
 ) -> EvalReport:
-    """Assemble cells into a report; each (system, scenario) group must cover
-    a complete domain x k grid or aggregation fails naming the missing cell.
+    """Assemble cells into a report with one average per (system, scenario).
+
+    A group's grid is the cross product of the domains and k values among its
+    cells. A group with holes is left out of the averages when every missing
+    cell is listed in ``failed``; any other hole raises an AggregationError
+    naming it. With no cells at all, failures alone give an empty report.
     """
-    if not cells:
+    failed = dict(failed or {})
+    if not cells and not failed:
         raise AggregationError("no cells to aggregate")
     by_key: dict[tuple[str, int, str, str], CellResult] = {}
     for cell in cells:
@@ -412,13 +417,15 @@ def aggregate_report(
         domains = sorted({c.domain for c in group})
         ks = sorted({c.k for c in group})
         present = {(c.domain, c.k) for c in group}
-        for domain in domains:
-            for k in ks:
-                if (domain, k) not in present:
-                    raise AggregationError(
-                        f"missing cell: domain={domain!r} k={k} scenario={scenario!r} "
-                        f"system={system!r}"
-                    )
+        holes = [(d, k) for d in domains for k in ks if (d, k) not in present]
+        for domain, k in holes:
+            if (domain, k, scenario, system) not in failed:
+                raise AggregationError(
+                    f"missing cell: domain={domain!r} k={k} scenario={scenario!r} "
+                    f"system={system!r}"
+                )
+        if holes:
+            continue
         overlaps = [c.overlap_pct for c in group if c.overlap_pct is not None]
         averages[(system, scenario)] = GroupAverage(
             bleu=sum(c.bleu.score for c in group) / len(group),
@@ -429,7 +436,7 @@ def aggregate_report(
         cells=by_key,
         averages=averages,
         significance=dict(significance or {}),
-        failed=dict(failed or {}),
+        failed=failed,
     )
 
 

@@ -15,7 +15,9 @@ byte-identical across runs for fixed seeds.
 from __future__ import annotations
 
 import json
+import os
 import shlex
+import signal
 import subprocess
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -36,8 +38,8 @@ from .errors import ConfigurationError, TranslatorError
 from .evaluation import (
     CellResult,
     EvalReport,
-    GroupAverage,
     SignificanceResult,
+    aggregate_report,
     bleu_corpus,
     paired_bootstrap,
     report_to_markdown,
@@ -108,18 +110,23 @@ def _run_external(command: str, inputs: list[str], timeout: float) -> list[str]:
         write_lines(inputs, in_path)
         rendered = command.replace(_INPUT_PLACEHOLDER, shlex.quote(str(in_path)))
         rendered = rendered.replace(_OUTPUT_PLACEHOLDER, shlex.quote(str(out_path)))
+        # A session of its own lets a timeout kill the shell's children too.
+        proc = subprocess.Popen(
+            rendered,
+            shell=True,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
         try:
-            proc = subprocess.run(
-                rendered,
-                shell=True,
-                capture_output=True,
-                text=True,
-                timeout=timeout,
-            )
+            _, err = proc.communicate(timeout=timeout)
         except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
             raise TranslatorError(f"translator timed out after {timeout}s: {rendered}")
         if proc.returncode != 0:
-            stderr = proc.stderr.strip().splitlines()
+            stderr = err.strip().splitlines()
             tail = " | ".join(stderr[-5:]) if stderr else "(no stderr)"
             raise TranslatorError(
                 f"translator exited with code {proc.returncode}: {rendered}; stderr: {tail}"
@@ -227,11 +234,9 @@ class ExperimentManifest:
             )
 
     def cell_config(self, k: int) -> AugmentationConfig:
-        # topk ignores the pool, so widen it just enough to satisfy pool >= k
-        pool = self.pool if self.mode == "shuffle" else max(self.pool, k)
         return AugmentationConfig(
             k=k,
-            pool_size=pool,
+            pool_size=self.pool,
             mode=self.mode,
             seed=self.seed,
             exclude_self=self.exclude_self,
@@ -239,13 +244,33 @@ class ExperimentManifest:
         )
 
 
-def _resolve(base: Path, value: str) -> Path:
-    path = Path(value)
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(value, kind: type, name: str):
+    """``value`` as ``kind`` if it has that JSON type; a float may be written
+    as an integer, and a bool is neither.
+    """
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigurationError(f"manifest field {name!r} must be {_KINDS[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _list_of(value, kind: type, name: str) -> tuple:
+    return tuple(_typed(item, kind, name) for item in _typed(value, list, name))
+
+
+def _resolve(base: Path, value, name: str) -> Path:
+    path = Path(_typed(value, str, name))
     return path if path.is_absolute() else base / path
 
 
 def load_manifest(path: str | Path) -> ExperimentManifest:
-    """Parse a manifest JSON file; relative paths resolve against its parent."""
+    """Parse a manifest JSON file; relative paths resolve against its parent.
+
+    Any field of the wrong JSON type raises a ConfigurationError naming it.
+    """
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -264,53 +289,44 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
     base = path.parent
     tms_field = data["tms"]
     if isinstance(tms_field, dict):
-        tms = tuple(_resolve(base, v) for _, v in sorted(tms_field.items()))
-    elif isinstance(tms_field, list):
-        tms = tuple(_resolve(base, v) for v in tms_field)
-    else:
-        raise ConfigurationError("manifest field 'tms' must be a list or object of paths")
-    if not isinstance(data["test_sets"], dict):
-        raise ConfigurationError("manifest field 'test_sets' must map domains to paths")
-    test_sets = {d: _resolve(base, v) for d, v in data["test_sets"].items()}
-
-    augmentation = data.get("augmentation", {})
-    if not isinstance(augmentation, dict):
-        raise ConfigurationError("manifest field 'augmentation' must be an object")
-    translator_field = data["translator"]
-    if not isinstance(translator_field, dict) or "kind" not in translator_field:
+        tms_field = [v for _, v in sorted(tms_field.items())]
+    tms = tuple(_resolve(base, v, "tms") for v in _typed(tms_field, list, "tms"))
+    test_sets_field = _typed(data["test_sets"], dict, "test_sets")
+    test_sets = {d: _resolve(base, v, "test_sets") for d, v in test_sets_field.items()}
+    translator, augmentation, bootstrap, retrieval = (
+        _typed(data.get(key, {}), dict, key)
+        for key in ("translator", "augmentation", "bootstrap", "retrieval")
+    )
+    if "kind" not in translator:
         raise ConfigurationError("manifest field 'translator' must be an object with a 'kind'")
-    translator = TranslatorSpec(
-        kind=translator_field["kind"],
-        command=translator_field.get("command"),
-        timeout=float(translator_field.get("timeout", 300.0)),
-    )
-    bootstrap_field = data.get("bootstrap", {})
-    bootstrap = BootstrapConfig(
-        n_samples=int(bootstrap_field.get("n", 1000)),
-        threshold=float(bootstrap_field.get("threshold", 0.05)),
-        seed=int(bootstrap_field.get("seed", 0)),
-    )
-    retrieval_field = data.get("retrieval", {})
-    retrieval = Bm25Params(
-        k1=float(retrieval_field.get("k1", 1.2)),
-        b=float(retrieval_field.get("b", 0.75)),
-    )
+    command = translator.get("command")
 
     return ExperimentManifest(
         tms=tms,
         test_sets=test_sets,
-        domains=tuple(data["domains"]),
-        k_values=tuple(int(k) for k in data["k_values"]),
-        scenarios=tuple(str(s).replace("-", "_") for s in data["scenarios"]),
-        translator=translator,
-        out_dir=_resolve(base, data["out_dir"]),
+        domains=_list_of(data["domains"], str, "domains"),
+        k_values=_list_of(data["k_values"], int, "k_values"),
+        scenarios=tuple(s.replace("-", "_") for s in _list_of(data["scenarios"], str, "scenarios")),
+        translator=TranslatorSpec(
+            kind=translator["kind"],
+            command=command if command is None else _typed(command, str, "translator.command"),
+            timeout=_typed(translator.get("timeout", 300.0), float, "translator.timeout"),
+        ),
+        out_dir=_resolve(base, data["out_dir"], "out_dir"),
         mode=augmentation.get("mode", "topk"),
-        pool=int(augmentation.get("pool", DEFAULT_POOL_SIZE)),
-        seed=int(augmentation.get("seed", 0)),
+        pool=_typed(augmentation.get("pool", DEFAULT_POOL_SIZE), int, "augmentation.pool"),
+        seed=_typed(augmentation.get("seed", 0), int, "augmentation.seed"),
         separator=augmentation.get("separator", DEFAULT_SEPARATOR),
         exclude_self=bool(augmentation.get("exclude_self", False)),
-        bootstrap=bootstrap,
-        retrieval=retrieval,
+        bootstrap=BootstrapConfig(
+            n_samples=_typed(bootstrap.get("n", 1000), int, "bootstrap.n"),
+            threshold=_typed(bootstrap.get("threshold", 0.05), float, "bootstrap.threshold"),
+            seed=_typed(bootstrap.get("seed", 0), int, "bootstrap.seed"),
+        ),
+        retrieval=Bm25Params(
+            k1=_typed(retrieval.get("k1", 1.2), float, "retrieval.k1"),
+            b=_typed(retrieval.get("b", 0.75), float, "retrieval.b"),
+        ),
     )
 
 
@@ -353,29 +369,6 @@ def _run_cell(
     cell_json = json.dumps(cell.to_dict(), indent=2, sort_keys=True) + "\n"
     (cell_dir / "cell.json").write_text(cell_json, encoding="utf-8")
     return _CellOutput(cell=cell, hypotheses=hypotheses, references=references)
-
-
-def _lenient_averages(
-    cells: dict[tuple[str, int, str, str], CellResult],
-) -> dict[tuple[str, str], GroupAverage]:
-    """Group means like aggregate_report, but silently skipping any
-    (system, scenario) group whose domain x k grid has holes (failed cells).
-    """
-    groups: dict[tuple[str, str], list[CellResult]] = {}
-    for cell in cells.values():
-        groups.setdefault((cell.system, cell.scenario), []).append(cell)
-    averages: dict[tuple[str, str], GroupAverage] = {}
-    for key, group in groups.items():
-        domains = {c.domain for c in group}
-        ks = {c.k for c in group}
-        if len(group) != len(domains) * len(ks):
-            continue
-        overlaps = [c.overlap_pct for c in group if c.overlap_pct is not None]
-        averages[key] = GroupAverage(
-            bleu=sum(c.bleu.score for c in group) / len(group),
-            overlap_pct=sum(overlaps) / len(overlaps) if overlaps else None,
-        )
-    return averages
 
 
 def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport:
@@ -422,7 +415,6 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
                 except Exception as exc:
                     index_errors[(domain, scenario)] = _error_text(exc)
 
-    cells: dict[tuple[str, int, str, str], CellResult] = {}
     outputs: dict[tuple[str, int, str], _CellOutput] = {}
     failed: dict[tuple[str, int, str, str], str] = {}
     system = manifest.translator.kind
@@ -441,41 +433,30 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
                 else:
                     jobs.append((domain, k, scenario))
 
-    def run_one(job: tuple[str, int, str]) -> tuple[tuple[str, int, str], _CellOutput]:
+    def run_one(job: tuple[str, int, str]) -> _CellOutput | str:
         domain, k, scenario = job
         cell_dir = out_dir / "cells" / f"{domain}__k{k}__{scenario}"
-        result = _run_cell(
-            manifest,
-            domain,
-            k,
-            scenario,
-            indexes[(domain, scenario)],
-            test_corpora[domain],
-            cell_dir,
-        )
-        return job, result
+        try:
+            return _run_cell(
+                manifest,
+                domain,
+                k,
+                scenario,
+                indexes[(domain, scenario)],
+                test_corpora[domain],
+                cell_dir,
+            )
+        except Exception as exc:
+            return _error_text(exc)
 
-    if workers == 1:
-        futures = map(run_one, jobs)
-        for job in jobs:
-            try:
-                _, result = next(futures)
-            except Exception as exc:
-                failed[(job[0], job[1], job[2], system)] = _error_text(exc)
-                continue
-            outputs[job] = result
-            cells[result.cell.key] = result.cell
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            future_by_job = {job: pool.submit(run_one, job) for job in jobs}
-        for job, future in future_by_job.items():
-            try:
-                _, result = future.result()
-            except Exception as exc:
-                failed[(job[0], job[1], job[2], system)] = _error_text(exc)
-                continue
-            outputs[job] = result
-            cells[result.cell.key] = result.cell
+    # One loop for every worker count: cells run on threads, which pays off
+    # when an external translator spends its time waiting on a subprocess.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for (domain, k, scenario), result in zip(jobs, pool.map(run_one, jobs)):
+            if isinstance(result, str):
+                failed[(domain, k, scenario, system)] = result
+            else:
+                outputs[(domain, k, scenario)] = result
 
     significance: dict[tuple[str, int, str, str, str], SignificanceResult] = {}
     if "relevant" in manifest.scenarios and "less_relevant" in manifest.scenarios:
@@ -495,12 +476,8 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
                 )
                 significance[(domain, k, system, "relevant", "less_relevant")] = result
 
-    report = EvalReport(
-        cells=cells,
-        averages=_lenient_averages(cells),
-        significance=significance,
-        failed=failed,
-    )
+    cells = [output.cell for output in outputs.values()]
+    report = aggregate_report(cells, significance, failed)
     report_json = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     (out_dir / "report.json").write_text(report_json, encoding="utf-8")
     (out_dir / "report.md").write_text(report_to_markdown(report), encoding="utf-8")

@@ -11,8 +11,8 @@ import math
 import random
 from collections import Counter
 
-from ratkit import Bm25Params, SentencePair, TranslationMemory, tokenize_13a
-from ratkit.corpus import analyze_for_index
+from ratkit import Bm25Params
+from ratkit.corpus import SentencePair, TranslationMemory, analyze_for_index, tokenize_13a
 
 VOCAB = [f"w{i:03d}" for i in range(200)]
 _VOCAB_WEIGHTS = [1.0 / (i + 1) for i in range(len(VOCAB))]

@@ -20,23 +20,18 @@ import pytest
 from ratkit import (
     AugmentationConfig,
     Bm25Params,
-    FuzzyMatch,
-    TranslatorSpec,
     augment_corpus,
     bleu_corpus,
     build_index,
     build_scenario,
-    load_index,
-    load_manifest,
     paired_bootstrap,
     query_top_n,
-    run_experiment,
-    save_corpus,
-    save_index,
     suggestion_overlap,
-    translate,
-    validate_scenario,
 )
+from ratkit.corpus import save_corpus
+from ratkit.pipeline import TranslatorSpec, load_manifest, run_experiment, translate
+from ratkit.retrieval import FuzzyMatch, load_index, save_index
+from ratkit.scenarios import validate_scenario
 from ratkit.seeding import derived_rng
 
 from synthetic import (

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
-from ratkit import load_index, read_augmented, save_corpus, write_lines
+from ratkit.augmentation import read_augmented
 from ratkit.cli import main
+from ratkit.corpus import save_corpus, write_lines
+from ratkit.retrieval import load_index
 
 from synthetic import make_three_domain, tiny_tm
 
@@ -163,6 +165,19 @@ class TestOverlapCommand:
         assert "overlap undefined" in capsys.readouterr().out
 
 
+    def test_malformed_augmented_line_exits_2(self, corpus_files, capsys):
+        self.prepare(corpus_files)
+        path = corpus_files / "aug.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2][:-5]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(["x"] * len(lines), corpus_files / "hyp.txt")
+        capsys.readouterr()
+        code = run_cli("overlap", "--augmented", path, "--hyp", corpus_files / "hyp.txt")
+        assert code == 2
+        assert f"{path}:3: malformed augmented record (JSONDecodeError" in capsys.readouterr().err
+
+
 class TestCompareCommand:
     def test_clear_winner_reported_significant(self, tmp_path, capsys):
         refs = [f"zeile {i} endet mit marke m{i:02d}" for i in range(60)]
@@ -223,6 +238,26 @@ class TestReportCommand:
         assert code == 2
         assert "no cell.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            (
+                lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "k"}),
+                "KeyError: 'k'",
+            ),
+            (lambda text: text[:10], "JSONDecodeError"),
+        ],
+        ids=["missing-key", "not-json"],
+    )
+    def test_malformed_cell_exits_2_naming_the_file(self, tmp_path, capsys, corrupt, error):
+        cells = tmp_path / "cells"
+        self.write_cell(cells, "it", 1, 40.0)
+        path = cells / "it__k1__relevant" / "cell.json"
+        path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+        code = run_cli("report", "--cells", cells, "--out", tmp_path / "r.json")
+        assert code == 2
+        assert f"{path}: malformed cell file ({error}" in capsys.readouterr().err
+
     def test_incomplete_grid_exits_2(self, tmp_path, capsys):
         cells = tmp_path / "cells"
         self.write_cell(cells, "it", 1, 40.0)
@@ -264,6 +299,29 @@ class TestRunCommand:
         assert code == 1
         assert "2 cells completed, 2 failed" in captured.out
         assert captured.err.count("failed ('med'") == 2
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"bootstrap": 5},
+            {"retrieval": [1]},
+            {"augmentation": {"pool": "ten"}},
+            {"k_values": ["one"]},
+            {"k_values": [1.5]},
+            {"bootstrap": {"n": 2.5}},
+            {"translator": {"kind": "baseline_copy_first", "timeout": "soon"}},
+        ],
+        ids=["bootstrap-int", "retrieval-list", "pool-str", "k-str", "k-float", "n-float",
+             "timeout-str"],
+    )
+    def test_malformed_manifest_field_exits_2(self, corpus_files, capsys, override):
+        path = self.write_manifest(corpus_files)
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest.update(override)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        code = run_cli("run", "--manifest", path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: manifest field")
 
     def test_bad_manifest_exits_2(self, tmp_path, capsys):
         code = run_cli("run", "--manifest", tmp_path / "missing.json")

@@ -9,18 +9,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ratkit import (
-    CorpusFormatError,
+from ratkit import CorpusFormatError, ValidationError, load_corpus
+from ratkit.corpus import (
     SentencePair,
     TranslationMemory,
-    ValidationError,
-    load_corpus,
+    analyze_for_index,
     read_lines,
     save_corpus,
     tokenize_13a,
     write_lines,
 )
-from ratkit.corpus import analyze_for_index
 
 FIXTURE = Path(__file__).parent / "data" / "bleu_fixture.json"
 

@@ -13,18 +13,20 @@ from hypothesis import strategies as st
 
 from ratkit import (
     AggregationError,
-    BleuScore,
-    CellResult,
-    FuzzyMatch,
-    SignificanceResult,
     ValidationError,
-    aggregate_report,
     bleu_corpus,
     paired_bootstrap,
-    report_to_markdown,
     suggestion_overlap,
 )
 from ratkit.augmentation import AugmentedExample
+from ratkit.evaluation import (
+    BleuScore,
+    CellResult,
+    SignificanceResult,
+    aggregate_report,
+    report_to_markdown,
+)
+from ratkit.retrieval import FuzzyMatch
 
 from synthetic import make_bootstrap_systems
 
@@ -304,6 +306,34 @@ class TestAggregateReport:
         ]
         with pytest.raises(AggregationError, match="missing cell.*d2.*k=2"):
             aggregate_report(cells)
+
+    def test_hole_listed_as_failed_skips_the_group(self):
+        cells = [
+            make_cell("d1", 1),
+            make_cell("d1", 2),
+            make_cell("d2", 1),
+            make_cell("d1", 1, scenario="less_relevant"),
+        ]
+        failed = {("d2", 2, "relevant", "sys"): "TranslatorError: boom"}
+        report = aggregate_report(cells, failed=failed)
+        assert set(report.averages) == {("sys", "less_relevant")}
+        assert len(report.cells) == 4
+        assert report.failed == failed
+
+    def test_hole_not_listed_as_failed_raises(self):
+        cells = [make_cell("d1", 1), make_cell("d1", 2), make_cell("d2", 1)]
+        failed = {("d2", 1, "less_relevant", "sys"): "TranslatorError: boom"}
+        with pytest.raises(AggregationError, match="missing cell.*d2.*k=2"):
+            aggregate_report(cells, failed=failed)
+
+    def test_failures_only_give_an_empty_report(self):
+        failed = {("d1", 1, "relevant", "sys"): "TranslatorError: boom"}
+        report = aggregate_report([], failed=failed)
+        assert report.cells == {} and report.averages == {} and report.significance == {}
+        assert report.to_dict()["failed_cells"] == [
+            {"domain": "d1", "k": 1, "scenario": "relevant", "system": "sys",
+             "error": "TranslatorError: boom"}
+        ]
 
     def test_duplicate_cell_rejected(self):
         with pytest.raises(AggregationError, match="duplicate"):

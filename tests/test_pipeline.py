@@ -3,21 +3,16 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from ratkit import (
-    ConfigurationError,
-    FuzzyMatch,
-    TranslatorError,
-    TranslatorSpec,
-    load_manifest,
-    run_experiment,
-    save_corpus,
-    translate,
-)
+from ratkit import ConfigurationError, TranslatorError
 from ratkit.augmentation import AugmentedExample
+from ratkit.corpus import save_corpus
+from ratkit.pipeline import TranslatorSpec, load_manifest, run_experiment, translate
+from ratkit.retrieval import FuzzyMatch
 
 from synthetic import make_directional, make_three_domain
 
@@ -152,6 +147,18 @@ class TestTranslate:
         )
         with pytest.raises(TranslatorError, match="timed out"):
             translate(spec, [aug("x", "r", [])])
+
+    def test_external_timeout_kills_grandchildren(self, tmp_path):
+        marker = tmp_path / "marker"
+        spec = TranslatorSpec(
+            kind="external_command",
+            command=f"(sleep 1.5; touch {marker}) & wait; cat {{input}} > {{output}}",
+            timeout=0.5,
+        )
+        with pytest.raises(TranslatorError, match="timed out"):
+            translate(spec, [aug("x", "r", [])])
+        time.sleep(2.0)
+        assert not marker.exists()
 
 
 class TestLoadManifest:
@@ -327,7 +334,7 @@ class TestRunExperiment:
             > report.averages[(system, "less_relevant")].bleu
         )
 
-    def test_incomplete_group_dropped_from_averages(self, tmp_path):
+    def test_whole_domain_failure_keeps_remaining_groups_complete(self, tmp_path):
         tm, test_sets = make_three_domain(tm_per_domain=30, test_per_domain=20)
         materialize(tmp_path, tm, test_sets)
         (tmp_path / "test_med.jsonl").unlink()

@@ -9,19 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratkit import (
-    Bm25Params,
-    SentencePair,
-    TranslationMemory,
-    ValidationError,
-    bm25_score,
-    build_index,
-    idf,
-    load_index,
-    query_top_n,
-    save_index,
-)
-from ratkit.corpus import analyze_for_index
+from ratkit import Bm25Params, ValidationError, build_index, query_top_n
+from ratkit.corpus import SentencePair, TranslationMemory, analyze_for_index
+from ratkit.retrieval import bm25_score, idf, load_index, save_index
 
 from synthetic import brute_force_top_n, make_queries, make_random_tm, tiny_tm
 

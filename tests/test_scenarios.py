@@ -10,17 +10,15 @@ from ratkit import (
     AugmentationConfig,
     Bm25Params,
     ConfigurationError,
-    FuzzyMatch,
-    SentencePair,
-    TranslationMemory,
     ValidationError,
     augment_corpus,
     build_index,
     build_scenario,
-    validate_scenario,
-    write_scenario_sidecar,
 )
 from ratkit.augmentation import AugmentedExample
+from ratkit.corpus import SentencePair, TranslationMemory
+from ratkit.retrieval import FuzzyMatch
+from ratkit.scenarios import validate_scenario, write_scenario_sidecar
 
 from synthetic import make_three_domain
 
