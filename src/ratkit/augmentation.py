@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .corpus import TranslationMemory, write_lines
+from .corpus import TranslationMemory, numbered_lines, write_lines
 from .errors import ValidationError
 from .retrieval import FuzzyMatch, TmIndex, query_top_n
 from .seeding import derived_rng
@@ -111,10 +111,10 @@ def _validate_separator(separator: str, tm: TranslationMemory, index: TmIndex) -
             raise ValidationError(
                 f"separator {separator!r} occurs in corpus pair {pair.id!r}"
             )
-    for meta in index.doc_meta:
-        if separator in meta.target:
+    for pair in index.pairs:
+        if separator in pair.target:
             raise ValidationError(
-                f"separator {separator!r} occurs in indexed pair {meta.pair_id!r}"
+                f"separator {separator!r} occurs in indexed pair {pair.id!r}"
             )
 
 
@@ -200,7 +200,8 @@ def read_augmented(path: str | Path) -> list[AugmentedExample]:
 
     The record format stores only (id, rank, score, tgt) per suggestion, so
     reconstructed matches carry empty source and domain fields. A line that
-    is not a complete record raises a ValidationError naming path and line.
+    is not a complete record raises a ValidationError naming path and line,
+    and bytes that are not UTF-8 a CorpusFormatError.
     """
     examples = []
     try:
@@ -208,7 +209,7 @@ def read_augmented(path: str | Path) -> list[AugmentedExample]:
     except OSError as exc:
         raise ValidationError(f"cannot read augmented file {path}: {exc}") from exc
     with fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in numbered_lines(fh, path):
             if not line.strip():
                 continue
             try:

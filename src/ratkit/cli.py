@@ -171,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="build a BM25 index from a corpus file")
     p.add_argument("--corpus", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--k1", type=float, default=1.2)
-    p.add_argument("--b", type=float, default=0.75)
+    p.add_argument("--k1", type=float, default=Bm25Params.k1)
+    p.add_argument("--b", type=float, default=Bm25Params.b)
     p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("scenario", help="build a relevance-filtered scenario index")
@@ -182,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tms", required=True, help="comma-separated corpus files")
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--k1", type=float, default=1.2)
-    p.add_argument("--b", type=float, default=0.75)
+    p.add_argument("--k1", type=float, default=Bm25Params.k1)
+    p.add_argument("--b", type=float, default=Bm25Params.b)
     p.set_defaults(func=_cmd_scenario)
 
     p = sub.add_parser("augment", help="attach retrieved suggestions to a corpus")

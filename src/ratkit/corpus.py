@@ -16,7 +16,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, TextIO
 
 from .errors import CorpusFormatError, ValidationError
 
@@ -109,7 +109,7 @@ def load_corpus(path: str | Path, format: str | None = None, name: str | None = 
     except OSError as exc:
         raise ValidationError(f"cannot read corpus file {path}: {exc}") from exc
     with fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in numbered_lines(fh, path):
             if not line.strip():
                 continue
             pair = _parse_record(str(path), lineno, line.rstrip("\n"), fmt)
@@ -124,6 +124,24 @@ def load_corpus(path: str | Path, format: str | None = None, name: str | None = 
     if not pairs:
         raise ValidationError(f"corpus file {path} contains no records")
     return TranslationMemory(name=name or path.stem, pairs=tuple(pairs))
+
+
+def numbered_lines(fh: TextIO, path: str | Path) -> Iterator[tuple[int, str]]:
+    """``enumerate(fh, start=1)`` over a file opened as UTF-8 text.
+
+    Bytes that are not UTF-8 raise a CorpusFormatError naming ``path:line``.
+    """
+    try:
+        yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        # The text layer decodes in blocks, so find the line in the raw bytes.
+        with open(path, "rb") as raw:
+            for lineno, line in enumerate(raw, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+        raise CorpusFormatError(str(path), lineno, f"not valid UTF-8 ({exc.reason})") from exc
 
 
 def _parse_record(path: str, lineno: int, line: str, fmt: str) -> SentencePair:
@@ -231,7 +249,7 @@ def read_lines(path: str | Path) -> list[str]:
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     with fh:
-        return [line.rstrip("\n") for line in fh]
+        return [line.rstrip("\n") for _, line in numbered_lines(fh, path)]
 
 
 def write_lines(lines: Iterable[str], path: str | Path) -> None:

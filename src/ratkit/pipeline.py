@@ -27,14 +27,13 @@ from pathlib import Path
 from .augmentation import (
     DEFAULT_POOL_SIZE,
     DEFAULT_SEPARATOR,
-    MODES,
     AugmentationConfig,
     AugmentedExample,
     augment_corpus,
     write_augmented,
 )
 from .corpus import TranslationMemory, load_corpus, tokenize_13a, write_lines
-from .errors import ConfigurationError, TranslatorError
+from .errors import ConfigurationError, TranslatorError, ValidationError
 from .evaluation import (
     CellResult,
     EvalReport,
@@ -225,13 +224,12 @@ class ExperimentManifest:
                 raise ConfigurationError(f"domain name {domain!r} is not filesystem-safe")
         if len(set(self.domains)) != len(self.domains):
             raise ConfigurationError(f"duplicate domains: {self.domains}")
-        if self.mode not in MODES:
-            raise ConfigurationError(f"unknown augmentation mode {self.mode!r}")
-        if self.mode == "shuffle" and max(self.k_values) > self.pool:
-            raise ConfigurationError(
-                f"shuffle mode needs pool >= max k; got pool={self.pool}, "
-                f"k_values={self.k_values}"
-            )
+        # Every cell's augmentation settings are checked here, before any cell runs.
+        for k in self.k_values:
+            try:
+                self.cell_config(k)
+            except ValidationError as exc:
+                raise ConfigurationError(f"manifest field 'augmentation' is invalid: {exc}") from exc
 
     def cell_config(self, k: int) -> AugmentationConfig:
         return AugmentationConfig(
@@ -244,15 +242,22 @@ class ExperimentManifest:
         )
 
 
-_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+_KINDS = {
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "a list",
+    dict: "an object",
+}
 
 
 def _typed(value, kind: type, name: str):
     """``value`` as ``kind`` if it has that JSON type; a float may be written
-    as an integer, and a bool is neither.
+    as an integer, and a bool is only a bool.
     """
     accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, accepted):
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigurationError(f"manifest field {name!r} must be {_KINDS[kind]}, got {value!r}")
     return kind(value)
 
@@ -313,19 +318,21 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
             timeout=_typed(translator.get("timeout", 300.0), float, "translator.timeout"),
         ),
         out_dir=_resolve(base, data["out_dir"], "out_dir"),
-        mode=augmentation.get("mode", "topk"),
+        mode=_typed(augmentation.get("mode", "topk"), str, "augmentation.mode"),
         pool=_typed(augmentation.get("pool", DEFAULT_POOL_SIZE), int, "augmentation.pool"),
         seed=_typed(augmentation.get("seed", 0), int, "augmentation.seed"),
-        separator=augmentation.get("separator", DEFAULT_SEPARATOR),
-        exclude_self=bool(augmentation.get("exclude_self", False)),
+        separator=_typed(
+            augmentation.get("separator", DEFAULT_SEPARATOR), str, "augmentation.separator"
+        ),
+        exclude_self=_typed(augmentation.get("exclude_self", False), bool, "augmentation.exclude_self"),
         bootstrap=BootstrapConfig(
             n_samples=_typed(bootstrap.get("n", 1000), int, "bootstrap.n"),
             threshold=_typed(bootstrap.get("threshold", 0.05), float, "bootstrap.threshold"),
             seed=_typed(bootstrap.get("seed", 0), int, "bootstrap.seed"),
         ),
         retrieval=Bm25Params(
-            k1=_typed(retrieval.get("k1", 1.2), float, "retrieval.k1"),
-            b=_typed(retrieval.get("b", 0.75), float, "retrieval.b"),
+            k1=_typed(retrieval.get("k1", Bm25Params.k1), float, "retrieval.k1"),
+            b=_typed(retrieval.get("b", Bm25Params.b), float, "retrieval.b"),
         ),
     )
 

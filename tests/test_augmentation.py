@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratkit import AugmentationConfig, ValidationError, augment_corpus, build_index
+from ratkit import (
+    AugmentationConfig,
+    CorpusFormatError,
+    ValidationError,
+    augment_corpus,
+    build_index,
+)
 from ratkit.augmentation import flatten_input, read_augmented, sample_suggestions, write_augmented
 from ratkit.corpus import SentencePair, TranslationMemory
 from ratkit.retrieval import FuzzyMatch
@@ -241,6 +247,15 @@ class TestSerialization:
             assert [(m.pair_id, m.rank, m.score, m.target) for m in a.suggestions] == [
                 (m.pair_id, m.rank, m.score, m.target) for m in b.suggestions
             ]
+
+    def test_read_augmented_names_a_non_utf8_line(self, tmp_path):
+        tm = make_random_tm(n_pairs=3, seed=30)
+        examples = list(augment_corpus(tm, build_index(tm), AugmentationConfig(k=1)))
+        jsonl, _, _ = write_augmented(examples, tmp_path / "aug")
+        lines = jsonl.read_bytes().splitlines(keepends=True)
+        jsonl.write_bytes(lines[0] + lines[1].replace(b"tgt", b"tgt\xe9", 1) + lines[2])
+        with pytest.raises(CorpusFormatError, match=r"aug\.jsonl:2: not valid UTF-8"):
+            read_augmented(jsonl)
 
 
 class TestSeedDerivation:

@@ -50,6 +50,20 @@ class TestIndexCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "name, good",
+        [
+            ("tm.jsonl", b'{"id": "a", "domain": "d", "src": "caf", "tgt": "t"}\n'),
+            ("tm.tsv", b"a\td\tcaf\tt\n"),
+        ],
+    )
+    def test_non_utf8_corpus_exits_2_naming_the_line(self, tmp_path, capsys, name, good):
+        corpus = tmp_path / name
+        corpus.write_bytes(good + good.replace(b"caf", b"caf\xe9").replace(b"a", b"b", 1))
+        code = run_cli("index", "--corpus", corpus, "--out", tmp_path / "x.idx")
+        assert code == 2
+        assert f"{corpus}:2: not valid UTF-8" in capsys.readouterr().err
+
 
 class TestScenarioCommand:
     def test_relevant_scenario_with_sidecar(self, corpus_files, capsys):
@@ -310,9 +324,16 @@ class TestRunCommand:
             {"k_values": [1.5]},
             {"bootstrap": {"n": 2.5}},
             {"translator": {"kind": "baseline_copy_first", "timeout": "soon"}},
+            {"augmentation": {"separator": 5}},
+            {"augmentation": {"separator": "a b"}},
+            {"augmentation": {"exclude_self": "false"}},
+            {"augmentation": {"mode": 1}},
+            {"augmentation": {"mode": "sideways"}},
+            {"augmentation": {"mode": "shuffle", "pool": 0}},
         ],
         ids=["bootstrap-int", "retrieval-list", "pool-str", "k-str", "k-float", "n-float",
-             "timeout-str"],
+             "timeout-str", "separator-int", "separator-space", "exclude-self-str",
+             "mode-int", "mode-unknown", "shuffle-pool-below-k"],
     )
     def test_malformed_manifest_field_exits_2(self, corpus_files, capsys, override):
         path = self.write_manifest(corpus_files)
@@ -322,6 +343,16 @@ class TestRunCommand:
         code = run_cli("run", "--manifest", path)
         assert code == 2
         assert capsys.readouterr().err.startswith("error: manifest field")
+
+    def test_non_finite_bm25_parameter_exits_2(self, corpus_files, capsys):
+        path = self.write_manifest(corpus_files)
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["retrieval"] = {"k1": float("nan")}
+        path.write_text(json.dumps(manifest), encoding="utf-8")  # writes the token NaN
+        code = run_cli("run", "--manifest", path)
+        assert code == 2
+        assert "k1 must be finite" in capsys.readouterr().err
+        assert not (corpus_files / "out").exists()
 
     def test_bad_manifest_exits_2(self, tmp_path, capsys):
         code = run_cli("run", "--manifest", tmp_path / "missing.json")

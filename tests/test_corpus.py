@@ -227,6 +227,12 @@ class TestTokenize13a:
 
 
 class TestLineIo:
+    def test_non_utf8_line_named_past_the_first_block(self, tmp_path):
+        path = tmp_path / "hyp.txt"
+        path.write_bytes(b"fine line\n" * 2000 + b"caf\xe9\n" + b"fine line\n")
+        with pytest.raises(CorpusFormatError, match=r"hyp\.txt:2001: not valid UTF-8"):
+            read_lines(path)
+
     def test_write_read_round_trip(self, tmp_path):
         lines = ["erste Zeile", "zweite Zeile", "", "vierte"]
         path = tmp_path / "lines.txt"

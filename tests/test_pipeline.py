@@ -227,7 +227,7 @@ class TestLoadManifest:
             k_values=[1, 12],
             augmentation={"mode": "shuffle", "pool": 10},
         )
-        with pytest.raises(ConfigurationError, match="pool >= max k"):
+        with pytest.raises(ConfigurationError, match="pool_size must be >= k"):
             load_manifest(path)
 
     def test_invalid_json_rejected(self, tmp_path):

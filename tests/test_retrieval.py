@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+import random
+import struct
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +18,7 @@ from hypothesis import strategies as st
 
 from ratkit import Bm25Params, ValidationError, build_index, query_top_n
 from ratkit.corpus import SentencePair, TranslationMemory, analyze_for_index
-from ratkit.retrieval import bm25_score, idf, load_index, save_index
+from ratkit.retrieval import load_index, save_index
 
 from synthetic import brute_force_top_n, make_queries, make_random_tm, tiny_tm
 
@@ -25,10 +32,15 @@ class TestBm25Params:
         with pytest.raises(ValidationError):
             Bm25Params(k1=-0.1)
 
-    @pytest.mark.parametrize("b", [-0.01, 1.01])
+    @pytest.mark.parametrize("b", [-0.01, 1.01, math.nan, math.inf])
     def test_rejects_b_outside_unit_interval(self, b):
         with pytest.raises(ValidationError):
             Bm25Params(b=b)
+
+    @pytest.mark.parametrize("k1", [math.nan, math.inf])
+    def test_rejects_non_finite_k1(self, k1):
+        with pytest.raises(ValidationError, match="finite"):
+            Bm25Params(k1=k1)
 
 
 class TestBuildIndex:
@@ -40,9 +52,12 @@ class TestBuildIndex:
 
     def test_tiny_tm_postings_for_cat(self):
         index = build_index(tiny_tm())
-        d1 = index.doc_for_pair("d1")
-        d3 = index.doc_for_pair("d3")
+        d1, d3 = 0, 2  # doc ids are positions in the TM
         assert index.postings["cat"] == [(d1, 1), (d3, 1)]
+
+    def test_norms_derived_from_doc_lengths(self):
+        index = build_index(tiny_tm(), Bm25Params(k1=1.5, b=0.5))
+        assert index.norms == [1.5 * (1 - 0.5 + 0.5 * dl / 2.0) for dl in (3, 2, 1)]
 
     def test_statistics_match_naive_recount(self):
         tm = make_random_tm(n_pairs=1000, seed=11)
@@ -70,9 +85,11 @@ class TestBuildIndex:
             build_index(tm)
 
     def test_doc_meta_preserves_stored_fields(self):
-        index = build_index(tiny_tm())
-        meta = index.doc_meta[index.doc_for_pair("d2")]
-        assert (meta.pair_id, meta.source, meta.target, meta.domain) == (
+        tm = tiny_tm()
+        index = build_index(tm)
+        assert index.pairs is tm.pairs
+        pair = index.pairs[1]
+        assert (pair.id, pair.source, pair.target, pair.domain) == (
             "d2",
             "the dog",
             "der Hund",
@@ -80,59 +97,63 @@ class TestBuildIndex:
         )
 
 
+def scores_by_id(index, query: str) -> dict[str, float]:
+    return {m.pair_id: m.score for m in query_top_n(index, query, index.doc_count)}
+
+
 class TestIdf:
+    # A doc whose length is the average has norm k1, so a tf-1 match scores
+    # idf * (k1 + 1) / (1 + k1): its score is the term's idf.
     def test_df_two_of_three(self):
         index = build_index(tiny_tm())
-        assert idf("the", index) == pytest.approx(math.log(1.6), abs=1e-12)
-        assert idf("the", index) == pytest.approx(0.4700, abs=5e-5)
-
-    def test_df_zero_is_defined_and_positive(self):
-        index = build_index(tiny_tm())
-        assert idf("zebra", index) == pytest.approx(math.log(8.0), abs=1e-12)
-        assert idf("zebra", index) == pytest.approx(2.0794, abs=5e-5)
+        idf_the = scores_by_id(index, "the")["d2"]  # d2 has the average length 2
+        assert idf_the == pytest.approx(math.log(1.6), abs=1e-12)
+        assert idf_the == pytest.approx(0.4700, abs=5e-5)
 
     def test_single_doc_corpus(self):
         tm = TranslationMemory(
             name="one", pairs=(SentencePair(id="p", source="cat", target="x", domain="d"),)
         )
         index = build_index(tm)
-        assert idf("cat", index) == pytest.approx(math.log(4.0 / 3.0), abs=1e-12)
-        assert idf("cat", index) == pytest.approx(0.2877, abs=5e-5)
+        idf_cat = scores_by_id(index, "cat")["p"]
+        assert idf_cat == pytest.approx(math.log(4.0 / 3.0), abs=1e-12)
+        assert idf_cat == pytest.approx(0.2877, abs=5e-5)
 
     def test_always_positive_even_when_term_is_everywhere(self):
-        index = build_index(tiny_tm())
-        for term in list(index.postings) + ["missing"]:
-            assert idf(term, index) > 0.0
+        tm = TranslationMemory(
+            name="everywhere",
+            pairs=tuple(
+                SentencePair(id=f"d{i}", source=f"the w{i}", target="t", domain="d")
+                for i in range(3)
+            ),
+        )
+        for index in (build_index(tiny_tm()), build_index(tm)):
+            for term, plist in index.postings.items():
+                scores = scores_by_id(index, term)
+                assert len(scores) == len(plist)
+                assert all(score > 0.0 for score in scores.values())
 
 
 class TestBm25Score:
     def test_cat_on_d1(self):
         index = build_index(tiny_tm())
         expected = math.log(1.6) * 2.2 / (1.0 + 1.2 * (1 - 0.75 + 0.75 * 3 / 2))
-        got = bm25_score(["cat"], index.doc_for_pair("d1"), index)
+        got = scores_by_id(index, "cat")["d1"]
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.390, abs=5e-4)
 
     def test_cat_on_d3_shorter_doc_scores_higher(self):
-        index = build_index(tiny_tm())
-        d3 = bm25_score(["cat"], index.doc_for_pair("d3"), index)
-        d1 = bm25_score(["cat"], index.doc_for_pair("d1"), index)
-        assert d3 == pytest.approx(0.591, abs=5e-4)
-        assert d3 > d1
+        scores = scores_by_id(build_index(tiny_tm()), "cat")
+        assert scores["d3"] == pytest.approx(0.591, abs=5e-4)
+        assert scores["d3"] > scores["d1"]
 
     def test_no_shared_terms_scores_zero(self):
         index = build_index(tiny_tm())
-        assert bm25_score(["zebra"], index.doc_for_pair("d1"), index) == 0.0
+        assert "d1" not in scores_by_id(index, "zebra dog")
 
     def test_duplicate_query_terms_count_once(self):
         index = build_index(tiny_tm())
-        doc = index.doc_for_pair("d1")
-        assert bm25_score(["cat", "cat"], doc, index) == bm25_score(["cat"], doc, index)
-
-    def test_unknown_doc_id_raises(self):
-        index = build_index(tiny_tm())
-        with pytest.raises(KeyError):
-            bm25_score(["cat"], 99, index)
+        assert scores_by_id(index, "cat cat") == scores_by_id(index, "cat")
 
 
 class TestQueryTopN:
@@ -200,11 +221,9 @@ class TestQueryTopN:
                 base.pairs[2],
             ),
         )
-        before = build_index(base)
-        after = build_index(boosted)
-        assert bm25_score(["cat"], after.doc_for_pair("d1"), after) >= bm25_score(
-            ["cat"], before.doc_for_pair("d1"), before
-        )
+        before = scores_by_id(build_index(base), "cat")
+        after = scores_by_id(build_index(boosted), "cat")
+        assert after["d1"] >= before["d1"]
 
     def test_ranks_run_from_one_with_non_increasing_scores(self):
         tm = make_random_tm(n_pairs=120, seed=9)
@@ -216,6 +235,66 @@ class TestQueryTopN:
             assert scores == sorted(scores, reverse=True)
             assert all(s > 0 for s in scores)
 
+    def test_scores_do_not_depend_on_hash_seed(self):
+        # Set iteration order changes with PYTHONHASHSEED; a score summed in
+        # that order would change in its last bits from process to process.
+        script = (
+            "from ratkit import build_index, query_top_n\n"
+            "from synthetic import make_queries, make_random_tm\n"
+            "tm = make_random_tm(n_pairs=1000, seed=5)\n"
+            "index = build_index(tm)\n"
+            "for query in make_queries(tm, n_queries=100, seed=6):\n"
+            "    print([(m.pair_id, repr(m.score)) for m in query_top_n(index, query, 10)])\n"
+        )
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outputs[0] and outputs[0] == outputs[1]
+
+
+# The tiny TM as stored in an index file: (pair_id, domain, source, target)
+# per doc, and (term, postings) per term in file order.
+TINY_DOCS = [
+    ("d1", "a", "the cat sat", "die Katze sass"),
+    ("d2", "a", "the dog", "der Hund"),
+    ("d3", "a", "cat", "Katze"),
+]
+TINY_TERMS = [
+    ("cat", [(0, 1), (2, 1)]),
+    ("dog", [(1, 1)]),
+    ("sat", [(0, 1)]),
+    ("the", [(0, 1), (1, 1)]),
+]
+
+
+def index_file(docs, terms, k1: float = 1.2, b: float = 0.75) -> bytes:
+    """Index file bytes laid out as docs/index-format.md says, written
+    without save_index so that the tests can store invalid content."""
+
+    def text(value: str) -> bytes:
+        data = value.encode("utf-8")
+        return struct.pack("<I", len(data)) + data
+
+    parts = [b"RATIDX2\0", struct.pack("<ddQ", k1, b, len(docs))]
+    for fields in docs:
+        parts.extend(text(field) for field in fields)
+    parts.append(struct.pack("<Q", len(terms)))
+    for term, plist in terms:
+        parts.append(text(term) + struct.pack("<Q", len(plist)))
+        parts.extend(struct.pack("<II", doc, tf) for doc, tf in plist)
+    payload = b"".join(parts)
+    return payload + hashlib.sha256(payload).digest()
+
 
 class TestPersistence:
     def test_round_trip_preserves_structure(self, tmp_path):
@@ -226,8 +305,9 @@ class TestPersistence:
         assert loaded.doc_count == index.doc_count
         assert loaded.avg_doc_length == index.avg_doc_length
         assert loaded.doc_lengths == index.doc_lengths
+        assert loaded.norms == index.norms
         assert loaded.postings == index.postings
-        assert loaded.doc_meta == index.doc_meta
+        assert loaded.pairs == index.pairs
         assert (loaded.params.k1, loaded.params.b) == (index.params.k1, index.params.b)
 
     def test_save_load_save_is_bit_stable(self, tmp_path):
@@ -269,3 +349,66 @@ class TestPersistence:
         path.write_bytes(path.read_bytes() + b"extra")
         with pytest.raises(ValidationError, match="trailing"):
             load_index(path)
+
+    def test_v1_file_rejected_with_rebuild_hint(self, tmp_path):
+        path = tmp_path / "old.idx"
+        path.write_bytes(b"RATIDX1\0" + b"\x00" * 64)
+        with pytest.raises(ValidationError, match="rebuild"):
+            load_index(path)
+
+    def test_checksum_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "tm.idx"
+        save_index(build_index(tiny_tm()), path)
+        data = bytearray(path.read_bytes())
+        data[data.index(b"Katze")] = ord("k")
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValidationError, match="checksum"):
+            load_index(path)
+
+    def test_layout_matches_the_documented_format(self, tmp_path):
+        path = tmp_path / "tm.idx"
+        save_index(build_index(tiny_tm()), path)
+        assert path.read_bytes() == index_file(TINY_DOCS, TINY_TERMS)
+
+    @pytest.mark.parametrize(
+        "docs, terms, k1",
+        [
+            (TINY_DOCS, [("cat", [(0, 0), (2, 1)])] + TINY_TERMS[1:], 1.2),
+            (TINY_DOCS, [("cat", [(2, 1), (0, 1)])] + TINY_TERMS[1:], 1.2),
+            (TINY_DOCS, [("cat", [(0, 1), (0, 1), (2, 1)])] + TINY_TERMS[1:], 1.2),
+            (TINY_DOCS, [("cat", [(0, 1), (3, 1)])] + TINY_TERMS[1:], 1.2),
+            (TINY_DOCS, TINY_TERMS + [("zebra", [])], 1.2),
+            (TINY_DOCS, [TINY_TERMS[1], TINY_TERMS[0]] + TINY_TERMS[2:], 1.2),
+            (TINY_DOCS, [("cat", [(0, 1)])] + TINY_TERMS[1:], 1.2),
+            (TINY_DOCS[:2] + [("d3", "a", " ", "Katze")], TINY_TERMS, 1.2),
+            (TINY_DOCS[:2] + [("d3", "a", "cat", "Kat\nze")], TINY_TERMS, 1.2),
+            (TINY_DOCS[:2] + [("d1", "a", "cat", "Katze")], TINY_TERMS, 1.2),
+            ([], [], 1.2),
+            (TINY_DOCS, TINY_TERMS, math.nan),
+        ],
+        ids=["tf-zero", "docs-descending", "doc-repeated", "doc-out-of-range",
+             "term-without-postings", "terms-unsorted", "doc-without-postings",
+             "blank-source", "line-break", "duplicate-id", "no-docs", "k1-nan"],
+    )
+    def test_invalid_content_with_valid_checksum_rejected(self, tmp_path, docs, terms, k1):
+        path = tmp_path / "bad.idx"
+        path.write_bytes(index_file(docs, terms, k1=k1))
+        with pytest.raises(ValidationError, match="bad.idx"):
+            load_index(path)
+
+    def test_corrupted_bytes_never_load_silently(self, tmp_path):
+        path = tmp_path / "tm.idx"
+        save_index(build_index(make_random_tm(n_pairs=200, seed=21)), path)
+        original = path.read_bytes()
+        rng = random.Random(22)
+        for _ in range(1000):
+            data = bytearray(original)
+            for _ in range(rng.randint(1, 4)):
+                data[rng.randrange(len(data))] = rng.randrange(256)
+            path.write_bytes(bytes(data))
+            if data == original:
+                load_index(path)
+                continue
+            with pytest.raises(ValidationError):
+                load_index(path)
+

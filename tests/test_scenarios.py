@@ -35,13 +35,13 @@ class TestBuildScenario:
     def test_relevant_keeps_only_test_domain(self):
         spec, index = build_scenario("it", three_tms(), "relevant")
         assert spec.resolved_domains == frozenset({"it"})
-        assert index.domains == frozenset({"it"})
+        assert {pair.domain for pair in index.pairs} == {"it"}
         assert index.doc_count == 20
 
     def test_less_relevant_excludes_test_domain(self):
         spec, index = build_scenario("it", three_tms(), "less_relevant")
         assert spec.resolved_domains == frozenset({"law", "med"})
-        assert "it" not in index.domains
+        assert "it" not in {pair.domain for pair in index.pairs}
         assert index.doc_count == 40
 
     def test_relevant_missing_domain_is_configuration_error(self):
