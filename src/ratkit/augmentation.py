@@ -3,7 +3,7 @@
 Two modes exist. ``topk`` deterministically keeps the k best matches and is
 the usual inference-time setting. ``shuffle`` is the training-time setting:
 k suggestions are sampled uniformly without replacement from a larger
-candidate pool (default: the top 10 matches), which exposes the model to less
+candidate pool (the top ``pool_size`` matches), which exposes the model to less
 similar suggestions and makes it more robust to irrelevant ones later.
 
 Sampling is keyed per example by (seed, pair id), so the produced corpus does
@@ -26,8 +26,6 @@ from .retrieval import FuzzyMatch, TmIndex, query_top_n
 from .seeding import derived_rng
 
 MODES = ("topk", "shuffle")
-DEFAULT_SEPARATOR = "@@SEP@@"
-DEFAULT_POOL_SIZE = 10
 
 
 @dataclass(frozen=True)
@@ -43,11 +41,11 @@ class AugmentationConfig:
     """
 
     k: int
-    pool_size: int = DEFAULT_POOL_SIZE
+    pool_size: int = 10
     mode: str = "topk"
     seed: int = 0
     exclude_self: bool = False
-    separator: str = DEFAULT_SEPARATOR
+    separator: str = "@@SEP@@"
 
     def __post_init__(self):
         if self.mode not in MODES:

@@ -14,18 +14,11 @@ import json
 import sys
 from pathlib import Path
 
-from .augmentation import (
-    DEFAULT_POOL_SIZE,
-    DEFAULT_SEPARATOR,
-    MODES,
-    AugmentationConfig,
-    augment_corpus,
-    read_augmented,
-    write_augmented,
-)
+from .augmentation import MODES, AugmentationConfig, augment_corpus, read_augmented, write_augmented
 from .corpus import load_corpus, read_lines
 from .errors import RatkitError, ValidationError
 from .evaluation import (
+    BootstrapConfig,
     CellResult,
     aggregate_report,
     bleu_corpus,
@@ -189,12 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="attach retrieved suggestions to a corpus")
     p.add_argument("--index", required=True, type=Path)
     p.add_argument("--corpus", required=True, type=Path)
-    p.add_argument("--mode", choices=list(MODES), default="topk")
+    p.add_argument("--mode", choices=list(MODES), default=AugmentationConfig.mode)
     p.add_argument("--k", required=True, type=int)
-    p.add_argument("--pool", type=int, default=DEFAULT_POOL_SIZE)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--separator", default=DEFAULT_SEPARATOR)
-    p.add_argument("--exclude-self", action=argparse.BooleanOptionalAction, default=False)
+    p.add_argument("--pool", type=int, default=AugmentationConfig.pool_size)
+    p.add_argument("--seed", type=int, default=AugmentationConfig.seed)
+    p.add_argument("--separator", default=AugmentationConfig.separator)
+    p.add_argument(
+        "--exclude-self", action=argparse.BooleanOptionalAction, default=AugmentationConfig.exclude_self
+    )
     p.add_argument("--out", required=True, type=Path, help="output path prefix")
     p.set_defaults(func=_cmd_augment)
 
@@ -214,9 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyp-a", required=True, type=Path)
     p.add_argument("--hyp-b", required=True, type=Path)
     p.add_argument("--ref", required=True, type=Path)
-    p.add_argument("--bootstrap", type=int, default=1000)
-    p.add_argument("--p-thresh", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bootstrap", type=int, default=BootstrapConfig.n_samples)
+    p.add_argument("--p-thresh", type=float, default=BootstrapConfig.threshold)
+    p.add_argument("--seed", type=int, default=BootstrapConfig.seed)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("report", help="aggregate per-cell results into a report")

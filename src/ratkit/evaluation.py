@@ -238,13 +238,28 @@ def suggestion_overlap(
     return OverlapResult(fractions=tuple(fractions), mean_pct=mean_pct)
 
 
+@dataclass(frozen=True)
+class BootstrapConfig:
+    """Paired bootstrap settings: resample count, p-value threshold, seed."""
+
+    n_samples: int = 1000
+    threshold: float = 0.05
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.n_samples < 1:
+            raise ValidationError(f"n_samples must be >= 1, got {self.n_samples}")
+        if not 0.0 < self.threshold < 1.0:
+            raise ValidationError(f"threshold must be in (0, 1), got {self.threshold}")
+
+
 def paired_bootstrap(
     hyps_a: list[str],
     hyps_b: list[str],
     refs: list[str],
-    n_samples: int = 1000,
-    threshold: float = 0.05,
-    seed: int = 0,
+    n_samples: int = BootstrapConfig.n_samples,
+    threshold: float = BootstrapConfig.threshold,
+    seed: int = BootstrapConfig.seed,
 ) -> SignificanceResult:
     """Paired bootstrap resampling over sentences, comparing systems A and B.
 
@@ -260,8 +275,7 @@ def paired_bootstrap(
         )
     if not refs:
         raise ValidationError("cannot bootstrap an empty test set")
-    if n_samples < 1:
-        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
+    BootstrapConfig(n_samples, threshold, seed)  # checks the settings' ranges
 
     stats_a = np.asarray([sentence_stats(h, r) for h, r in zip(hyps_a, refs)], dtype=np.int64)
     stats_b = np.asarray([sentence_stats(h, r) for h, r in zip(hyps_b, refs)], dtype=np.int64)

@@ -15,6 +15,7 @@ byte-identical across runs for fixed seeds.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shlex
 import signal
@@ -24,17 +25,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .augmentation import (
-    DEFAULT_POOL_SIZE,
-    DEFAULT_SEPARATOR,
-    AugmentationConfig,
-    AugmentedExample,
-    augment_corpus,
-    write_augmented,
-)
+from .augmentation import AugmentationConfig, AugmentedExample, augment_corpus, write_augmented
 from .corpus import TranslationMemory, load_corpus, tokenize_13a, write_lines
-from .errors import ConfigurationError, TranslatorError, ValidationError
+from .errors import ConfigurationError, RatkitError, TranslatorError
 from .evaluation import (
+    BootstrapConfig,
     CellResult,
     EvalReport,
     SignificanceResult,
@@ -85,8 +80,8 @@ class TranslatorSpec:
                 raise ConfigurationError(
                     "command template must contain both {input} and {output} placeholders"
                 )
-        if self.timeout <= 0:
-            raise ConfigurationError(f"timeout must be positive, got {self.timeout}")
+        if not 0 < self.timeout < math.inf:
+            raise ConfigurationError(f"timeout must be positive and finite, got {self.timeout}")
 
 
 def _oracle_pick(example: AugmentedExample) -> str:
@@ -103,6 +98,8 @@ def _oracle_pick(example: AugmentedExample) -> str:
 
 
 def _run_external(command: str, inputs: list[str], timeout: float) -> list[str]:
+    # Errors name the template and hide the temp directory, so a failed cell's
+    # error text is the same in every run.
     with tempfile.TemporaryDirectory(prefix="ratkit-translate-") as tmp:
         in_path = Path(tmp) / "input.txt"
         out_path = Path(tmp) / "output.txt"
@@ -123,15 +120,15 @@ def _run_external(command: str, inputs: list[str], timeout: float) -> list[str]:
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
-            raise TranslatorError(f"translator timed out after {timeout}s: {rendered}")
+            raise TranslatorError(f"translator timed out after {timeout}s: {command}")
         if proc.returncode != 0:
-            stderr = err.strip().splitlines()
+            stderr = err.replace(tmp, "<tmp>").strip().splitlines()
             tail = " | ".join(stderr[-5:]) if stderr else "(no stderr)"
             raise TranslatorError(
-                f"translator exited with code {proc.returncode}: {rendered}; stderr: {tail}"
+                f"translator exited with code {proc.returncode}: {command}; stderr: {tail}"
             )
         if not out_path.exists():
-            raise TranslatorError(f"translator produced no output file: {rendered}")
+            raise TranslatorError(f"translator produced no output file: {command}")
         outputs = out_path.read_text(encoding="utf-8").splitlines()
     if len(outputs) != len(inputs):
         raise TranslatorError(
@@ -161,27 +158,13 @@ def translate(spec: TranslatorSpec, examples: list[AugmentedExample]) -> list[st
 
 
 @dataclass(frozen=True)
-class BootstrapConfig:
-    n_samples: int = 1000
-    threshold: float = 0.05
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ConfigurationError(f"bootstrap n must be >= 1, got {self.n_samples}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigurationError(
-                f"bootstrap threshold must be in (0, 1), got {self.threshold}"
-            )
-
-
-@dataclass(frozen=True)
 class ExperimentManifest:
     """Declarative description of one experiment grid.
 
     ``tms`` are corpus files pooled into the scenario TMs; ``test_sets`` maps
     each test domain to its held-out corpus file. The grid is the cross
     product domains x k_values x scenarios, all run with one translator.
+    ``augmentation`` holds the AugmentationConfig arguments other than k.
     """
 
     tms: tuple[Path, ...]
@@ -191,11 +174,7 @@ class ExperimentManifest:
     scenarios: tuple[str, ...]
     translator: TranslatorSpec
     out_dir: Path
-    mode: str = "topk"
-    pool: int = DEFAULT_POOL_SIZE
-    seed: int = 0
-    separator: str = DEFAULT_SEPARATOR
-    exclude_self: bool = False
+    augmentation: dict = field(default_factory=dict)
     bootstrap: BootstrapConfig = field(default_factory=BootstrapConfig)
     retrieval: Bm25Params = field(default_factory=Bm25Params)
 
@@ -226,20 +205,10 @@ class ExperimentManifest:
             raise ConfigurationError(f"duplicate domains: {self.domains}")
         # Every cell's augmentation settings are checked here, before any cell runs.
         for k in self.k_values:
-            try:
-                self.cell_config(k)
-            except ValidationError as exc:
-                raise ConfigurationError(f"manifest field 'augmentation' is invalid: {exc}") from exc
+            _config(AugmentationConfig, "augmentation", {"k": k, **self.augmentation})
 
     def cell_config(self, k: int) -> AugmentationConfig:
-        return AugmentationConfig(
-            k=k,
-            pool_size=self.pool,
-            mode=self.mode,
-            seed=self.seed,
-            exclude_self=self.exclude_self,
-            separator=self.separator,
-        )
+        return AugmentationConfig(k=k, **self.augmentation)
 
 
 _KINDS = {
@@ -271,10 +240,52 @@ def _resolve(base: Path, value, name: str) -> Path:
     return path if path.is_absolute() else base / path
 
 
+_REQUIRED = ("tms", "test_sets", "domains", "k_values", "scenarios", "translator", "out_dir")
+
+# Manifest section -> {key: (config field, JSON type)}. A key left out takes
+# its config type's default; a key not listed here is an error.
+_SECTIONS = {
+    "translator": {"kind": ("kind", str), "command": ("command", str), "timeout": ("timeout", float)},
+    "augmentation": {
+        "mode": ("mode", str),
+        "pool": ("pool_size", int),
+        "seed": ("seed", int),
+        "separator": ("separator", str),
+        "exclude_self": ("exclude_self", bool),
+    },
+    "bootstrap": {"n": ("n_samples", int), "threshold": ("threshold", float), "seed": ("seed", int)},
+    "retrieval": {"k1": ("k1", float), "b": ("b", float)},
+}
+
+
+def _unknown_key(name: str, known) -> ConfigurationError:
+    return ConfigurationError(f"manifest field {name!r} is unknown; expected one of {sorted(known)}")
+
+
+def _section(data: dict, section: str) -> dict:
+    """The config keyword arguments that a manifest section sets."""
+    keys = _SECTIONS[section]
+    fields = {}
+    for key, value in _typed(data.get(section, {}), dict, section).items():
+        if key not in keys:
+            raise _unknown_key(f"{section}.{key}", keys)
+        field_name, kind = keys[key]
+        fields[field_name] = _typed(value, kind, f"{section}.{key}")
+    return fields
+
+
+def _config(cls: type, section: str, fields: dict):
+    try:
+        return cls(**fields)
+    except RatkitError as exc:
+        raise ConfigurationError(f"manifest field {section!r} is invalid: {exc}") from exc
+
+
 def load_manifest(path: str | Path) -> ExperimentManifest:
     """Parse a manifest JSON file; relative paths resolve against its parent.
 
-    Any field of the wrong JSON type raises a ConfigurationError naming it.
+    An unknown key, or a field of the wrong JSON type, raises a
+    ConfigurationError naming it.
     """
     path = Path(path)
     try:
@@ -286,10 +297,12 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
     if not isinstance(data, dict):
         raise ConfigurationError(f"manifest {path} must be a JSON object")
 
-    required = ("tms", "test_sets", "domains", "k_values", "scenarios", "translator", "out_dir")
-    for key in required:
+    for key in _REQUIRED:
         if key not in data:
             raise ConfigurationError(f"manifest {path} is missing required field {key!r}")
+    for key in data:
+        if key not in _REQUIRED and key not in _SECTIONS:
+            raise _unknown_key(key, {*_REQUIRED, *_SECTIONS})
 
     base = path.parent
     tms_field = data["tms"]
@@ -298,13 +311,9 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
     tms = tuple(_resolve(base, v, "tms") for v in _typed(tms_field, list, "tms"))
     test_sets_field = _typed(data["test_sets"], dict, "test_sets")
     test_sets = {d: _resolve(base, v, "test_sets") for d, v in test_sets_field.items()}
-    translator, augmentation, bootstrap, retrieval = (
-        _typed(data.get(key, {}), dict, key)
-        for key in ("translator", "augmentation", "bootstrap", "retrieval")
-    )
+    translator = _section(data, "translator")
     if "kind" not in translator:
         raise ConfigurationError("manifest field 'translator' must be an object with a 'kind'")
-    command = translator.get("command")
 
     return ExperimentManifest(
         tms=tms,
@@ -312,28 +321,11 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
         domains=_list_of(data["domains"], str, "domains"),
         k_values=_list_of(data["k_values"], int, "k_values"),
         scenarios=tuple(s.replace("-", "_") for s in _list_of(data["scenarios"], str, "scenarios")),
-        translator=TranslatorSpec(
-            kind=translator["kind"],
-            command=command if command is None else _typed(command, str, "translator.command"),
-            timeout=_typed(translator.get("timeout", 300.0), float, "translator.timeout"),
-        ),
+        translator=_config(TranslatorSpec, "translator", translator),
         out_dir=_resolve(base, data["out_dir"], "out_dir"),
-        mode=_typed(augmentation.get("mode", "topk"), str, "augmentation.mode"),
-        pool=_typed(augmentation.get("pool", DEFAULT_POOL_SIZE), int, "augmentation.pool"),
-        seed=_typed(augmentation.get("seed", 0), int, "augmentation.seed"),
-        separator=_typed(
-            augmentation.get("separator", DEFAULT_SEPARATOR), str, "augmentation.separator"
-        ),
-        exclude_self=_typed(augmentation.get("exclude_self", False), bool, "augmentation.exclude_self"),
-        bootstrap=BootstrapConfig(
-            n_samples=_typed(bootstrap.get("n", 1000), int, "bootstrap.n"),
-            threshold=_typed(bootstrap.get("threshold", 0.05), float, "bootstrap.threshold"),
-            seed=_typed(bootstrap.get("seed", 0), int, "bootstrap.seed"),
-        ),
-        retrieval=Bm25Params(
-            k1=_typed(retrieval.get("k1", Bm25Params.k1), float, "retrieval.k1"),
-            b=_typed(retrieval.get("b", Bm25Params.b), float, "retrieval.b"),
-        ),
+        augmentation=_section(data, "augmentation"),
+        bootstrap=_config(BootstrapConfig, "bootstrap", _section(data, "bootstrap")),
+        retrieval=_config(Bm25Params, "retrieval", _section(data, "retrieval")),
     )
 
 

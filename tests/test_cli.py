@@ -217,6 +217,18 @@ class TestCompareCommand:
         assert "p = 1.0000" in out
         assert "not significant" in out
 
+    @pytest.mark.parametrize("p_thresh", ["0", "1.5"])
+    def test_p_thresh_outside_unit_interval_exits_2(self, tmp_path, capsys, p_thresh):
+        refs = [f"zeile nummer {i}" for i in range(20)]
+        write_lines(refs, tmp_path / "a.txt")
+        write_lines(refs, tmp_path / "ref.txt")
+        code = run_cli("compare", "--hyp-a", tmp_path / "a.txt", "--hyp-b", tmp_path / "a.txt",
+                       "--ref", tmp_path / "ref.txt", "--p-thresh", p_thresh)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "threshold must be in (0, 1)" in captured.err
+
 
 class TestReportCommand:
     def write_cell(self, root, domain, k, score):
@@ -330,10 +342,18 @@ class TestRunCommand:
             {"augmentation": {"mode": 1}},
             {"augmentation": {"mode": "sideways"}},
             {"augmentation": {"mode": "shuffle", "pool": 0}},
+            {"translator": {"kind": "baseline_copy_first", "timeout": float("nan")}},
+            {"k_value": [1]},
+            {"translator": {"kind": "baseline_copy_first", "timout": 5}},
+            {"augmentation": {"pool_size": 3}},
+            {"bootstrap": {"samples": 7}},
+            {"retrieval": {"k_1": 1.0}},
         ],
         ids=["bootstrap-int", "retrieval-list", "pool-str", "k-str", "k-float", "n-float",
              "timeout-str", "separator-int", "separator-space", "exclude-self-str",
-             "mode-int", "mode-unknown", "shuffle-pool-below-k"],
+             "mode-int", "mode-unknown", "shuffle-pool-below-k", "timeout-nan",
+             "unknown-top-level-key", "unknown-translator-key", "unknown-augmentation-key",
+             "unknown-bootstrap-key", "unknown-retrieval-key"],
     )
     def test_malformed_manifest_field_exits_2(self, corpus_files, capsys, override):
         path = self.write_manifest(corpus_files)

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from ratkit import ConfigurationError, TranslatorError
+from ratkit import AugmentationConfig, Bm25Params, ConfigurationError, TranslatorError
 from ratkit.augmentation import AugmentedExample
 from ratkit.corpus import save_corpus
-from ratkit.pipeline import TranslatorSpec, load_manifest, run_experiment, translate
+from ratkit.evaluation import BootstrapConfig
+from ratkit.pipeline import _SECTIONS, TranslatorSpec, load_manifest, run_experiment, translate
 from ratkit.retrieval import FuzzyMatch
 
 from synthetic import make_directional, make_three_domain
@@ -65,8 +66,9 @@ class TestTranslatorSpec:
             TranslatorSpec(kind="external_command", command="cat {input}")
 
     def test_timeout_must_be_positive(self):
-        with pytest.raises(ConfigurationError, match="timeout"):
-            TranslatorSpec(kind="baseline_passthrough", timeout=0)
+        for timeout in (0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="timeout"):
+                TranslatorSpec(kind="baseline_passthrough", timeout=timeout)
 
     def test_baselines_need_no_command(self):
         spec = TranslatorSpec(kind="baseline_oracle_copy")
@@ -172,7 +174,7 @@ class TestLoadManifest:
         assert manifest.k_values == (1, 2)
         assert manifest.translator.kind == "baseline_copy_first"
         assert manifest.bootstrap.n_samples == 50
-        assert manifest.mode == "topk"
+        assert manifest.cell_config(1).mode == "topk"
 
     def test_tms_object_form_ordered_by_key(self, tmp_path):
         path = write_manifest(
@@ -229,6 +231,36 @@ class TestLoadManifest:
         )
         with pytest.raises(ConfigurationError, match="pool_size must be >= k"):
             load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "override, name",
+        [
+            ({"k_value": [1]}, "'k_value'"),
+            ({"translator": {"kind": "baseline_copy_first", "timout": 5}}, "'translator.timout'"),
+            ({"augmentation": {"pool_size": 3}}, "'augmentation.pool_size'"),
+            ({"bootstrap": {"samples": 7}}, "'bootstrap.samples'"),
+            ({"retrieval": {"k_1": 1.0}}, "'retrieval.k_1'"),
+        ],
+        ids=["top-level", "translator", "augmentation", "bootstrap", "retrieval"],
+    )
+    def test_unknown_key_rejected_by_name(self, tmp_path, override, name):
+        path = write_manifest(tmp_path / "exp.json", **override)
+        with pytest.raises(ConfigurationError, match=f"manifest field {name} is unknown"):
+            load_manifest(path)
+
+    def test_readme_manifest_lists_every_key_at_its_default(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Experiment manifests", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "exp.json").write_text(block, encoding="utf-8")
+        manifest = load_manifest(tmp_path / "exp.json")
+        data = json.loads(block)
+        for name, keys in _SECTIONS.items():
+            assert set(data[name]) == set(keys), name
+        assert manifest.cell_config(1) == AugmentationConfig(k=1)
+        assert manifest.bootstrap == BootstrapConfig()
+        assert manifest.retrieval == Bm25Params()
+        assert manifest.translator.timeout == TranslatorSpec.timeout
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -313,6 +345,17 @@ class TestRunExperiment:
         assert all("code 7" in error for error in report.failed.values())
         assert not report.significance
         assert (tmp_path / "out" / "report.json").is_file()
+
+    def test_failed_translator_report_identical_across_workers(self, tmp_path):
+        # cat fails on the missing output file and names its path on stderr.
+        translator = {"kind": "external_command", "command": "cat {input} {output} >/dev/null"}
+        self.run(tmp_path, out_name="out1", translator=translator)
+        report = self.run(tmp_path, out_name="out2", workers=2, translator=translator)
+        assert len(report.failed) == 8
+        first = (tmp_path / "out1" / "report.json").read_bytes()
+        assert (tmp_path / "out2" / "report.json").read_bytes() == first
+        assert b"cat {input} {output}" in first
+        assert b"ratkit-translate-" not in first
 
     def test_relevant_beats_less_relevant_per_cell(self, tmp_path):
         tm, test_sets = make_directional(combos_per_domain=60, tests_per_domain=24)
