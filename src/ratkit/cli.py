@@ -45,7 +45,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
     index = build_index(corpus, Bm25Params(k1=args.k1, b=args.b))
     save_index(index, args.out)
     print(
-        f"indexed {index.doc_count} pairs, {len(index.postings)} terms, "
+        f"indexed {index.doc_count} pairs, {len(index.term_rows)} terms, "
         f"avg doc length {index.avg_doc_length:.2f} -> {args.out}"
     )
     return 0

@@ -281,15 +281,26 @@ def _config(cls: type, section: str, fields: dict):
         raise ConfigurationError(f"manifest field {section!r} is invalid: {exc}") from exc
 
 
+def _object_with_unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads keeps the last of repeated keys; a manifest must not repeat one.
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigurationError(f"manifest field {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
 def load_manifest(path: str | Path) -> ExperimentManifest:
     """Parse a manifest JSON file; relative paths resolve against its parent.
 
-    An unknown key, or a field of the wrong JSON type, raises a
+    An unknown or repeated key, or a field of the wrong JSON type, raises a
     ConfigurationError naming it.
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        data = json.loads(text, object_pairs_hook=_object_with_unique_keys)
     except OSError as exc:
         raise ConfigurationError(f"cannot read manifest {path}: {exc}")
     except json.JSONDecodeError as exc:

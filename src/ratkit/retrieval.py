@@ -13,10 +13,13 @@ whatever its ``PYTHONHASHSEED``. The idf is strictly positive for every df in
 receive a positive score; zero-score documents are never returned. Ties are
 broken by ascending pair id so result lists are fully deterministic.
 
-An index holds the TM's pairs, the postings and the BM25 parameters. The
-document lengths, their mean and each document's length norm are derived from
-the postings once, when the index is constructed; the index file stores none
-of them. An index must be treated as immutable; queries share no mutable
+An index holds the TM's pairs and the BM25 parameters; everything else is
+derived from them when the index is constructed. Each source is analyzed
+once into postings kept as CSR arrays (compressed sparse rows: per term, a
+row of ascending doc ids in ``docs`` with their term frequencies in ``tfs``,
+delimited by ``offsets``), together with the document lengths, their mean and
+each document's length norm. The index file stores only the pairs and the
+parameters. An index must be treated as immutable; queries share no mutable
 state and are safe to run concurrently.
 """
 
@@ -25,14 +28,16 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .corpus import SentencePair, TranslationMemory, analyze_for_index
 from .errors import ValidationError
 
-INDEX_MAGIC = b"RATIDX2\0"
+INDEX_MAGIC = b"RATIDX3\0"
 
 
 @dataclass(frozen=True)
@@ -66,37 +71,54 @@ class TmIndex:
 
     Attributes:
         pairs: the indexed sentence pairs; a doc id is a position in ``pairs``.
-        postings: term -> list of (doc, tf), docs ascending.
         params: the BM25 parameters.
+        term_rows: term -> row; the row's postings are
+            ``docs[offsets[row]:offsets[row + 1]]`` (ascending) and the
+            matching slice of ``tfs``.
+        offsets: per-row start of the postings, plus one final end offset.
+        docs: int doc ids of every posting, row by row.
+        tfs: float64 term frequencies, aligned with ``docs``.
         doc_count: number of indexed documents N.
         doc_lengths: per-doc length in analyzed terms, the sum of its tfs.
         avg_doc_length: mean of ``doc_lengths``.
-        norms: per-doc length norm ``k1 * (1 - b + b * dl / avgdl)``.
+        norms: float64 per-doc length norm ``k1 * (1 - b + b * dl / avgdl)``.
+        id_rank: per-doc position of its pair id in ascending ``str`` order.
     """
 
-    def __init__(
-        self,
-        pairs: tuple[SentencePair, ...],
-        postings: dict[str, list[tuple[int, int]]],
-        params: Bm25Params,
-    ):
-        doc_lengths = [0] * len(pairs)
-        for plist in postings.values():
-            for doc, tf in plist:
-                doc_lengths[doc] += tf
-        if 0 in doc_lengths:
-            pair = pairs[doc_lengths.index(0)]
-            raise ValidationError(
-                f"pair {pair.id!r} has no postings; a source without terms cannot be indexed"
-            )
+    def __init__(self, pairs: tuple[SentencePair, ...], params: Bm25Params):
+        term_rows: dict[str, int] = {}
+        rows: list[int] = []
+        tfs: list[int] = []
+        widths: list[int] = []
+        doc_lengths: list[int] = []
+        for pair in pairs:
+            terms = analyze_for_index(pair.source)
+            if not terms:
+                raise ValidationError(
+                    f"pair {pair.id!r} has no postings; a source without terms cannot be indexed"
+                )
+            counts = Counter(terms)
+            rows.extend(term_rows.setdefault(term, len(term_rows)) for term in counts)
+            tfs.extend(counts.values())
+            widths.append(len(counts))
+            doc_lengths.append(len(terms))
+        row_ids = np.array(rows, dtype=np.intp)
+        # A stable sort by row keeps each row's docs in ascending order.
+        order = np.argsort(row_ids, kind="stable")
         self.pairs = pairs
-        self.postings = postings
         self.params = params
+        self.term_rows = term_rows
+        self.offsets = np.concatenate(([0], np.cumsum(np.bincount(row_ids))))
+        self.docs = np.repeat(np.arange(len(pairs), dtype=np.intp), widths)[order]
+        self.tfs = np.array(tfs, dtype=np.float64)[order]
         self.doc_count = len(pairs)
         self.doc_lengths = doc_lengths
         self.avg_doc_length = sum(doc_lengths) / len(doc_lengths)
         k1, b = params.k1, params.b
-        self.norms = [k1 * (1.0 - b + b * dl / self.avg_doc_length) for dl in doc_lengths]
+        self.norms = k1 * (1.0 - b + b * np.array(doc_lengths) / self.avg_doc_length)
+        # Python str order: numpy "U" arrays drop trailing NULs when comparing.
+        by_id = sorted(range(len(pairs)), key=lambda doc: pairs[doc].id)
+        self.id_rank = np.argsort(by_id)  # the inverse permutation
         self._pairs_by_source: dict[str, list[str]] = {}
         for pair in pairs:
             self._pairs_by_source.setdefault(pair.source, []).append(pair.id)
@@ -108,14 +130,7 @@ class TmIndex:
 
 def build_index(tm: TranslationMemory, params: Bm25Params = Bm25Params()) -> TmIndex:
     """Index ``analyze_for_index(pair.source)`` for every pair of the TM."""
-    postings: dict[str, list[tuple[int, int]]] = {}
-    for doc, pair in enumerate(tm.pairs):
-        counts: dict[str, int] = {}
-        for term in analyze_for_index(pair.source):
-            counts[term] = counts.get(term, 0) + 1
-        for term, tf in counts.items():
-            postings.setdefault(term, []).append((doc, tf))
-    return TmIndex(tm.pairs, postings, params)
+    return TmIndex(tm.pairs, params)
 
 
 def query_top_n(
@@ -133,56 +148,53 @@ def query_top_n(
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     k1 = index.params.k1
-    norms, pairs = index.norms, index.pairs
-    scores: dict[int, float] = {}
+    scores = np.zeros(index.doc_count)
     for term in sorted(set(analyze_for_index(query_text))):
-        plist = index.postings.get(term)
-        if not plist:
+        row = index.term_rows.get(term)
+        if row is None:
             continue
-        df = len(plist)
+        start, end = int(index.offsets[row]), int(index.offsets[row + 1])
+        df = end - start
         term_idf = math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
-        for doc, tf in plist:
-            scores[doc] = scores.get(doc, 0.0) + term_idf * tf * (k1 + 1.0) / (tf + norms[doc])
+        docs, tfs = index.docs[start:end], index.tfs[start:end]
+        # Same operand order as the formula, so each score is the same float
+        # as a scalar loop over the postings would give.
+        scores[docs] += term_idf * tfs * (k1 + 1.0) / (tfs + index.norms[docs])
 
-    candidates = [
-        (-score, pairs[doc].id, doc)
-        for doc, score in scores.items()
-        if score > 0.0 and pairs[doc].id not in exclusions
-    ]
-    candidates.sort()
-    matches = []
-    for rank, (neg_score, pair_id, doc) in enumerate(candidates[:n], start=1):
-        pair = pairs[doc]
+    hits = np.flatnonzero(scores > 0.0)
+    ranked = hits[np.lexsort((index.id_rank[hits], -scores[hits]))]
+    matches: list[FuzzyMatch] = []
+    for doc in ranked:
+        pair = index.pairs[doc]
+        if pair.id in exclusions:
+            continue
         matches.append(
             FuzzyMatch(
-                pair_id=pair_id,
-                score=-neg_score,
-                rank=rank,
+                pair_id=pair.id,
+                score=scores[doc].item(),
+                rank=len(matches) + 1,
                 source=pair.source,
                 target=pair.target,
                 domain=pair.domain,
             )
         )
+        if len(matches) == n:
+            break
     return matches
 
 
 # --- binary persistence ------------------------------------------------------
 #
 # Layout (little-endian throughout; see docs/index-format.md):
-#   magic           8 bytes  b"RATIDX2\0"
+#   magic           8 bytes  b"RATIDX3\0"
 #   k1, b           2 x f64
 #   doc_count       u64
 #   per doc (doc_count times, in doc-id order):
 #       pair_id, domain, source, target   4 x (u32 byte length + UTF-8 bytes)
-#   term_count      u64
-#   per term (sorted by codepoint, ascending):
-#       term                              u32 byte length + UTF-8 bytes
-#       postings_count                    u64
-#       (doc u32, tf u32) x postings_count
 #   sha256          32 bytes, the digest of every byte before it
 #
-# Terms are written in sorted order and postings in ascending doc order, so
-# save -> load -> save reproduces the file byte for byte.
+# The postings are not stored: they are a function of the sources, rebuilt
+# by TmIndex on load.
 
 
 def _str_bytes(text: str) -> bytes:
@@ -201,9 +213,6 @@ class _Reader:
             raise ValidationError(f"{self.path}: truncated index file")
         self.pos += size
         return self.data[self.pos - size : self.pos]
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def read_str(self) -> str:
         start = self.pos + 4
@@ -229,20 +238,15 @@ def save_index(index: TmIndex, path: str | Path) -> None:
         write(INDEX_MAGIC + struct.pack("<ddQ", index.params.k1, index.params.b, index.doc_count))
         for pair in index.pairs:
             write(b"".join(map(_str_bytes, (pair.id, pair.domain, pair.source, pair.target))))
-        write(struct.pack("<Q", len(index.postings)))
-        for term in sorted(index.postings):
-            plist = index.postings[term]
-            write(_str_bytes(term))
-            write(struct.pack(f"<Q{2 * len(plist)}I", len(plist), *chain.from_iterable(plist)))
         out.write(digest.digest())
 
 
 def load_index(path: str | Path) -> TmIndex:
     """Load an index previously written by :func:`save_index`.
 
-    A file that is not a well-formed v2 index (a v1 file, a bad magic or
-    checksum, truncation, trailing bytes, text that is not UTF-8, invalid
-    pairs or postings; see docs/index-format.md) raises a ValidationError
+    A file that is not a well-formed v3 index (a v1 or v2 file, a bad magic
+    or checksum, truncation, trailing bytes, text that is not UTF-8, invalid
+    pairs or parameters; see docs/index-format.md) raises a ValidationError
     naming it.
     """
     path = Path(path)
@@ -250,34 +254,17 @@ def load_index(path: str | Path) -> TmIndex:
         data = path.read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read index file {path}: {exc}") from exc
-    if data.startswith(b"RATIDX1\0"):
+    if data.startswith((b"RATIDX1\0", b"RATIDX2\0")):
         raise ValidationError(
-            f"{path}: index format v1 is no longer supported; rebuild the index "
-            "with `ratkit index` or `ratkit scenario`"
+            f"{path}: index format v{data[6:7].decode()} is no longer supported; rebuild "
+            "the index with `ratkit index` or `ratkit scenario`"
         )
     reader = _Reader(data, str(path))
-    magic = reader.unpack("<8s")[0]
+    magic = reader.take(8)
     if magic != INDEX_MAGIC:
         raise ValidationError(f"{path}: not a ratkit index file (bad magic {magic!r})")
-    k1, b, doc_count = reader.unpack("<ddQ")
+    k1, b, doc_count = struct.unpack("<ddQ", reader.take(24))
     fields = [[reader.read_str() for _ in range(4)] for _ in range(doc_count)]
-    (term_count,) = reader.unpack("<Q")
-    postings: dict[str, list[tuple[int, int]]] = {}
-    previous = None
-    for _ in range(term_count):
-        term = reader.read_str()
-        if previous is not None and term <= previous:
-            raise ValidationError(f"{path}: term {term!r} is out of sorted order")
-        previous = term
-        (count,) = reader.unpack("<Q")
-        flat = struct.unpack(f"<{2 * count}I", reader.take(8 * count))
-        docs, tfs = flat[0::2], flat[1::2]
-        if not docs or min(tfs) < 1 or docs[-1] >= doc_count or docs != tuple(sorted(set(docs))):
-            raise ValidationError(
-                f"{path}: postings of term {term!r} must be non-empty, with tf >= 1 and "
-                f"doc ids strictly ascending below doc_count {doc_count}"
-            )
-        postings[term] = list(zip(docs, tfs))
     payload_end = reader.pos
     digest = reader.take(32)
     if reader.pos != len(data):
@@ -290,6 +277,6 @@ def load_index(path: str | Path) -> TmIndex:
             for pair_id, domain, source, target in fields
         )
         tm = TranslationMemory(name=path.name, pairs=pairs)
-        return TmIndex(tm.pairs, postings, Bm25Params(k1=k1, b=b))
+        return TmIndex(tm.pairs, Bm25Params(k1=k1, b=b))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc

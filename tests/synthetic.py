@@ -98,6 +98,15 @@ def brute_force_top_n(
     return ranked[:n]
 
 
+def postings(index) -> dict[str, list[tuple[int, int]]]:
+    """An index's CSR postings as term -> [(doc, tf)], docs ascending."""
+    result = {}
+    for term, row in index.term_rows.items():
+        start, end = index.offsets[row], index.offsets[row + 1]
+        result[term] = list(zip(index.docs[start:end].tolist(), index.tfs[start:end].tolist()))
+    return result
+
+
 def tiny_tm() -> TranslationMemory:
     """Three-pair TM whose BM25 statistics are small enough to verify by hand."""
     return TranslationMemory(

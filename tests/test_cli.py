@@ -348,18 +348,22 @@ class TestRunCommand:
             {"augmentation": {"pool_size": 3}},
             {"bootstrap": {"samples": 7}},
             {"retrieval": {"k_1": 1.0}},
+            '"bootstrap": {"n": 5, "n": 7}',
         ],
         ids=["bootstrap-int", "retrieval-list", "pool-str", "k-str", "k-float", "n-float",
              "timeout-str", "separator-int", "separator-space", "exclude-self-str",
              "mode-int", "mode-unknown", "shuffle-pool-below-k", "timeout-nan",
              "unknown-top-level-key", "unknown-translator-key", "unknown-augmentation-key",
-             "unknown-bootstrap-key", "unknown-retrieval-key"],
+             "unknown-bootstrap-key", "unknown-retrieval-key", "duplicate-key"],
     )
     def test_malformed_manifest_field_exits_2(self, corpus_files, capsys, override):
         path = self.write_manifest(corpus_files)
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        manifest.update(override)
-        path.write_text(json.dumps(manifest), encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
+        if isinstance(override, str):  # raw JSON member: a dict cannot repeat a key
+            text = text.replace('"bootstrap": {"n": 50}', override)
+        else:
+            text = json.dumps({**json.loads(text), **override})
+        path.write_text(text, encoding="utf-8")
         code = run_cli("run", "--manifest", path)
         assert code == 2
         assert capsys.readouterr().err.startswith("error: manifest field")

@@ -20,7 +20,7 @@ from ratkit import Bm25Params, ValidationError, build_index, query_top_n
 from ratkit.corpus import SentencePair, TranslationMemory, analyze_for_index
 from ratkit.retrieval import load_index, save_index
 
-from synthetic import brute_force_top_n, make_queries, make_random_tm, tiny_tm
+from synthetic import brute_force_top_n, make_queries, make_random_tm, postings, tiny_tm
 
 
 class TestBm25Params:
@@ -53,11 +53,11 @@ class TestBuildIndex:
     def test_tiny_tm_postings_for_cat(self):
         index = build_index(tiny_tm())
         d1, d3 = 0, 2  # doc ids are positions in the TM
-        assert index.postings["cat"] == [(d1, 1), (d3, 1)]
+        assert postings(index)["cat"] == [(d1, 1), (d3, 1)]
 
     def test_norms_derived_from_doc_lengths(self):
         index = build_index(tiny_tm(), Bm25Params(k1=1.5, b=0.5))
-        assert index.norms == [1.5 * (1 - 0.5 + 0.5 * dl / 2.0) for dl in (3, 2, 1)]
+        assert index.norms.tolist() == [1.5 * (1 - 0.5 + 0.5 * dl / 2.0) for dl in (3, 2, 1)]
 
     def test_statistics_match_naive_recount(self):
         tm = make_random_tm(n_pairs=1000, seed=11)
@@ -72,8 +72,8 @@ class TestBuildIndex:
         for terms in analyzed:
             for term in set(terms):
                 df[term] += 1
-        assert {t: len(ps) for t, ps in index.postings.items()} == dict(df)
-        total_tf = sum(tf for plist in index.postings.values() for _, tf in plist)
+        assert {t: len(ps) for t, ps in postings(index).items()} == dict(df)
+        total_tf = sum(tf for plist in postings(index).values() for _, tf in plist)
         assert total_tf == sum(len(t) for t in analyzed)
 
     def test_unindexable_source_names_pair(self):
@@ -128,7 +128,7 @@ class TestIdf:
             ),
         )
         for index in (build_index(tiny_tm()), build_index(tm)):
-            for term, plist in index.postings.items():
+            for term, plist in postings(index).items():
                 scores = scores_by_id(index, term)
                 assert len(scores) == len(plist)
                 assert all(score > 0.0 for score in scores.values())
@@ -178,26 +178,34 @@ class TestQueryTopN:
             query_top_n(build_index(tiny_tm()), "cat", 0)
 
     def test_tie_breaks_by_ascending_pair_id(self):
-        tm = TranslationMemory(
-            name="ties",
-            pairs=(
-                SentencePair(id="z", source="same words here", target="t", domain="d"),
-                SentencePair(id="a", source="same words here", target="t", domain="d"),
-                SentencePair(id="m", source="same words here", target="t", domain="d"),
-            ),
-        )
-        matches = query_top_n(build_index(tm), "same words", 3)
-        assert [m.pair_id for m in matches] == ["a", "m", "z"]
+        # "a" < "a\x00" in str order; numpy "U" arrays would compare them equal.
+        for ids, want in (
+            (("z", "a", "m"), ["a", "m", "z"]),
+            (("a\x00", "z", "a"), ["a", "a\x00", "z"]),
+        ):
+            tm = TranslationMemory(
+                name="ties",
+                pairs=tuple(
+                    SentencePair(id=pair_id, source="same words here", target="t", domain="d")
+                    for pair_id in ids
+                ),
+            )
+            matches = query_top_n(build_index(tm), "same words", 3)
+            assert [m.pair_id for m in matches] == want
 
     def test_matches_brute_force_oracle_on_random_corpus(self):
         tm = make_random_tm(n_pairs=300, seed=4)
         index = build_index(tm)
         for query in make_queries(tm, n_queries=25, seed=6):
-            got = [(m.pair_id, m.score) for m in query_top_n(index, query, 10)]
-            want = brute_force_top_n(tm, query, 10)
-            assert [pid for pid, _ in got] == [pid for pid, _ in want]
-            for (_, gs), (_, ws) in zip(got, want):
-                assert gs == pytest.approx(ws, rel=1e-9)
+            # Without exclusions, then excluding the top hits and one id that
+            # matches nothing, so the walk must skip before it stops at n.
+            top = {pid for pid, _ in brute_force_top_n(tm, query, 3)}
+            for exclusions in (frozenset(), frozenset(top | {"absent"})):
+                got = [(m.pair_id, m.score) for m in query_top_n(index, query, 10, exclusions)]
+                want = brute_force_top_n(tm, query, 10, exclusions=exclusions)
+                assert [pid for pid, _ in got] == [pid for pid, _ in want]
+                for (_, gs), (_, ws) in zip(got, want):
+                    assert gs == pytest.approx(ws, rel=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
@@ -263,7 +271,8 @@ class TestQueryTopN:
 
 
 # The tiny TM as stored in an index file: (pair_id, domain, source, target)
-# per doc, and (term, postings) per term in file order.
+# per doc. TINY_TERMS are the postings an index derives from it; the file
+# does not store them.
 TINY_DOCS = [
     ("d1", "a", "the cat sat", "die Katze sass"),
     ("d2", "a", "the dog", "der Hund"),
@@ -277,7 +286,7 @@ TINY_TERMS = [
 ]
 
 
-def index_file(docs, terms, k1: float = 1.2, b: float = 0.75) -> bytes:
+def index_file(docs, k1: float = 1.2, b: float = 0.75) -> bytes:
     """Index file bytes laid out as docs/index-format.md says, written
     without save_index so that the tests can store invalid content."""
 
@@ -285,13 +294,9 @@ def index_file(docs, terms, k1: float = 1.2, b: float = 0.75) -> bytes:
         data = value.encode("utf-8")
         return struct.pack("<I", len(data)) + data
 
-    parts = [b"RATIDX2\0", struct.pack("<ddQ", k1, b, len(docs))]
+    parts = [b"RATIDX3\0", struct.pack("<ddQ", k1, b, len(docs))]
     for fields in docs:
         parts.extend(text(field) for field in fields)
-    parts.append(struct.pack("<Q", len(terms)))
-    for term, plist in terms:
-        parts.append(text(term) + struct.pack("<Q", len(plist)))
-        parts.extend(struct.pack("<II", doc, tf) for doc, tf in plist)
     payload = b"".join(parts)
     return payload + hashlib.sha256(payload).digest()
 
@@ -305,8 +310,8 @@ class TestPersistence:
         assert loaded.doc_count == index.doc_count
         assert loaded.avg_doc_length == index.avg_doc_length
         assert loaded.doc_lengths == index.doc_lengths
-        assert loaded.norms == index.norms
-        assert loaded.postings == index.postings
+        assert loaded.norms.tolist() == index.norms.tolist()
+        assert postings(loaded) == postings(index)
         assert loaded.pairs == index.pairs
         assert (loaded.params.k1, loaded.params.b) == (index.params.k1, index.params.b)
 
@@ -351,10 +356,12 @@ class TestPersistence:
             load_index(path)
 
     def test_v1_file_rejected_with_rebuild_hint(self, tmp_path):
+        # v2 files too: they stored postings, which v3 derives on load.
         path = tmp_path / "old.idx"
-        path.write_bytes(b"RATIDX1\0" + b"\x00" * 64)
-        with pytest.raises(ValidationError, match="rebuild"):
-            load_index(path)
+        for magic in (b"RATIDX1\0", b"RATIDX2\0"):
+            path.write_bytes(magic + b"\x00" * 64)
+            with pytest.raises(ValidationError, match="rebuild"):
+                load_index(path)
 
     def test_checksum_mismatch_rejected(self, tmp_path):
         path = tmp_path / "tm.idx"
@@ -368,32 +375,26 @@ class TestPersistence:
     def test_layout_matches_the_documented_format(self, tmp_path):
         path = tmp_path / "tm.idx"
         save_index(build_index(tiny_tm()), path)
-        assert path.read_bytes() == index_file(TINY_DOCS, TINY_TERMS)
+        assert path.read_bytes() == index_file(TINY_DOCS)
+        assert postings(load_index(path)) == dict(TINY_TERMS)
 
     @pytest.mark.parametrize(
-        "docs, terms, k1",
+        "docs, k1, reason",
         [
-            (TINY_DOCS, [("cat", [(0, 0), (2, 1)])] + TINY_TERMS[1:], 1.2),
-            (TINY_DOCS, [("cat", [(2, 1), (0, 1)])] + TINY_TERMS[1:], 1.2),
-            (TINY_DOCS, [("cat", [(0, 1), (0, 1), (2, 1)])] + TINY_TERMS[1:], 1.2),
-            (TINY_DOCS, [("cat", [(0, 1), (3, 1)])] + TINY_TERMS[1:], 1.2),
-            (TINY_DOCS, TINY_TERMS + [("zebra", [])], 1.2),
-            (TINY_DOCS, [TINY_TERMS[1], TINY_TERMS[0]] + TINY_TERMS[2:], 1.2),
-            (TINY_DOCS, [("cat", [(0, 1)])] + TINY_TERMS[1:], 1.2),
-            (TINY_DOCS[:2] + [("d3", "a", " ", "Katze")], TINY_TERMS, 1.2),
-            (TINY_DOCS[:2] + [("d3", "a", "cat", "Kat\nze")], TINY_TERMS, 1.2),
-            (TINY_DOCS[:2] + [("d1", "a", "cat", "Katze")], TINY_TERMS, 1.2),
-            ([], [], 1.2),
-            (TINY_DOCS, TINY_TERMS, math.nan),
+            (TINY_DOCS[:2] + [("d3", "a", " ", "Katze")], 1.2, "source is empty"),
+            (TINY_DOCS[:2] + [("d3", "a", "...", "Katze")], 1.2, "source without terms"),
+            (TINY_DOCS[:2] + [("d3", "a", "cat", "Kat\nze")], 1.2, "line break"),
+            (TINY_DOCS[:2] + [("d1", "a", "cat", "Katze")], 1.2, "duplicate pair id"),
+            ([], 1.2, "is empty"),
+            (TINY_DOCS, math.nan, "k1 must be finite"),
         ],
-        ids=["tf-zero", "docs-descending", "doc-repeated", "doc-out-of-range",
-             "term-without-postings", "terms-unsorted", "doc-without-postings",
-             "blank-source", "line-break", "duplicate-id", "no-docs", "k1-nan"],
+        ids=["blank-source", "source-without-terms", "line-break", "duplicate-id",
+             "no-docs", "k1-nan"],
     )
-    def test_invalid_content_with_valid_checksum_rejected(self, tmp_path, docs, terms, k1):
+    def test_invalid_content_with_valid_checksum_rejected(self, tmp_path, docs, k1, reason):
         path = tmp_path / "bad.idx"
-        path.write_bytes(index_file(docs, terms, k1=k1))
-        with pytest.raises(ValidationError, match="bad.idx"):
+        path.write_bytes(index_file(docs, k1=k1))
+        with pytest.raises(ValidationError, match=rf"bad\.idx: .*{reason}"):
             load_index(path)
 
     def test_corrupted_bytes_never_load_silently(self, tmp_path):
