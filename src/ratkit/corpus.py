@@ -11,6 +11,7 @@ Two distinct analyzers live here and must not be confused:
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import unicodedata
@@ -24,6 +25,8 @@ CORPUS_FORMATS = ("jsonl", "tsv")
 
 # TSV column order is fixed; files carry no header.
 _TSV_COLUMNS = ("id", "domain", "source", "target")
+# JSONL record key -> SentencePair field, in the order records are written.
+_JSONL_FIELDS = (("id", "id"), ("domain", "domain"), ("src", "source"), ("tgt", "target"))
 
 
 @dataclass(frozen=True)
@@ -101,29 +104,32 @@ def load_corpus(path: str | Path, format: str | None = None, name: str | None = 
     fmt = format or _detect_format(path)
     if fmt not in CORPUS_FORMATS:
         raise ValidationError(f"unknown corpus format {fmt!r}")
-
-    pairs: list[SentencePair] = []
-    seen: dict[str, int] = {}
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read corpus file {path}: {exc}") from exc
     with fh:
-        for lineno, line in numbered_lines(fh, path):
-            if not line.strip():
-                continue
-            pair = _parse_record(str(path), lineno, line.rstrip("\n"), fmt)
-            if pair.id in seen:
-                raise CorpusFormatError(
-                    str(path),
-                    lineno,
-                    f"duplicate id {pair.id!r} (first seen on line {seen[pair.id]})",
-                )
-            seen[pair.id] = lineno
-            pairs.append(pair)
+        return _read_records(path, numbered_lines(fh, path), fmt, name or path.stem)
+
+
+def _read_records(
+    path: Path, lines: Iterable[tuple[int, str]], fmt: str, name: str
+) -> TranslationMemory:
+    """The TM in numbered record lines; a bad or repeated record names ``path:line``."""
+    pairs: list[SentencePair] = []
+    seen: dict[str, int] = {}
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        pair = _parse_record(str(path), lineno, line.rstrip("\n"), fmt)
+        if pair.id in seen:
+            reason = f"duplicate id {pair.id!r} (first seen on line {seen[pair.id]})"
+            raise CorpusFormatError(str(path), lineno, reason)
+        seen[pair.id] = lineno
+        pairs.append(pair)
     if not pairs:
-        raise ValidationError(f"corpus file {path} contains no records")
-    return TranslationMemory(name=name or path.stem, pairs=tuple(pairs))
+        raise ValidationError(f"{path}: the file contains no records")
+    return TranslationMemory(name=name, pairs=tuple(pairs))
 
 
 def numbered_lines(fh: TextIO, path: str | Path) -> Iterator[tuple[int, str]]:
@@ -153,7 +159,7 @@ def _parse_record(path: str, lineno: int, line: str, fmt: str) -> SentencePair:
         if not isinstance(record, dict):
             raise CorpusFormatError(path, lineno, "record is not a JSON object")
         fields = {}
-        for key, attr in (("id", "id"), ("domain", "domain"), ("src", "source"), ("tgt", "target")):
+        for key, attr in _JSONL_FIELDS:
             value = record.get(key)
             if not isinstance(value, str):
                 raise CorpusFormatError(path, lineno, f"missing or non-string field {key!r}")
@@ -171,6 +177,12 @@ def _parse_record(path: str, lineno: int, line: str, fmt: str) -> SentencePair:
         raise CorpusFormatError(path, lineno, str(exc)) from exc
 
 
+def _jsonl_line(pair: SentencePair) -> str:
+    """One JSONL record line, newline included, with non-ASCII text kept readable."""
+    record = {key: getattr(pair, attr) for key, attr in _JSONL_FIELDS}
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
 def save_corpus(tm: TranslationMemory, path: str | Path, format: str | None = None) -> None:
     """Write a translation memory back to disk. Inverse of :func:`load_corpus`."""
     path = Path(path)
@@ -178,22 +190,25 @@ def save_corpus(tm: TranslationMemory, path: str | Path, format: str | None = No
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for pair in tm.pairs:
             if fmt == "jsonl":
-                record = {"id": pair.id, "domain": pair.domain, "src": pair.source, "tgt": pair.target}
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+                fh.write(_jsonl_line(pair))
             else:
                 cells = (pair.id, pair.domain, pair.source, pair.target)
-                if any("\t" in cell or "\n" in cell for cell in cells):
-                    raise ValidationError(
-                        f"pair {pair.id!r} contains a tab or newline; use the jsonl format"
-                    )
+                if any("\t" in cell for cell in cells):  # SentencePair rejects line breaks
+                    raise ValidationError(f"pair {pair.id!r} contains a tab; use the jsonl format")
                 fh.write("\t".join(cells) + "\n")
+
+
+# A fixed bound, so that text full of distinct characters cannot grow the memo.
+@functools.lru_cache(maxsize=4096)
+def _is_punctuation(char: str) -> bool:
+    return unicodedata.category(char).startswith("P")
 
 
 def _strip_edge_punctuation(token: str) -> str:
     start, end = 0, len(token)
-    while start < end and unicodedata.category(token[start]).startswith("P"):
+    while start < end and _is_punctuation(token[start]):
         start += 1
-    while end > start and unicodedata.category(token[end - 1]).startswith("P"):
+    while end > start and _is_punctuation(token[end - 1]):
         end -= 1
     return token[start:end]
 

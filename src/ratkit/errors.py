@@ -7,17 +7,17 @@ class RatkitError(Exception):
     """Base class for all toolkit errors."""
 
 
-class CorpusFormatError(RatkitError):
-    """A corpus file could not be parsed. Carries the offending line number."""
+class ValidationError(RatkitError):
+    """Input data violates a documented invariant."""
+
+
+class CorpusFormatError(ValidationError):
+    """A corpus or index file could not be parsed. Carries the offending line number."""
 
     def __init__(self, path: str, line: int, message: str):
         super().__init__(f"{path}:{line}: {message}")
         self.path = path
         self.line = line
-
-
-class ValidationError(RatkitError):
-    """Input data violates a documented invariant."""
 
 
 class ConfigurationError(RatkitError):

@@ -301,7 +301,7 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
     try:
         text = path.read_text(encoding="utf-8")
         data = json.loads(text, object_pairs_hook=_object_with_unique_keys)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read manifest {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"manifest {path} is not valid JSON: {exc}")

@@ -18,26 +18,31 @@ derived from them when the index is constructed. Each source is analyzed
 once into postings kept as CSR arrays (compressed sparse rows: per term, a
 row of ascending doc ids in ``docs`` with their term frequencies in ``tfs``,
 delimited by ``offsets``), together with the document lengths, their mean and
-each document's length norm. The index file stores only the pairs and the
-parameters. An index must be treated as immutable; queries share no mutable
-state and are safe to run concurrently.
+each document's length norm. An index must be treated as immutable; queries
+share no mutable state and are safe to run concurrently.
+
+The index file is a corpus: a JSON header line with k1 and b, the pairs as
+JSONL corpus lines, and a last line holding the sha256 of every byte before
+it, so the digest covers the parameters too.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+import itertools
+import json
 import math
-import struct
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import SentencePair, TranslationMemory, analyze_for_index
-from .errors import ValidationError
-
-INDEX_MAGIC = b"RATIDX3\0"
+from .corpus import SentencePair, TranslationMemory, analyze_for_index, numbered_lines
+from .corpus import _jsonl_line, _read_records  # the JSONL record, shared with index files
+from .errors import CorpusFormatError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -183,100 +188,77 @@ def query_top_n(
     return matches
 
 
-# --- binary persistence ------------------------------------------------------
-#
-# Layout (little-endian throughout; see docs/index-format.md):
-#   magic           8 bytes  b"RATIDX3\0"
-#   k1, b           2 x f64
-#   doc_count       u64
-#   per doc (doc_count times, in doc-id order):
-#       pair_id, domain, source, target   4 x (u32 byte length + UTF-8 bytes)
-#   sha256          32 bytes, the digest of every byte before it
-#
-# The postings are not stored: they are a function of the sources, rebuilt
-# by TmIndex on load.
+# --- persistence ------------------------------------------------------------
 
-
-def _str_bytes(text: str) -> bytes:
-    data = text.encode("utf-8")
-    return struct.pack("<I", len(data)) + data
-
-
-class _Reader:
-    def __init__(self, data: bytes, path: str):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, size: int) -> bytes:
-        if self.pos + size > len(self.data):
-            raise ValidationError(f"{self.path}: truncated index file")
-        self.pos += size
-        return self.data[self.pos - size : self.pos]
-
-    def read_str(self) -> str:
-        start = self.pos + 4
-        end = start + int.from_bytes(self.data[self.pos : start], "little")
-        if end > len(self.data):  # also when fewer than 4 length bytes remain
-            raise ValidationError(f"{self.path}: truncated index file")
-        self.pos = end
-        try:
-            return self.data[start:end].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{self.path}: stored text is not UTF-8 ({exc})") from exc
+_CHECKSUM_LINE = re.compile(rb'\{"sha256": "([0-9a-f]{64})"\}\n')
 
 
 def save_index(index: TmIndex, path: str | Path) -> None:
-    """Serialize an index to the versioned binary container format."""
+    """Write a header line, the pairs as ``save_corpus`` writes JSONL, and a sha256 line."""
+    params = index.params
+    header = {"b": float(params.b), "format": "ratkit-index", "k1": float(params.k1), "version": 4}
+    header_line = json.dumps(header, sort_keys=True) + "\n"
     digest = hashlib.sha256()
     with open(path, "wb") as out:
-
-        def write(data: bytes) -> None:
+        for line in itertools.chain([header_line], map(_jsonl_line, index.pairs)):
+            data = line.encode("utf-8")
             digest.update(data)
             out.write(data)
-
-        write(INDEX_MAGIC + struct.pack("<ddQ", index.params.k1, index.params.b, index.doc_count))
-        for pair in index.pairs:
-            write(b"".join(map(_str_bytes, (pair.id, pair.domain, pair.source, pair.target))))
-        out.write(digest.digest())
+        out.write(f'{{"sha256": "{digest.hexdigest()}"}}\n'.encode())
 
 
 def load_index(path: str | Path) -> TmIndex:
-    """Load an index previously written by :func:`save_index`.
+    """Load an index written by :func:`save_index`.
 
-    A file that is not a well-formed v3 index (a v1 or v2 file, a bad magic
-    or checksum, truncation, trailing bytes, text that is not UTF-8, invalid
-    pairs or parameters; see docs/index-format.md) raises a ValidationError
-    naming it.
+    The sha256 line is checked before anything is parsed. A v1-v3 file, a
+    bad checksum line or digest, a bad header or pair line, or invalid pairs
+    or parameters raise a ValidationError naming the file, and the line where
+    there is one.
     """
     path = Path(path)
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read index file {path}: {exc}") from exc
-    if data.startswith((b"RATIDX1\0", b"RATIDX2\0")):
+    if data.startswith((b"RATIDX1\0", b"RATIDX2\0", b"RATIDX3\0")):
         raise ValidationError(
             f"{path}: index format v{data[6:7].decode()} is no longer supported; rebuild "
             "the index with `ratkit index` or `ratkit scenario`"
         )
-    reader = _Reader(data, str(path))
-    magic = reader.take(8)
-    if magic != INDEX_MAGIC:
-        raise ValidationError(f"{path}: not a ratkit index file (bad magic {magic!r})")
-    k1, b, doc_count = struct.unpack("<ddQ", reader.take(24))
-    fields = [[reader.read_str() for _ in range(4)] for _ in range(doc_count)]
-    payload_end = reader.pos
-    digest = reader.take(32)
-    if reader.pos != len(data):
-        raise ValidationError(f"{path}: trailing bytes after index payload")
-    if hashlib.sha256(memoryview(data)[:payload_end]).digest() != digest:
+    body_end = data.rfind(b'\n{"sha256": ') + 1
+    checksum = _CHECKSUM_LINE.match(data, body_end) if body_end else None
+    if checksum is None:
+        raise ValidationError(f"{path}: no checksum line; truncated or not a ratkit index")
+    if checksum.end() != len(data):
+        raise ValidationError(f"{path}: trailing bytes after the checksum line")
+    if hashlib.sha256(memoryview(data)[:body_end]).hexdigest().encode() != checksum[1]:
         raise ValidationError(f"{path}: checksum mismatch; the index file is corrupt")
+    with io.TextIOWrapper(io.BytesIO(memoryview(data)[:body_end]), encoding="utf-8") as fh:
+        lines = numbered_lines(fh, path)
+        params = _header_params(path, next(lines)[1])
+        tm = _read_records(path, lines, "jsonl", path.name)
     try:
-        pairs = tuple(
-            SentencePair(id=pair_id, domain=domain, source=source, target=target)
-            for pair_id, domain, source, target in fields
-        )
-        tm = TranslationMemory(name=path.name, pairs=pairs)
-        return TmIndex(tm.pairs, Bm25Params(k1=k1, b=b))
+        return TmIndex(tm.pairs, params)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _header_params(path: Path, line: str) -> Bm25Params:
+    """The BM25 parameters in a v4 header line; a fault raises for ``path:1``."""
+    try:
+        header = json.loads(line)
+        if not isinstance(header, dict):
+            raise ValidationError("header is not a JSON object")
+        if header.get("format") != "ratkit-index":
+            raise ValidationError(f"header format {header.get('format')!r} is not 'ratkit-index'")
+        version = header.get("version")
+        if type(version) is not int or version != 4:
+            raise ValidationError(f"index format version {version!r} is not supported")
+        for key in ("k1", "b"):
+            if type(header.get(key)) not in (int, float):
+                raise ValidationError(f"header field {key!r} is missing or not a number")
+        return Bm25Params(k1=float(header["k1"]), b=float(header["b"]))
+    except json.JSONDecodeError as exc:
+        raise CorpusFormatError(str(path), 1, f"header is not JSON: {exc.msg}") from exc
+    except (ValidationError, OverflowError) as exc:  # OverflowError: an int beyond float
+        raise CorpusFormatError(str(path), 1, str(exc)) from exc

@@ -383,6 +383,14 @@ class TestRunCommand:
         assert code == 2
         assert "cannot read manifest" in capsys.readouterr().err
 
+    def test_non_utf8_manifest_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_bytes(b'{"tms": ["caf\xe9"]}')
+        code = run_cli("run", "--manifest", path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot read manifest" in err and str(path) in err
+
 
 class TestParser:
     def test_unknown_subcommand_rejected(self):

@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ratkit import CorpusFormatError, ValidationError, load_corpus
@@ -185,6 +185,9 @@ class TestRoundTrip:
 class TestAnalyzeForIndex:
     def test_strips_edge_punctuation_and_lowercases(self):
         assert analyze_for_index("The cat, sat.") == ["the", "cat", "sat"]
+        # Quotes, inverted marks and dashes are punctuation at either edge.
+        assert analyze_for_index("«Hello», ¿qué?") == ["hello", "qué"]
+        assert analyze_for_index("--x-- —x—") == ["x", "x"]
 
     def test_empty_input(self):
         assert analyze_for_index("") == []
@@ -194,8 +197,10 @@ class TestAnalyzeForIndex:
 
     def test_punctuation_only_token_dropped(self):
         assert analyze_for_index("a - b") == ["a", "b"]
+        assert analyze_for_index("'' a ''") == ["a"]
 
     @given(st.text(max_size=80))
+    @example("«Hello», ¿qué? --x-- '' —x—")
     def test_idempotent_on_joined_output(self, text):
         once = analyze_for_index(text)
         assert analyze_for_index(" ".join(once)) == once

@@ -1,12 +1,12 @@
-"""BM25 index statistics, scoring, ranking, and binary persistence."""
+"""BM25 index statistics, scoring, ranking, and persistence."""
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import random
-import struct
 import subprocess
 import sys
 from collections import Counter
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratkit import Bm25Params, ValidationError, build_index, query_top_n
-from ratkit.corpus import SentencePair, TranslationMemory, analyze_for_index
+from ratkit.corpus import SentencePair, TranslationMemory, analyze_for_index, save_corpus
 from ratkit.retrieval import load_index, save_index
 
 from synthetic import brute_force_top_n, make_queries, make_random_tm, postings, tiny_tm
@@ -284,36 +284,46 @@ TINY_TERMS = [
     ("sat", [(0, 1)]),
     ("the", [(0, 1), (1, 1)]),
 ]
+HEADER = {"b": 0.75, "format": "ratkit-index", "k1": 1.2, "version": 4}
 
 
-def index_file(docs, k1: float = 1.2, b: float = 0.75) -> bytes:
-    """Index file bytes laid out as docs/index-format.md says, written
-    without save_index so that the tests can store invalid content."""
+def index_file(docs, header=HEADER) -> bytes:
+    """Index file bytes laid out as the README says, written without
+    save_index so that the tests can store invalid content.
 
-    def text(value: str) -> bytes:
-        data = value.encode("utf-8")
-        return struct.pack("<I", len(data)) + data
-
-    parts = [b"RATIDX3\0", struct.pack("<ddQ", k1, b, len(docs))]
-    for fields in docs:
-        parts.extend(text(field) for field in fields)
-    payload = b"".join(parts)
-    return payload + hashlib.sha256(payload).digest()
+    ``header`` is a dict written as JSON with sorted keys, or the raw bytes
+    of the header line; a doc given as bytes is written as its raw line.
+    """
+    if isinstance(header, dict):
+        header = json.dumps(header, sort_keys=True).encode()
+    lines = [header]
+    for doc in docs:
+        if not isinstance(doc, bytes):
+            record = dict(zip(("id", "domain", "src", "tgt"), doc))
+            doc = json.dumps(record, ensure_ascii=False).encode("utf-8")
+        lines.append(doc)
+    body = b"".join(line + b"\n" for line in lines)
+    return body + b'{"sha256": "%s"}\n' % hashlib.sha256(body).hexdigest().encode()
 
 
 class TestPersistence:
     def test_round_trip_preserves_structure(self, tmp_path):
-        index = build_index(make_random_tm(n_pairs=80, seed=13))
+        tm = make_random_tm(n_pairs=80, seed=13)
         path = tmp_path / "tm.idx"
-        save_index(index, path)
-        loaded = load_index(path)
-        assert loaded.doc_count == index.doc_count
-        assert loaded.avg_doc_length == index.avg_doc_length
-        assert loaded.doc_lengths == index.doc_lengths
-        assert loaded.norms.tolist() == index.norms.tolist()
-        assert postings(loaded) == postings(index)
-        assert loaded.pairs == index.pairs
-        assert (loaded.params.k1, loaded.params.b) == (index.params.k1, index.params.b)
+        # 0.1 + 0.2 and 1/3 have no short decimal form; both must come back
+        # bit for bit.
+        for k1, b in ((1.2, 0.75), (0.1 + 0.2, 1 / 3)):
+            index = build_index(tm, Bm25Params(k1=k1, b=b))
+            save_index(index, path)
+            loaded = load_index(path)
+            assert loaded.doc_count == index.doc_count
+            assert loaded.avg_doc_length == index.avg_doc_length
+            assert loaded.doc_lengths == index.doc_lengths
+            assert loaded.norms.tolist() == index.norms.tolist()
+            assert postings(loaded) == postings(index)
+            assert loaded.pairs == index.pairs
+            assert loaded.params.k1.hex() == k1.hex()
+            assert loaded.params.b.hex() == b.hex()
 
     def test_save_load_save_is_bit_stable(self, tmp_path):
         index = build_index(make_random_tm(n_pairs=80, seed=13))
@@ -335,7 +345,7 @@ class TestPersistence:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.idx"
         path.write_bytes(b"NOTANIDX" + b"\x00" * 64)
-        with pytest.raises(ValidationError, match="magic"):
+        with pytest.raises(ValidationError, match="not a ratkit index"):
             load_index(path)
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -356,9 +366,9 @@ class TestPersistence:
             load_index(path)
 
     def test_v1_file_rejected_with_rebuild_hint(self, tmp_path):
-        # v2 files too: they stored postings, which v3 derives on load.
+        # v2 and v3 files too: v2 stored postings, v3 was a binary container.
         path = tmp_path / "old.idx"
-        for magic in (b"RATIDX1\0", b"RATIDX2\0"):
+        for magic in (b"RATIDX1\0", b"RATIDX2\0", b"RATIDX3\0"):
             path.write_bytes(magic + b"\x00" * 64)
             with pytest.raises(ValidationError, match="rebuild"):
                 load_index(path)
@@ -372,29 +382,67 @@ class TestPersistence:
         with pytest.raises(ValidationError, match="checksum"):
             load_index(path)
 
-    def test_layout_matches_the_documented_format(self, tmp_path):
+    def test_parameter_edit_fails_the_checksum(self, tmp_path):
+        # The digest covers the header line, so k1 and b cannot be changed
+        # without it.
         path = tmp_path / "tm.idx"
         save_index(build_index(tiny_tm()), path)
-        assert path.read_bytes() == index_file(TINY_DOCS)
+        original = path.read_bytes()
+        for before, after in ((b'"k1": 1.2', b'"k1": 1.7'), (b'"b": 0.75', b'"b": 0.25')):
+            assert original.count(before) == 1
+            path.write_bytes(original.replace(before, after))
+            with pytest.raises(ValidationError, match="checksum"):
+                load_index(path)
+
+    def test_layout_matches_the_documented_format(self, tmp_path):
+        path = tmp_path / "tm.idx"
+        tm = tiny_tm()
+        save_index(build_index(tm), path)
+        data = path.read_bytes()
+        assert data == index_file(TINY_DOCS)
+        lines = data.decode("utf-8").splitlines(keepends=True)
+        assert lines[0] == '{"b": 0.75, "format": "ratkit-index", "k1": 1.2, "version": 4}\n'
+        # The pair lines are what save_corpus writes for JSONL.
+        save_corpus(tm, tmp_path / "tm.jsonl")
+        assert "".join(lines[1:-1]) == (tmp_path / "tm.jsonl").read_text(encoding="utf-8")
+        body = "".join(lines[:-1]).encode("utf-8")
+        assert lines[-1] == '{"sha256": "%s"}\n' % hashlib.sha256(body).hexdigest()
         assert postings(load_index(path)) == dict(TINY_TERMS)
 
     @pytest.mark.parametrize(
-        "docs, k1, reason",
+        "docs, header, where, reason",
         [
-            (TINY_DOCS[:2] + [("d3", "a", " ", "Katze")], 1.2, "source is empty"),
-            (TINY_DOCS[:2] + [("d3", "a", "...", "Katze")], 1.2, "source without terms"),
-            (TINY_DOCS[:2] + [("d3", "a", "cat", "Kat\nze")], 1.2, "line break"),
-            (TINY_DOCS[:2] + [("d1", "a", "cat", "Katze")], 1.2, "duplicate pair id"),
-            ([], 1.2, "is empty"),
-            (TINY_DOCS, math.nan, "k1 must be finite"),
+            (TINY_DOCS[:2] + [("d3", "a", " ", "Katze")], HEADER, ":4", "source is empty"),
+            (TINY_DOCS[:2] + [("d3", "a", "...", "Katze")], HEADER, "", "source without terms"),
+            (TINY_DOCS[:2] + [("d3", "a", "cat", "Kat\nze")], HEADER, ":4", "line break"),
+            (TINY_DOCS[:2] + [("d1", "a", "cat", "Katze")], HEADER, ":4",
+             r"duplicate id 'd1' \(first seen on line 2\)"),
+            ([], HEADER, "", "contains no records"),
+            (TINY_DOCS, {**HEADER, "k1": math.nan}, ":1", "k1 must be finite"),
+            (TINY_DOCS, b"k1=1.2 b=0.75", ":1", "header is not JSON"),
+            (TINY_DOCS, b"[0.75, 1.2]", ":1", "header is not a JSON object"),
+            (TINY_DOCS, {**HEADER, "format": "ratkit"}, ":1", "format 'ratkit' is not"),
+            (TINY_DOCS, {**HEADER, "version": 3}, ":1", "version 3 is not supported"),
+            (TINY_DOCS, {**HEADER, "version": 4.0}, ":1", "version 4.0 is not supported"),
+            (TINY_DOCS, {**HEADER, "k1": "1.2"}, ":1", "'k1' is missing or not a number"),
+            (TINY_DOCS, {**HEADER, "b": True}, ":1", "'b' is missing or not a number"),
+            (TINY_DOCS, {**HEADER, "k1": 10**400}, ":1", "too large to convert to float"),
+            (TINY_DOCS, {"b": 0.75, "format": "ratkit-index", "version": 4}, ":1",
+             "'k1' is missing"),
+            (TINY_DOCS[:2] + [b'{"id": "d3", "domain": "a", "src": "caf\xe9", "tgt": "Katze"}'],
+             HEADER, ":4", "not valid UTF-8"),
         ],
         ids=["blank-source", "source-without-terms", "line-break", "duplicate-id",
-             "no-docs", "k1-nan"],
+             "no-docs", "k1-nan", "header-not-json", "header-not-object", "wrong-format",
+             "wrong-version", "float-version", "k1-string", "b-bool", "k1-huge-int", "k1-missing",
+             "non-utf8-record"],
     )
-    def test_invalid_content_with_valid_checksum_rejected(self, tmp_path, docs, k1, reason):
+    def test_invalid_content_with_valid_checksum_rejected(
+        self, tmp_path, docs, header, where, reason
+    ):
         path = tmp_path / "bad.idx"
-        path.write_bytes(index_file(docs, k1=k1))
-        with pytest.raises(ValidationError, match=rf"bad\.idx: .*{reason}"):
+        path.write_bytes(index_file(docs, header))
+        with pytest.raises(ValidationError, match=rf"bad\.idx{where}: .*{reason}"):
             load_index(path)
 
     def test_corrupted_bytes_never_load_silently(self, tmp_path):
