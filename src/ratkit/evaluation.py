@@ -5,16 +5,17 @@ reference, clipped 1..4-gram precisions pooled corpus-wide, exponential
 smoothing for zero-match orders, and no effective-order reduction. Scores are
 on the 0..100 scale.
 
-The paired bootstrap resamples test-set sentence indices with replacement and
-scores both systems on every resample. Ties count against significance: the
-p-value is the fraction of resamples in which the observed winner failed to
-win strictly, so identical systems come out at p = 1.0.
+The paired bootstrap draws every resample of a comparison from one seeded
+stream of sentence indices and scores both systems on each. Ties count against
+significance: the p-value is the fraction of resamples in which the observed
+winner failed to win strictly, so identical systems come out at p = 1.0.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +170,12 @@ def score_from_stats(stats) -> BleuScore:
     )
 
 
+def _stats_matrix(hyps: list[str], refs: list[str]) -> np.ndarray:
+    """The (N, 10) int64 matrix of :func:`sentence_stats` rows, one per sentence."""
+    rows = (sentence_stats(h, r) for h, r in zip(hyps, refs))
+    return np.fromiter(rows, dtype=np.dtype((np.int64, 2 * NGRAM_ORDER + 2)), count=len(refs))
+
+
 def bleu_corpus(hypotheses: list[str], references: list[str]) -> BleuScore:
     """Corpus BLEU of line-aligned hypothesis and reference lists."""
     if len(hypotheses) != len(references):
@@ -177,10 +184,7 @@ def bleu_corpus(hypotheses: list[str], references: list[str]) -> BleuScore:
         )
     if not hypotheses:
         raise ValidationError("cannot score an empty corpus")
-    totals = np.zeros(2 * NGRAM_ORDER + 2, dtype=np.int64)
-    for hyp, ref in zip(hypotheses, references):
-        totals += np.asarray(sentence_stats(hyp, ref), dtype=np.int64)
-    return score_from_stats(totals)
+    return score_from_stats(_stats_matrix(hypotheses, references).sum(axis=0))
 
 
 def suggestion_overlap(
@@ -263,11 +267,11 @@ def paired_bootstrap(
 ) -> SignificanceResult:
     """Paired bootstrap resampling over sentences, comparing systems A and B.
 
-    Each resample draws len(refs) sentence indices with replacement (one
-    sub-seed per resample index, so parallel and sequential evaluation have
-    to agree) and scores both systems on the resampled corpus. The p-value
-    counts the resamples in which the full-set winner did not win strictly.
-    A zero observed delta is never significant.
+    Resample i is the i-th block of len(refs) sentence indices drawn with
+    replacement from one stream seeded by ``seed``, so the first m resamples
+    of an n-sample run are those of an m-sample run. The p-value counts the
+    resamples in which the full-set winner did not win strictly. A zero
+    observed delta is never significant.
     """
     if not (len(hyps_a) == len(hyps_b) == len(refs)):
         raise ValidationError(
@@ -277,26 +281,23 @@ def paired_bootstrap(
         raise ValidationError("cannot bootstrap an empty test set")
     BootstrapConfig(n_samples, threshold, seed)  # checks the settings' ranges
 
-    stats_a = np.asarray([sentence_stats(h, r) for h, r in zip(hyps_a, refs)], dtype=np.int64)
-    stats_b = np.asarray([sentence_stats(h, r) for h, r in zip(hyps_b, refs)], dtype=np.int64)
+    stats_a = _stats_matrix(hyps_a, refs)
+    stats_b = _stats_matrix(hyps_b, refs)
     observed_delta = (
         score_from_stats(stats_a.sum(axis=0)).score - score_from_stats(stats_b.sum(axis=0)).score
     )
 
     num_sentences = len(refs)
-    wins_a = wins_b = ties = 0
-    for i in range(n_samples):
-        rng = derived_rng(seed, i)
-        idx = [rng.randrange(num_sentences) for _ in range(num_sentences)]
-        weights = np.bincount(idx, minlength=num_sentences)
+    sentences = range(num_sentences)
+    rng = derived_rng(seed)
+    wins_a = wins_b = 0
+    for _ in range(n_samples):
+        weights = np.bincount(rng.choices(sentences, k=num_sentences), minlength=num_sentences)
         score_a = score_from_stats(weights @ stats_a).score
         score_b = score_from_stats(weights @ stats_b).score
-        if score_a > score_b:
-            wins_a += 1
-        elif score_b > score_a:
-            wins_b += 1
-        else:
-            ties += 1
+        wins_a += score_a > score_b
+        wins_b += score_b > score_a
+    ties = n_samples - wins_a - wins_b
 
     if observed_delta > 0:
         p_value = (wins_b + ties) / n_samples
@@ -472,7 +473,7 @@ def report_to_markdown(report: EvalReport) -> str:
     systems = sorted({c.system for c in cells})
     ks = sorted({c.k for c in cells})
 
-    def grid(metric: str, title: str, fmt: str) -> None:
+    def grid(metric: Callable[[CellResult], float | None], title: str, fmt: str) -> None:
         lines.append("")
         lines.append(f"## {title}")
         for scenario in scenarios:
@@ -487,19 +488,15 @@ def report_to_markdown(report: EvalReport) -> str:
                     values = []
                     for domain in domains:
                         cell = report.cells.get((domain, k, scenario, system))
-                        value = None
-                        if cell is not None:
-                            value = (
-                                cell.bleu.score if metric == "bleu" else cell.overlap_pct
-                            )
-                        row.append(format(value, fmt) if value is not None else "-")
+                        value = None if cell is None else metric(cell)
+                        row.append("-" if value is None else format(value, fmt))
                         if value is not None:
                             values.append(value)
                     row.append(format(sum(values) / len(values), fmt) if values else "-")
                     lines.append("| " + " | ".join(row) + " |")
 
-    grid("bleu", "BLEU per domain", ".2f")
-    grid("overlap", "Suggestion token overlap (%) per domain", ".2f")
+    grid(lambda cell: cell.bleu.score, "BLEU per domain", ".2f")
+    grid(lambda cell: cell.overlap_pct, "Suggestion token overlap (%) per domain", ".2f")
 
     if report.significance:
         lines.append("")

@@ -228,7 +228,10 @@ def _typed(value, kind: type, name: str):
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigurationError(f"manifest field {name!r} must be {_KINDS[kind]}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigurationError(f"manifest field {name!r} must be a finite number") from None
 
 
 def _list_of(value, kind: type, name: str) -> tuple:
@@ -303,7 +306,7 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
         data = json.loads(text, object_pairs_hook=_object_with_unique_keys)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read manifest {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise ConfigurationError(f"manifest {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigurationError(f"manifest {path} must be a JSON object")

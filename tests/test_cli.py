@@ -349,12 +349,15 @@ class TestRunCommand:
             {"bootstrap": {"samples": 7}},
             {"retrieval": {"k_1": 1.0}},
             '"bootstrap": {"n": 5, "n": 7}',
+            {"translator": {"kind": "baseline_copy_first", "timeout": 10**400}},
+            {"retrieval": {"k1": 10**400}},
         ],
         ids=["bootstrap-int", "retrieval-list", "pool-str", "k-str", "k-float", "n-float",
              "timeout-str", "separator-int", "separator-space", "exclude-self-str",
              "mode-int", "mode-unknown", "shuffle-pool-below-k", "timeout-nan",
              "unknown-top-level-key", "unknown-translator-key", "unknown-augmentation-key",
-             "unknown-bootstrap-key", "unknown-retrieval-key", "duplicate-key"],
+             "unknown-bootstrap-key", "unknown-retrieval-key", "duplicate-key",
+             "timeout-huge-int", "k1-huge-int"],
     )
     def test_malformed_manifest_field_exits_2(self, corpus_files, capsys, override):
         path = self.write_manifest(corpus_files)

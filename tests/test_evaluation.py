@@ -7,6 +7,7 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,8 +26,11 @@ from ratkit.evaluation import (
     SignificanceResult,
     aggregate_report,
     report_to_markdown,
+    score_from_stats,
+    sentence_stats,
 )
 from ratkit.retrieval import FuzzyMatch
+from ratkit.seeding import derived_rng
 
 from synthetic import make_bootstrap_systems
 
@@ -219,6 +223,34 @@ class TestSuggestionOverlap:
             assert fraction is None or 0.0 <= fraction <= 1.0
 
 
+def per_resample_bootstrap_p(hyps_a, hyps_b, refs, n_samples, seed) -> float:
+    """The paired bootstrap p-value as ratkit drew it before one stream per
+    comparison: resample i reseeds with derived_rng(seed, i) and draws each
+    sentence index with its own randrange. Kept only as a reference here.
+    """
+    stats_a = np.asarray([sentence_stats(h, r) for h, r in zip(hyps_a, refs)], dtype=np.int64)
+    stats_b = np.asarray([sentence_stats(h, r) for h, r in zip(hyps_b, refs)], dtype=np.int64)
+    delta = score_from_stats(stats_a.sum(axis=0)).score - score_from_stats(stats_b.sum(axis=0)).score
+    wins_a = wins_b = ties = 0
+    for i in range(n_samples):
+        rng = derived_rng(seed, i)
+        idx = [rng.randrange(len(refs)) for _ in range(len(refs))]
+        weights = np.bincount(idx, minlength=len(refs))
+        score_a = score_from_stats(weights @ stats_a).score
+        score_b = score_from_stats(weights @ stats_b).score
+        if score_a > score_b:
+            wins_a += 1
+        elif score_b > score_a:
+            wins_b += 1
+        else:
+            ties += 1
+    if delta > 0:
+        return (wins_b + ties) / n_samples
+    if delta < 0:
+        return (wins_a + ties) / n_samples
+    return 1.0
+
+
 class TestPairedBootstrap:
     def test_identical_systems_all_ties(self):
         hyps = [p["hyp"] for p in FIXTURE["pairs"]]
@@ -251,9 +283,25 @@ class TestPairedBootstrap:
 
     def test_deterministic_under_fixed_seed(self):
         hyps_a, hyps_b, refs = make_bootstrap_systems(n_sentences=50, a_wins=30)
-        first = paired_bootstrap(hyps_a, hyps_b, refs, n_samples=150, seed=9)
-        second = paired_bootstrap(hyps_a, hyps_b, refs, n_samples=150, seed=9)
-        assert first == second
+        for seed in (9, -1):  # derive_seed masks a negative seed to 64 bits
+            first = paired_bootstrap(hyps_a, hyps_b, refs, n_samples=150, seed=seed)
+            second = paired_bootstrap(hyps_a, hyps_b, refs, n_samples=150, seed=seed)
+            assert first == second, seed
+
+    def test_pinned_stream(self):
+        # One derived_rng(seed) per call, drawn with Random.choices. These
+        # counts change if the stream changes on any supported interpreter.
+        result = paired_bootstrap(*make_bootstrap_systems(60, 35), n_samples=300, seed=4)
+        assert (result.wins_a, result.wins_b, result.ties) == (262, 26, 12)
+
+    def test_p_values_agree_with_per_resample_draws(self):
+        gaps = {}
+        for wins in range(28, 40):
+            hyps_a, hyps_b, refs = make_bootstrap_systems(n_sentences=60, a_wins=wins, seed=wins)
+            new = paired_bootstrap(hyps_a, hyps_b, refs, n_samples=500, seed=wins).p_value
+            old = per_resample_bootstrap_p(hyps_a, hyps_b, refs, n_samples=500, seed=wins)
+            gaps[wins] = abs(new - old)
+        assert max(gaps.values()) <= 0.1, gaps
 
     def test_swapping_systems_mirrors_the_result(self):
         hyps_a, hyps_b, refs = make_bootstrap_systems(n_sentences=80, a_wins=72)

@@ -268,6 +268,14 @@ class TestLoadManifest:
         with pytest.raises(ConfigurationError, match="not valid JSON"):
             load_manifest(path)
 
+    def test_integer_past_the_digit_limit_rejected(self, tmp_path):
+        # Python's int parser refuses more than 4300 digits with a ValueError.
+        path = write_manifest(tmp_path / "exp.json", bootstrap={"threshold": 0})
+        text = path.read_text(encoding="utf-8").replace('"threshold": 0', '"threshold": 1' + "0" * 5000)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="manifest"):
+            load_manifest(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):
             load_manifest(tmp_path / "absent.json")
