@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .corpus import TranslationMemory, numbered_lines, write_lines
+from .corpus import TranslationMemory, atomic_write, numbered_lines, write_lines
 from .errors import ValidationError
 from .retrieval import FuzzyMatch, TmIndex, query_top_n
 from .seeding import derived_rng
@@ -154,7 +154,7 @@ def write_augmented(
     flat_path = prefix.with_name(prefix.name + ".flat.txt")
     ref_path = prefix.with_name(prefix.name + ".ref.txt")
     examples = list(examples)
-    with open(jsonl_path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(jsonl_path) as fh:
         for example in examples:
             record = {
                 "id": example.pair_id,

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .augmentation import MODES, AugmentationConfig, augment_corpus, read_augmented, write_augmented
-from .corpus import load_corpus, read_lines
+from .corpus import atomic_write, load_corpus, read_lines
 from .errors import RatkitError, ValidationError
 from .evaluation import (
     BootstrapConfig,
@@ -136,9 +136,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     cells = [_read_cell(p) for p in cell_files]
     report = aggregate_report(cells)
     out = Path(args.out)
-    out.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_write(out) as fh:
+        fh.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     if args.markdown:
-        Path(args.markdown).write_text(report_to_markdown(report), encoding="utf-8")
+        with atomic_write(args.markdown) as fh:
+            fh.write(report_to_markdown(report))
     print(f"aggregated {len(cells)} cells -> {out}")
     return 0
 

@@ -7,13 +7,19 @@ Two distinct analyzers live here and must not be confused:
   (lowercase, whitespace split, edge punctuation stripped).
 * :func:`tokenize_13a` implements the language-independent mteval-v13a rules
   used for BLEU scoring. Case is preserved.
+
+Every file the toolkit writes goes through :func:`atomic_write`, so a crash
+mid-write leaves the previous file, not a truncated one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
+import os
 import re
+import sys
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -156,6 +162,8 @@ def _parse_record(path: str, lineno: int, line: str, fmt: str) -> SentencePair:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusFormatError(path, lineno, f"invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # an integer past int's digit limit
+            raise CorpusFormatError(path, lineno, f"invalid JSON: {exc}") from exc
         if not isinstance(record, dict):
             raise CorpusFormatError(path, lineno, "record is not a JSON object")
         fields = {}
@@ -187,7 +195,7 @@ def save_corpus(tm: TranslationMemory, path: str | Path, format: str | None = No
     """Write a translation memory back to disk. Inverse of :func:`load_corpus`."""
     path = Path(path)
     fmt = format or _detect_format(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for pair in tm.pairs:
             if fmt == "jsonl":
                 fh.write(_jsonl_line(pair))
@@ -239,6 +247,14 @@ _13A_SPACES = re.compile(r"\s+")
 
 def tokenize_13a(text: str) -> list[str]:
     """Tokenize for BLEU with the mteval-v13a rules; case is preserved."""
+    return list(_tokens_13a(text))
+
+
+# Scoring tokenizes each reference and TM target many times over a grid. A
+# fixed bound, as for _is_punctuation, keeps one-off texts from growing the
+# memo without limit; tokenize_13a copies the tuple so callers cannot edit it.
+@functools.lru_cache(maxsize=4096)
+def _tokens_13a(text: str) -> tuple[str, ...]:
     norm = text
     norm = norm.replace("<skipped>", "")
     norm = norm.replace("-\n", "")
@@ -254,7 +270,7 @@ def tokenize_13a(text: str) -> list[str]:
     norm = _13A_PERIOD_AFTER.sub(r" \1 \2", norm)
     norm = _13A_DIGIT_DASH.sub(r"\1 \2 ", norm)
     norm = _13A_SPACES.sub(" ", norm)
-    return norm.strip().split()
+    return tuple(map(sys.intern, norm.strip().split()))
 
 
 def read_lines(path: str | Path) -> list[str]:
@@ -269,6 +285,26 @@ def read_lines(path: str | Path) -> list[str]:
 
 def write_lines(lines: Iterable[str], path: str | Path) -> None:
     """Write one string per line with LF endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for line in lines:
             fh.write(line + "\n")
+
+
+@contextlib.contextmanager
+def atomic_write(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8, LF-ending text file that replaces ``path`` only once the block ends.
+
+    The text goes to a new file in the same directory, which ``os.replace``
+    then moves over ``path``. If the block raises, the temporary file is
+    removed and whatever was at ``path`` before is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        # Mode "x" creates the file with the usual umask-based permissions.
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -6,14 +6,18 @@ smoothing for zero-match orders, and no effective-order reduction. Scores are
 on the 0..100 scale.
 
 The paired bootstrap draws every resample of a comparison from one seeded
-stream of sentence indices and scores both systems on each. Ties count against
-significance: the p-value is the fraction of resamples in which the observed
-winner failed to win strictly, so identical systems come out at p = 1.0.
+stream of sentence indices and scores both systems on each. The indices are
+drawn in numpy, blocks of resamples at a time, from the same Mersenne Twister
+words that ``Random.choices`` would use, so they, and every p-value, are the
+ones a ``Random.choices`` loop gives. Ties count against significance: the
+p-value is the fraction of resamples in which the observed winner failed to
+win strictly, so identical systems come out at p = 1.0.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -214,7 +218,9 @@ def suggestion_overlap(
     hit_sum = 0
     token_sum = 0
     for example, output in zip(examples, outputs):
-        suggestion_tokens = tokenize_13a(" ".join(m.target for m in example.suggestions))
+        # The tokens of the joined targets: no 13a rule matches across the
+        # joining space, and each target alone is a tokenizer memo hit.
+        suggestion_tokens = [t for m in example.suggestions for t in tokenize_13a(m.target)]
         if not suggestion_tokens:
             fractions.append(None)
             continue
@@ -240,6 +246,26 @@ def suggestion_overlap(
     else:
         mean_pct = 100.0 * hit_sum / token_sum
     return OverlapResult(fractions=tuple(fractions), mean_pct=mean_pct)
+
+
+# Resamples are drawn and weighted in blocks of about this many sentence
+# indices. On 300-sentence test sets, blocks of 32768 raised peak RSS by
+# 1.7 MB and ran no faster; one resample per block ran a quarter slower.
+_BLOCK_DRAWS = 4096
+
+
+def _choices(rng: random.Random, n: int, k: int) -> np.ndarray:
+    """``rng.choices(range(n), k=k)`` as an intp array, leaving ``rng`` in the same state.
+
+    ``Random.random()`` is ``(a * 2**26 + b) * 2**-53`` with ``a = w0 >> 5`` and
+    ``b = w1 >> 6`` for two consecutive 32-bit Mersenne Twister words, and
+    ``choices`` takes ``floor(random() * n)``. ``getrandbits(64 * k)`` returns
+    the next 2k words, the first the least significant. Every step below is
+    exact in float64, so the indices are the ones ``choices`` draws.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u4")
+    u = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+    return np.floor(u * float(n)).astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -269,9 +295,11 @@ def paired_bootstrap(
 
     Resample i is the i-th block of len(refs) sentence indices drawn with
     replacement from one stream seeded by ``seed``, so the first m resamples
-    of an n-sample run are those of an m-sample run. The p-value counts the
-    resamples in which the full-set winner did not win strictly. A zero
-    observed delta is never significant.
+    of an n-sample run are those of an m-sample run. The indices are those
+    ``Random.choices`` draws from that stream, taken in numpy several
+    resamples at a time, so the wins, ties and p-value equal a loop over
+    ``choices``. The p-value counts the resamples in which the full-set
+    winner did not win strictly. A zero observed delta is never significant.
     """
     if not (len(hyps_a) == len(hyps_b) == len(refs)):
         raise ValidationError(
@@ -288,15 +316,21 @@ def paired_bootstrap(
     )
 
     num_sentences = len(refs)
-    sentences = range(num_sentences)
+    rows = max(1, _BLOCK_DRAWS // num_sentences)
+    offsets = np.arange(rows)[:, None] * num_sentences
     rng = derived_rng(seed)
     wins_a = wins_b = 0
-    for _ in range(n_samples):
-        weights = np.bincount(rng.choices(sentences, k=num_sentences), minlength=num_sentences)
-        score_a = score_from_stats(weights @ stats_a).score
-        score_b = score_from_stats(weights @ stats_b).score
-        wins_a += score_a > score_b
-        wins_b += score_b > score_a
+    for start in range(0, n_samples, rows):
+        block = min(rows, n_samples - start)
+        picks = _choices(rng, num_sentences, block * num_sentences).reshape(block, num_sentences)
+        # Row r of picks, shifted into its own bins, counts resample r's sentences.
+        weights = np.bincount((picks + offsets[:block]).ravel(), minlength=block * num_sentences)
+        weights = weights.reshape(block, num_sentences)
+        for row_a, row_b in zip((weights @ stats_a).tolist(), (weights @ stats_b).tolist()):
+            score_a = score_from_stats(row_a).score
+            score_b = score_from_stats(row_b).score
+            wins_a += score_a > score_b
+            wins_b += score_b > score_a
     ties = n_samples - wins_a - wins_b
 
     if observed_delta > 0:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .augmentation import AugmentationConfig, AugmentedExample, augment_corpus, write_augmented
-from .corpus import TranslationMemory, load_corpus, tokenize_13a, write_lines
+from .corpus import TranslationMemory, atomic_write, load_corpus, tokenize_13a, write_lines
 from .errors import ConfigurationError, RatkitError, TranslatorError
 from .evaluation import (
     BootstrapConfig,
@@ -379,8 +379,8 @@ def _run_cell(
         bleu=bleu,
         overlap_pct=overlap.mean_pct,
     )
-    cell_json = json.dumps(cell.to_dict(), indent=2, sort_keys=True) + "\n"
-    (cell_dir / "cell.json").write_text(cell_json, encoding="utf-8")
+    with atomic_write(cell_dir / "cell.json") as fh:
+        fh.write(json.dumps(cell.to_dict(), indent=2, sort_keys=True) + "\n")
     return _CellOutput(cell=cell, hypotheses=hypotheses, references=references)
 
 
@@ -491,7 +491,8 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
 
     cells = [output.cell for output in outputs.values()]
     report = aggregate_report(cells, significance, failed)
-    report_json = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    (out_dir / "report.json").write_text(report_json, encoding="utf-8")
-    (out_dir / "report.md").write_text(report_to_markdown(report), encoding="utf-8")
+    with atomic_write(out_dir / "report.json") as fh:
+        fh.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    with atomic_write(out_dir / "report.md") as fh:
+        fh.write(report_to_markdown(report))
     return report

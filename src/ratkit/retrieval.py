@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import SentencePair, TranslationMemory, analyze_for_index, numbered_lines
+from .corpus import SentencePair, TranslationMemory, analyze_for_index, atomic_write, numbered_lines
 from .corpus import _jsonl_line, _read_records  # the JSONL record, shared with index files
 from .errors import CorpusFormatError, ValidationError
 
@@ -199,12 +199,11 @@ def save_index(index: TmIndex, path: str | Path) -> None:
     header = {"b": float(params.b), "format": "ratkit-index", "k1": float(params.k1), "version": 4}
     header_line = json.dumps(header, sort_keys=True) + "\n"
     digest = hashlib.sha256()
-    with open(path, "wb") as out:
+    with atomic_write(path) as out:
         for line in itertools.chain([header_line], map(_jsonl_line, index.pairs)):
-            data = line.encode("utf-8")
-            digest.update(data)
-            out.write(data)
-        out.write(f'{{"sha256": "{digest.hexdigest()}"}}\n'.encode())
+            digest.update(line.encode("utf-8"))
+            out.write(line)
+        out.write(f'{{"sha256": "{digest.hexdigest()}"}}\n')
 
 
 def load_index(path: str | Path) -> TmIndex:
@@ -260,5 +259,7 @@ def _header_params(path: Path, line: str) -> Bm25Params:
         return Bm25Params(k1=float(header["k1"]), b=float(header["b"]))
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(str(path), 1, f"header is not JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past int's digit limit
+        raise CorpusFormatError(str(path), 1, f"header is not JSON: {exc}") from exc
     except (ValidationError, OverflowError) as exc:  # OverflowError: an int beyond float
         raise CorpusFormatError(str(path), 1, str(exc)) from exc

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .augmentation import AugmentedExample
-from .corpus import SentencePair, TranslationMemory
+from .corpus import SentencePair, TranslationMemory, atomic_write
 from .errors import ConfigurationError, ValidationError
 from .retrieval import Bm25Params, TmIndex, build_index
 
@@ -133,7 +133,7 @@ def write_scenario_sidecar(spec: ScenarioSpec, index_path: str | Path) -> Path:
         "tm_sources": list(spec.tm_sources),
         "resolved_domains": sorted(spec.resolved_domains),
     }
-    with open(sidecar, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(sidecar) as fh:
         json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
         fh.write("\n")
     return sidecar

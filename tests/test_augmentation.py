@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -256,6 +257,19 @@ class TestSerialization:
         jsonl.write_bytes(lines[0] + lines[1].replace(b"tgt", b"tgt\xe9", 1) + lines[2])
         with pytest.raises(CorpusFormatError, match=r"aug\.jsonl:2: not valid UTF-8"):
             read_augmented(jsonl)
+
+    def test_failed_rewrite_keeps_the_old_files(self, tmp_path):
+        tm = make_random_tm(n_pairs=4, seed=31)
+        examples = list(augment_corpus(tm, build_index(tm), AugmentationConfig(k=1)))
+        paths = write_augmented(examples, tmp_path / "aug")
+        before = {path: path.read_bytes() for path in paths}
+        # A score that JSON cannot encode fails the rewrite at its third record.
+        broken = dataclasses.replace(examples[2].suggestions[0], score=object())
+        examples[2] = dataclasses.replace(examples[2], suggestions=(broken,))
+        with pytest.raises(TypeError):
+            write_augmented(examples, tmp_path / "aug")
+        assert {path: path.read_bytes() for path in paths} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
 
 
 class TestSeedDerivation:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -63,6 +64,19 @@ class TestIndexCommand:
         code = run_cli("index", "--corpus", corpus, "--out", tmp_path / "x.idx")
         assert code == 2
         assert f"{corpus}:2: not valid UTF-8" in capsys.readouterr().err
+
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int digit limit"
+    )
+    def test_integer_past_the_digit_limit_exits_2_naming_the_line(self, tmp_path, capsys):
+        corpus = tmp_path / "tm.jsonl"
+        good = '{"id": "a", "domain": "d", "src": "x", "tgt": "y"}\n'
+        huge = '{"id": "b", "domain": "d", "src": "x", "tgt": "y", "n": 1%s}\n' % ("0" * 5000)
+        corpus.write_text(good + huge, encoding="utf-8")
+        code = run_cli("index", "--corpus", corpus, "--out", tmp_path / "x.idx")
+        assert code == 2
+        assert f"{corpus}:2: invalid JSON" in capsys.readouterr().err
 
 
 class TestScenarioCommand:

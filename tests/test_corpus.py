@@ -14,6 +14,7 @@ from ratkit.corpus import (
     SentencePair,
     TranslationMemory,
     analyze_for_index,
+    atomic_write,
     read_lines,
     save_corpus,
     tokenize_13a,
@@ -21,6 +22,13 @@ from ratkit.corpus import (
 )
 
 FIXTURE = Path(__file__).parent / "data" / "bleu_fixture.json"
+
+# Pieces of text that the 13a rules treat specially: edge periods, commas
+# and dashes, digits, entities and their halves, <skipped>, line breaks.
+_13A_FRAGMENTS = [
+    "a", "Z", "7", ".", ",", "-", " ", "\n", "\t", "&quot;", "&quot", "quot;", "&amp;",
+    "&lt;", "&", ";", "<skipped>", "<", ">", "skipped", "é", "!", "'", "$",
+]
 
 
 def _write(path: Path, text: str) -> Path:
@@ -230,6 +238,21 @@ class TestTokenize13a:
             assert tokenize_13a(entry["hyp"].rstrip()) == hyp_tokens
             assert tokenize_13a(entry["ref"].rstrip()) == ref_tokens
 
+    def test_callers_cannot_edit_the_memo(self):
+        first = tokenize_13a("der Hund, bellt.")
+        first.append("Katze")
+        first[0] = "die"
+        assert tokenize_13a("der Hund, bellt.") == ["der", "Hund", ",", "bellt", "."]
+
+    # suggestion_overlap tokenizes each suggestion target on its own and
+    # concatenates; that must equal tokenizing the space-joined targets.
+    @given(st.lists(st.lists(st.sampled_from(_13A_FRAGMENTS)).map("".join), max_size=4))
+    @example(["end.", ".start", "a,", ",b", "x-", "-y", "3-", "-4", "&quot;", "quot;", "&", "1.", "5"])
+    @example(["&quot", ";", "<skip", "ped>", "a-", "\nb", "- ", "\n"])
+    def test_per_target_tokens_equal_joined_tokens(self, targets):
+        per_target = [token for target in targets for token in tokenize_13a(target)]
+        assert per_target == tokenize_13a(" ".join(targets))
+
 
 class TestLineIo:
     def test_non_utf8_line_named_past_the_first_block(self, tmp_path):
@@ -244,3 +267,50 @@ class TestLineIo:
         write_lines(lines, path)
         assert read_lines(path) == lines
         assert path.read_bytes().endswith(b"\n")
+
+
+def _failing_lines():
+    yield "neue Zeile"
+    raise RuntimeError("writer failed midway")
+
+
+def _tsv_with_a_tab_in_pair_two():
+    return TranslationMemory(
+        name="t",
+        pairs=(SentencePair("s1", "ein", "one", "d"), SentencePair("s2", "zw\tei", "two", "d")),
+    )
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize(
+        "name, write, error",
+        [
+            ("hyp.txt", lambda path: write_lines(_failing_lines(), path), RuntimeError),
+            ("tm.tsv", lambda path: save_corpus(_tsv_with_a_tab_in_pair_two(), path),
+             ValidationError),
+        ],
+        ids=["write_lines", "save_corpus"],
+    )
+    def test_failed_write_keeps_the_old_file_and_no_temp_file(self, tmp_path, name, write, error):
+        path = tmp_path / name
+        path.write_text("alte Zeile\n", encoding="utf-8")
+        with pytest.raises(error):
+            write(path)
+        assert path.read_text(encoding="utf-8") == "alte Zeile\n"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with atomic_write(tmp_path / "report.json") as fh:
+                fh.write("{")
+                raise RuntimeError("serializer failed")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_replaces_the_file_once_the_block_ends(self, tmp_path):
+        path = tmp_path / "cell.json"
+        path.write_text("old\n", encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write("new\n")
+            assert path.read_text(encoding="utf-8") == "old\n"
+        assert path.read_bytes() == b"new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cell.json"]

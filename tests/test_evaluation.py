@@ -22,6 +22,7 @@ from ratkit import (
 from ratkit.augmentation import AugmentedExample
 from ratkit.evaluation import (
     BleuScore,
+    _choices,
     CellResult,
     SignificanceResult,
     aggregate_report,
@@ -251,7 +252,63 @@ def per_resample_bootstrap_p(hyps_a, hyps_b, refs, n_samples, seed) -> float:
     return 1.0
 
 
+def choices_loop_bootstrap(hyps_a, hyps_b, refs, n_samples, seed):
+    """(wins_a, wins_b, ties, p_value) as ratkit drew them with one
+    ``Random.choices`` call per resample. Kept only as a reference here.
+    """
+    stats_a = np.asarray([sentence_stats(h, r) for h, r in zip(hyps_a, refs)], dtype=np.int64)
+    stats_b = np.asarray([sentence_stats(h, r) for h, r in zip(hyps_b, refs)], dtype=np.int64)
+    delta = score_from_stats(stats_a.sum(axis=0)).score - score_from_stats(stats_b.sum(axis=0)).score
+    sentences = range(len(refs))
+    rng = derived_rng(seed)
+    wins_a = wins_b = 0
+    for _ in range(n_samples):
+        weights = np.bincount(rng.choices(sentences, k=len(refs)), minlength=len(refs))
+        score_a = score_from_stats(weights @ stats_a).score
+        score_b = score_from_stats(weights @ stats_b).score
+        wins_a += score_a > score_b
+        wins_b += score_b > score_a
+    ties = n_samples - wins_a - wins_b
+    if delta > 0:
+        p_value = (wins_b + ties) / n_samples
+    elif delta < 0:
+        p_value = (wins_a + ties) / n_samples
+    else:
+        p_value = 1.0
+    return wins_a, wins_b, ties, p_value
+
+
+class TestChoices:
+    @given(
+        n=st.sampled_from([1, 2, 3, 300, 2**31 - 1, 2**40 + 3]),
+        k=st.integers(min_value=0, max_value=600),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_indices_and_state_as_random_choices(self, n, k, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        picks = _choices(ours, n, k)
+        assert picks.dtype == np.intp
+        assert picks.tolist() == theirs.choices(range(n), k=k)
+        assert ours.random() == theirs.random()
+
+
 class TestPairedBootstrap:
+    @pytest.mark.parametrize(
+        "n_sentences, a_wins, n_samples",
+        [
+            (60, 35, 300),  # 68 resamples per block; 300 is not a multiple of 68
+            (7, 4, 1000),  # 585 per block, and a last block of 415
+            (2048, 1030, 5),  # two per block, and a last block of one
+            (5000, 2510, 3),  # more sentences than one block holds: one per block
+        ],
+    )
+    def test_equals_one_choices_call_per_resample(self, n_sentences, a_wins, n_samples):
+        hyps_a, hyps_b, refs = make_bootstrap_systems(n_sentences, a_wins, seed=n_sentences)
+        result = paired_bootstrap(hyps_a, hyps_b, refs, n_samples=n_samples, seed=n_samples)
+        expected = choices_loop_bootstrap(hyps_a, hyps_b, refs, n_samples, seed=n_samples)
+        assert (result.wins_a, result.wins_b, result.ties, result.p_value) == expected
+
     def test_identical_systems_all_ties(self):
         hyps = [p["hyp"] for p in FIXTURE["pairs"]]
         refs = [p["ref"] for p in FIXTURE["pairs"]]

@@ -427,6 +427,14 @@ class TestPersistence:
             (TINY_DOCS, {**HEADER, "k1": "1.2"}, ":1", "'k1' is missing or not a number"),
             (TINY_DOCS, {**HEADER, "b": True}, ":1", "'b' is missing or not a number"),
             (TINY_DOCS, {**HEADER, "k1": 10**400}, ":1", "too large to convert to float"),
+            pytest.param(
+                TINY_DOCS, b'{"b": 0.75, "format": "ratkit-index", "k1": 1%s, "version": 4}'
+                % (b"0" * 5000), ":1", "header is not JSON: Exceeds the limit",
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int digit limit",
+                ),
+            ),
             (TINY_DOCS, {"b": 0.75, "format": "ratkit-index", "version": 4}, ":1",
              "'k1' is missing"),
             (TINY_DOCS[:2] + [b'{"id": "d3", "domain": "a", "src": "caf\xe9", "tgt": "Katze"}'],
@@ -434,7 +442,8 @@ class TestPersistence:
         ],
         ids=["blank-source", "source-without-terms", "line-break", "duplicate-id",
              "no-docs", "k1-nan", "header-not-json", "header-not-object", "wrong-format",
-             "wrong-version", "float-version", "k1-string", "b-bool", "k1-huge-int", "k1-missing",
+             "wrong-version", "float-version", "k1-string", "b-bool", "k1-huge-int", "k1-digit-limit",
+             "k1-missing",
              "non-utf8-record"],
     )
     def test_invalid_content_with_valid_checksum_rejected(
