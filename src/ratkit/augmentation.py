@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .corpus import TranslationMemory, atomic_write, numbered_lines, write_lines
+from .corpus import TranslationMemory, atomic_write, parse_json, text_lines, write_lines
 from .errors import ValidationError
 from .retrieval import FuzzyMatch, TmIndex, query_top_n
 from .seeding import derived_rng
@@ -198,22 +198,16 @@ def read_augmented(path: str | Path) -> list[AugmentedExample]:
 
     The record format stores only (id, rank, score, tgt) per suggestion, so
     reconstructed matches carry empty source and domain fields. A line that
-    is not a complete record raises a ValidationError naming path and line,
-    and bytes that are not UTF-8 a CorpusFormatError.
+    is not a complete record raises a ValidationError naming path and line.
     """
     examples = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read augmented file {path}: {exc}") from exc
-    with fh:
-        for lineno, line in numbered_lines(fh, path):
-            if not line.strip():
-                continue
-            try:
-                examples.append(_example_from_record(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValidationError(
-                    f"{path}:{lineno}: malformed augmented record ({type(exc).__name__}: {exc})"
-                ) from exc
+    for lineno, line in text_lines(path, "augmented file"):
+        if not line.strip():
+            continue
+        try:
+            examples.append(_example_from_record(parse_json(line, path, lineno)))
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(
+                f"{path}:{lineno}: malformed augmented record ({type(exc).__name__}: {exc})"
+            ) from exc
     return examples

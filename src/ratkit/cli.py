@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .augmentation import MODES, AugmentationConfig, augment_corpus, read_augmented, write_augmented
-from .corpus import atomic_write, load_corpus, read_lines
+from .corpus import atomic_write, load_corpus, parse_json, read_lines, text_lines
 from .errors import RatkitError, ValidationError
 from .evaluation import (
     BootstrapConfig,
@@ -122,9 +122,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _read_cell(path: Path) -> CellResult:
+    data = parse_json("".join(line for _, line in text_lines(path, "cell file")), path)
     try:
-        return CellResult.from_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (ValueError, KeyError, TypeError) as exc:
+        return CellResult.from_dict(data)
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: malformed cell file ({type(exc).__name__}: {exc})") from exc
 
 

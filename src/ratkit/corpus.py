@@ -9,7 +9,9 @@ Two distinct analyzers live here and must not be confused:
   used for BLEU scoring. Case is preserved.
 
 Every file the toolkit writes goes through :func:`atomic_write`, so a crash
-mid-write leaves the previous file, not a truncated one.
+mid-write leaves the previous file, not a truncated one. Every file it reads
+goes through :func:`numbered_lines` and, for JSON, :func:`parse_json`, so an
+unreadable or malformed input raises a RatkitError naming ``path[:line]``.
 """
 
 from __future__ import annotations
@@ -110,12 +112,7 @@ def load_corpus(path: str | Path, format: str | None = None, name: str | None = 
     fmt = format or _detect_format(path)
     if fmt not in CORPUS_FORMATS:
         raise ValidationError(f"unknown corpus format {fmt!r}")
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read corpus file {path}: {exc}") from exc
-    with fh:
-        return _read_records(path, numbered_lines(fh, path), fmt, name or path.stem)
+    return _read_records(path, text_lines(path, "corpus file"), fmt, name or path.stem)
 
 
 def _read_records(
@@ -138,6 +135,16 @@ def _read_records(
     return TranslationMemory(name=name, pairs=tuple(pairs))
 
 
+def text_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
+    """:func:`numbered_lines` of a file; one that cannot be opened raises a ValidationError."""
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+    with fh:
+        yield from numbered_lines(fh, path)
+
+
 def numbered_lines(fh: TextIO, path: str | Path) -> Iterator[tuple[int, str]]:
     """``enumerate(fh, start=1)`` over a file opened as UTF-8 text.
 
@@ -158,12 +165,7 @@ def numbered_lines(fh: TextIO, path: str | Path) -> Iterator[tuple[int, str]]:
 
 def _parse_record(path: str, lineno: int, line: str, fmt: str) -> SentencePair:
     if fmt == "jsonl":
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(path, lineno, f"invalid JSON: {exc.msg}") from exc
-        except ValueError as exc:  # an integer past int's digit limit
-            raise CorpusFormatError(path, lineno, f"invalid JSON: {exc}") from exc
+        record = parse_json(line, path, lineno)
         if not isinstance(record, dict):
             raise CorpusFormatError(path, lineno, "record is not a JSON object")
         fields = {}
@@ -183,6 +185,20 @@ def _parse_record(path: str, lineno: int, line: str, fmt: str) -> SentencePair:
         return SentencePair(**fields)
     except ValidationError as exc:
         raise CorpusFormatError(path, lineno, str(exc)) from exc
+
+
+def parse_json(text: str, path: str | Path, line: int = 1, **kwargs):
+    """``json.loads(text, **kwargs)`` of text that starts on line ``line`` of ``path``.
+
+    A syntax error, an integer past int's digit limit or nesting past the recursion
+    limit raises a CorpusFormatError naming ``path:line``.
+    """
+    try:
+        return json.loads(text, **kwargs)
+    except json.JSONDecodeError as exc:
+        raise CorpusFormatError(str(path), line + exc.lineno - 1, f"invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise CorpusFormatError(str(path), line, f"invalid JSON: {exc}") from exc
 
 
 def _jsonl_line(pair: SentencePair) -> str:
@@ -274,13 +290,8 @@ def _tokens_13a(text: str) -> tuple[str, ...]:
 
 
 def read_lines(path: str | Path) -> list[str]:
-    """Read a line-aligned text file, dropping the trailing newline of each line."""
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        return [line.rstrip("\n") for _, line in numbered_lines(fh, path)]
+    """A line-aligned text file's lines without newlines; only \\n, \\r\\n and \\r end a line."""
+    return [line.rstrip("\n") for _, line in text_lines(path, "text file")]
 
 
 def write_lines(lines: Iterable[str], path: str | Path) -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augmentation import AugmentedExample
-from .corpus import tokenize_13a
+from .corpus import _tokens_13a, tokenize_13a
 from .errors import AggregationError, ValidationError
 from .seeding import derived_rng
 
@@ -103,28 +103,22 @@ class OverlapResult:
     mean_pct: float | None
 
 
-def _ngram_counts(tokens: list[str]) -> list[Counter]:
-    counts = []
-    for n in range(1, NGRAM_ORDER + 1):
-        counts.append(Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)))
-    return counts
-
-
 def sentence_stats(hypothesis: str, reference: str) -> list[int]:
     """Clipped-match sufficient statistics for one sentence pair.
 
     Returns [correct1..4, total1..4, hyp_len, ref_len]; summing these over
     sentences and feeding :func:`score_from_stats` gives corpus BLEU.
     """
-    hyp_tokens = tokenize_13a(hypothesis.rstrip())
-    ref_tokens = tokenize_13a(reference.rstrip())
-    hyp_ngrams = _ngram_counts(hyp_tokens)
-    ref_ngrams = _ngram_counts(ref_tokens)
-    correct = [
-        sum(min(count, ref_ngrams[n][gram]) for gram, count in hyp_ngrams[n].items())
-        for n in range(NGRAM_ORDER)
-    ]
-    total = [sum(hyp_ngrams[n].values()) for n in range(NGRAM_ORDER)]
+    hyp_tokens = _tokens_13a(hypothesis.rstrip())
+    ref_tokens = _tokens_13a(reference.rstrip())
+    hyp_ngrams, ref_ngrams = (
+        Counter(t[i : i + n] for n in range(1, NGRAM_ORDER + 1) for i in range(len(t) - n + 1))
+        for t in (hyp_tokens, ref_tokens)
+    )
+    correct = [0] * NGRAM_ORDER
+    for gram, count in (hyp_ngrams & ref_ngrams).items():
+        correct[len(gram) - 1] += count
+    total = [max(0, len(hyp_tokens) - n) for n in range(NGRAM_ORDER)]
     return correct + total + [len(hyp_tokens), len(ref_tokens)]
 
 

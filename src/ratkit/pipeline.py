@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .augmentation import AugmentationConfig, AugmentedExample, augment_corpus, write_augmented
-from .corpus import TranslationMemory, atomic_write, load_corpus, tokenize_13a, write_lines
-from .errors import ConfigurationError, RatkitError, TranslatorError
+from .corpus import TranslationMemory, atomic_write, load_corpus, parse_json, read_lines, text_lines
+from .corpus import tokenize_13a, write_lines
+from .errors import ConfigurationError, CorpusFormatError, RatkitError, TranslatorError, ValidationError
 from .evaluation import (
     BootstrapConfig,
     CellResult,
@@ -129,7 +130,10 @@ def _run_external(command: str, inputs: list[str], timeout: float) -> list[str]:
             )
         if not out_path.exists():
             raise TranslatorError(f"translator produced no output file: {command}")
-        outputs = out_path.read_text(encoding="utf-8").splitlines()
+        try:
+            outputs = read_lines(out_path)
+        except ValidationError as exc:
+            raise TranslatorError(f"translator output: {str(exc).replace(tmp, '<tmp>')}") from exc
     if len(outputs) != len(inputs):
         raise TranslatorError(
             f"translator output line count {len(outputs)} does not match input count {len(inputs)}"
@@ -302,12 +306,12 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-        data = json.loads(text, object_pairs_hook=_object_with_unique_keys)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"cannot read manifest {path}: {exc}")
-    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
-        raise ConfigurationError(f"manifest {path} is not valid JSON: {exc}")
+        text = "".join(line for _, line in text_lines(path, "manifest"))
+        data = parse_json(text, path, object_pairs_hook=_object_with_unique_keys)
+    except CorpusFormatError as exc:  # not UTF-8, or not JSON
+        raise ConfigurationError(f"manifest {exc}") from exc
+    except ValidationError as exc:  # cannot be opened
+        raise ConfigurationError(str(exc)) from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"manifest {path} must be a JSON object")
 

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import SentencePair, TranslationMemory, analyze_for_index, atomic_write, numbered_lines
-from .corpus import _jsonl_line, _read_records  # the JSONL record, shared with index files
+from .corpus import _jsonl_line, _read_records, parse_json  # the JSONL record format
 from .errors import CorpusFormatError, ValidationError
 
 
@@ -244,8 +244,8 @@ def load_index(path: str | Path) -> TmIndex:
 
 def _header_params(path: Path, line: str) -> Bm25Params:
     """The BM25 parameters in a v4 header line; a fault raises for ``path:1``."""
+    header = parse_json(line, path)
     try:
-        header = json.loads(line)
         if not isinstance(header, dict):
             raise ValidationError("header is not a JSON object")
         if header.get("format") != "ratkit-index":
@@ -257,9 +257,5 @@ def _header_params(path: Path, line: str) -> Bm25Params:
             if type(header.get(key)) not in (int, float):
                 raise ValidationError(f"header field {key!r} is missing or not a number")
         return Bm25Params(k1=float(header["k1"]), b=float(header["b"]))
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(str(path), 1, f"header is not JSON: {exc.msg}") from exc
-    except ValueError as exc:  # an integer past int's digit limit
-        raise CorpusFormatError(str(path), 1, f"header is not JSON: {exc}") from exc
     except (ValidationError, OverflowError) as exc:  # OverflowError: an int beyond float
         raise CorpusFormatError(str(path), 1, str(exc)) from exc

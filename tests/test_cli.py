@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 from ratkit.augmentation import read_augmented
 from ratkit.cli import main
 from ratkit.corpus import save_corpus, write_lines
-from ratkit.retrieval import load_index
+from ratkit.retrieval import build_index, load_index, save_index
 
 from synthetic import make_three_domain, tiny_tm
 
@@ -203,7 +204,7 @@ class TestOverlapCommand:
         capsys.readouterr()
         code = run_cli("overlap", "--augmented", path, "--hyp", corpus_files / "hyp.txt")
         assert code == 2
-        assert f"{path}:3: malformed augmented record (JSONDecodeError" in capsys.readouterr().err
+        assert f"{path}:3: invalid JSON" in capsys.readouterr().err
 
 
 class TestCompareCommand:
@@ -283,9 +284,9 @@ class TestReportCommand:
         [
             (
                 lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "k"}),
-                "KeyError: 'k'",
+                ": malformed cell file (KeyError: 'k'",
             ),
-            (lambda text: text[:10], "JSONDecodeError"),
+            (lambda text: text[:10], ":1: invalid JSON"),
         ],
         ids=["missing-key", "not-json"],
     )
@@ -296,7 +297,7 @@ class TestReportCommand:
         path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
         code = run_cli("report", "--cells", cells, "--out", tmp_path / "r.json")
         assert code == 2
-        assert f"{path}: malformed cell file ({error}" in capsys.readouterr().err
+        assert f"{path}{error}" in capsys.readouterr().err
 
     def test_incomplete_grid_exits_2(self, tmp_path, capsys):
         cells = tmp_path / "cells"
@@ -405,8 +406,85 @@ class TestRunCommand:
         path.write_bytes(b'{"tms": ["caf\xe9"]}')
         code = run_cli("run", "--manifest", path)
         assert code == 2
-        err = capsys.readouterr().err
-        assert "cannot read manifest" in err and str(path) in err
+        assert f"{path}:1: not valid UTF-8" in capsys.readouterr().err
+
+
+# Nested past the default recursion limit, so json.loads raises RecursionError.
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+def deep_corpus_line(root):
+    path = root / "tm.jsonl"
+    good = '{"id": "a", "domain": "d", "src": "x", "tgt": "y"}\n'
+    deep = '{"id": "b", "domain": "d", "src": "x", "tgt": "y", "n": %s}\n' % DEEP
+    path.write_text(good + deep, encoding="utf-8")
+    return ["index", "--corpus", path, "--out", root / "x.idx"], f"{path}:2: invalid JSON"
+
+
+def deep_index_header(root):
+    save_corpus(tiny_tm(), root / "tm.jsonl")
+    path = root / "tm.idx"
+    save_index(build_index(tiny_tm()), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    body = b'{"deep": %s}\n' % DEEP.encode() + b"".join(lines[1:-1])
+    path.write_bytes(body + b'{"sha256": "%s"}\n' % hashlib.sha256(body).hexdigest().encode())
+    argv = ["augment", "--index", path, "--corpus", root / "tm.jsonl", "--k", "1",
+            "--out", root / "aug"]
+    return argv, f"{path}:1: invalid JSON"
+
+
+def deep_augmented_line(root):
+    path = root / "aug.jsonl"
+    good = '{"id": "a", "src": "x", "ref": "y", "suggestions": [], "flat": "x"}\n'
+    path.write_text(good + '{"id": %s}\n' % DEEP, encoding="utf-8")
+    write_lines(["y", "y"], root / "hyp.txt")
+    return ["overlap", "--augmented", path, "--hyp", root / "hyp.txt"], f"{path}:2: invalid JSON"
+
+
+def cell_path(root):
+    path = root / "cells" / "it__k1__relevant" / "cell.json"
+    path.parent.mkdir(parents=True)
+    return path
+
+
+def deep_cell(root):
+    path = cell_path(root)
+    path.write_text('{"domain": %s}' % DEEP, encoding="utf-8")
+    return ["report", "--cells", root / "cells", "--out", root / "r.json"], f"{path}:1: invalid JSON"
+
+
+def directory_cell(root):
+    path = cell_path(root)
+    path.mkdir()
+    argv = ["report", "--cells", root / "cells", "--out", root / "r.json"]
+    return argv, f"cannot read cell file {path}"
+
+
+def deep_manifest(root):
+    path = root / "exp.json"
+    path.write_text('{\n  "tms": %s\n}\n' % DEEP, encoding="utf-8")
+    return ["run", "--manifest", path], f"manifest {path}:1: invalid JSON"
+
+
+def multiline_manifest_syntax_error(root):
+    path = root / "exp.json"
+    path.write_text('{\n  "tms": ["tm.jsonl"],\n  oops\n}\n', encoding="utf-8")
+    return ["run", "--manifest", path], f"manifest {path}:3: invalid JSON"
+
+
+class TestInputFaults:
+    """Every unreadable or malformed input file exits 2 naming ``path[:line]``."""
+
+    @pytest.mark.parametrize(
+        "make_input",
+        [deep_corpus_line, deep_index_header, deep_augmented_line, deep_cell, directory_cell,
+         deep_manifest, multiline_manifest_syntax_error],
+    )
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, make_input):
+        argv, message = make_input(tmp_path)
+        code = run_cli(*argv)
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestParser:

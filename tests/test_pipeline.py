@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from ratkit import AugmentationConfig, Bm25Params, ConfigurationError, TranslatorError
 from ratkit.augmentation import AugmentedExample
-from ratkit.corpus import save_corpus
+from ratkit.corpus import TranslationMemory, save_corpus
 from ratkit.evaluation import BootstrapConfig
 from ratkit.pipeline import _SECTIONS, TranslatorSpec, load_manifest, run_experiment, translate
 from ratkit.retrieval import FuzzyMatch
@@ -265,7 +266,7 @@ class TestLoadManifest:
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="not valid JSON"):
+        with pytest.raises(ConfigurationError, match=rf"manifest .*exp\.json:1: invalid JSON"):
             load_manifest(path)
 
     def test_integer_past_the_digit_limit_rejected(self, tmp_path):
@@ -364,6 +365,36 @@ class TestRunExperiment:
         assert (tmp_path / "out2" / "report.json").read_bytes() == first
         assert b"cat {input} {output}" in first
         assert b"ratkit-translate-" not in first
+
+    def test_non_utf8_translator_output_fails_cells_byte_stably(self, tmp_path):
+        # printf writes the byte 0xe9, which is not UTF-8 on its own.
+        command = "printf 'caf\\351\\n' > {output} # {input}"
+        translator = {"kind": "external_command", "command": command}
+        self.run(tmp_path, out_name="out1", translator=translator)
+        report = self.run(tmp_path, out_name="out2", translator=translator)
+        assert len(report.failed) == 8
+        for error in report.failed.values():
+            assert "<tmp>/output.txt:1: not valid UTF-8" in error
+        first = (tmp_path / "out1" / "report.json").read_bytes()
+        assert (tmp_path / "out2" / "report.json").read_bytes() == first
+        assert b"ratkit-translate-" not in first
+
+    def test_translator_output_split_on_newlines_only(self, tmp_path):
+        tm, test_sets = make_three_domain(tm_per_domain=30, test_per_domain=2)
+        first, second = test_sets["it"].pairs
+        source = first.source.replace(" and ", "\u2028and ")
+        test_sets["it"] = TranslationMemory("it", (replace(first, source=source), second))
+        materialize(tmp_path, tm, test_sets)
+        translator = {"kind": "external_command", "command": "cp {input} {output}"}
+        path = write_manifest(tmp_path / "exp.json", translator=translator, k_values=[1],
+                              test_sets={"it": "test_it.jsonl"}, domains=["it"])
+        report = run_experiment(load_manifest(path))
+        assert not report.failed
+        assert len(report.cells) == 2
+        for cell_dir in (tmp_path / "out" / "cells").iterdir():
+            hyp = (cell_dir / "hyp.txt").read_bytes()
+            assert "\u2028".encode() in hyp
+            assert hyp == (cell_dir / "augmented.flat.txt").read_bytes()
 
     def test_relevant_beats_less_relevant_per_cell(self, tmp_path):
         tm, test_sets = make_directional(combos_per_domain=60, tests_per_domain=24)

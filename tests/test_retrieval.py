@@ -419,7 +419,7 @@ class TestPersistence:
              r"duplicate id 'd1' \(first seen on line 2\)"),
             ([], HEADER, "", "contains no records"),
             (TINY_DOCS, {**HEADER, "k1": math.nan}, ":1", "k1 must be finite"),
-            (TINY_DOCS, b"k1=1.2 b=0.75", ":1", "header is not JSON"),
+            (TINY_DOCS, b"k1=1.2 b=0.75", ":1", "invalid JSON"),
             (TINY_DOCS, b"[0.75, 1.2]", ":1", "header is not a JSON object"),
             (TINY_DOCS, {**HEADER, "format": "ratkit"}, ":1", "format 'ratkit' is not"),
             (TINY_DOCS, {**HEADER, "version": 3}, ":1", "version 3 is not supported"),
@@ -429,7 +429,7 @@ class TestPersistence:
             (TINY_DOCS, {**HEADER, "k1": 10**400}, ":1", "too large to convert to float"),
             pytest.param(
                 TINY_DOCS, b'{"b": 0.75, "format": "ratkit-index", "k1": 1%s, "version": 4}'
-                % (b"0" * 5000), ":1", "header is not JSON: Exceeds the limit",
+                % (b"0" * 5000), ":1", "invalid JSON: Exceeds the limit",
                 marks=pytest.mark.skipif(
                     not hasattr(sys, "get_int_max_str_digits"),
                     reason="this Python has no int digit limit",
