@@ -18,7 +18,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import TranslationMemory, atomic_write, parse_json, text_lines, write_lines
 from .errors import ValidationError
@@ -81,7 +81,7 @@ def flatten_input(source: str, suggestions: Iterable[FuzzyMatch], separator: str
 
 
 def sample_suggestions(
-    matches: list[FuzzyMatch],
+    matches: Sequence[FuzzyMatch],
     k: int,
     pool_size: int,
     rng: random.Random,
@@ -130,18 +130,34 @@ def augment_corpus(
             exclusions.add(pair.id)
             exclusions.update(index.pairs_with_source(pair.source))
         matches = query_top_n(index, pair.source, n, exclusions)
-        if cfg.mode == "shuffle":
-            rng = derived_rng(cfg.seed, pair.id)
-            suggestions = sample_suggestions(matches, cfg.k, cfg.pool_size, rng)
-        else:
-            suggestions = matches
-        yield AugmentedExample(
-            pair_id=pair.id,
-            source=pair.source,
-            reference=pair.target,
-            suggestions=tuple(suggestions),
-            flat_input=flatten_input(pair.source, suggestions, cfg.separator),
-        )
+        yield _select(pair.id, pair.source, pair.target, matches, cfg)
+
+
+def _select(
+    pair_id: str,
+    source: str,
+    reference: str,
+    matches: Sequence[FuzzyMatch],
+    cfg: AugmentationConfig,
+) -> AugmentedExample:
+    """The example ``cfg`` makes of one pair from its retrieved ``matches``.
+
+    ``matches`` is a query's result at ``n = pool_size`` (shuffle) or at any
+    ``n >= k`` (topk): a query at a larger n returns a longer list with the
+    same prefix, so one query at the widest setting serves every k.
+    """
+    if cfg.mode == "shuffle":
+        rng = derived_rng(cfg.seed, pair_id)
+        suggestions = sample_suggestions(matches, cfg.k, cfg.pool_size, rng)
+    else:
+        suggestions = matches[: cfg.k]
+    return AugmentedExample(
+        pair_id=pair_id,
+        source=source,
+        reference=reference,
+        suggestions=tuple(suggestions),
+        flat_input=flatten_input(source, suggestions, cfg.separator),
+    )
 
 
 def write_augmented(

@@ -9,7 +9,10 @@ The paired bootstrap draws every resample of a comparison from one seeded
 stream of sentence indices and scores both systems on each. The indices are
 drawn in numpy, blocks of resamples at a time, from the same Mersenne Twister
 words that ``Random.choices`` would use, so they, and every p-value, are the
-ones a ``Random.choices`` loop gives. Ties count against significance: the
+ones a ``Random.choices`` loop gives. Both systems' scores on every resample
+are computed in one numpy pass; resamples whose two scores are too close for
+numpy's last bits to decide are rescored with the scalar scorer, so wins and
+ties are those of a scalar loop. Ties count against significance: the
 p-value is the fraction of resamples in which the observed winner failed to
 win strictly, so identical systems come out at p = 1.0.
 """
@@ -262,6 +265,59 @@ def _choices(rng: random.Random, n: int, k: int) -> np.ndarray:
     return np.floor(u * float(n)).astype(np.intp)
 
 
+def _scores(sums: np.ndarray) -> np.ndarray:
+    """:func:`score_from_stats` over the rows of ``sums``, in float64.
+
+    Rows whose score is zero may come out as zero, NaN or inf here. numpy's
+    log and exp may also differ from ``math``'s in the last bits, so these
+    scores only decide the comparisons that :func:`_count_wins` trusts.
+    """
+    stats = sums.astype(np.float64)
+    correct, total = stats[:, :NGRAM_ORDER], stats[:, NGRAM_ORDER : 2 * NGRAM_ORDER]
+    hyp_len, ref_len = stats[:, 2 * NGRAM_ORDER], stats[:, 2 * NGRAM_ORDER + 1]
+    zero = correct == 0.0
+    smoothed = np.exp2(np.cumsum(zero, axis=1))
+    smoothed *= total
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logs = np.divide(correct, total)
+        np.divide(1.0, smoothed, out=logs, where=zero)
+        np.log(logs, out=logs)
+        log_sum = ((logs[:, 0] + logs[:, 1]) + logs[:, 2]) + logs[:, 3]
+        brevity_penalty = np.where(hyp_len >= ref_len, 1.0, np.exp(1.0 - ref_len / hyp_len))
+        return brevity_penalty * np.exp(log_sum / NGRAM_ORDER) * 100.0
+
+
+# Two vectorized scores further apart than this (relative) order the same
+# way as their exact scalar scores; closer pairs are rescored with math.
+_NEAR_TIE = 1e-9
+_TINY, _HUGE = float(np.finfo(np.float64).tiny), float(np.finfo(np.float64).max)
+
+
+def _count_wins(sums_a: np.ndarray, sums_b: np.ndarray) -> tuple[int, int]:
+    """(wins of A, wins of B) over paired rows of summed statistics, as a
+    loop comparing ``score_from_stats(row).score`` row by row counts them.
+
+    Rows with equal sums tie without scoring. The rest are scored in numpy;
+    a row is rescored with :func:`score_from_stats` when its two scores are
+    within ``_NEAR_TIE`` of each other or either is not a normal positive
+    float (zero scores and degenerate statistics land there).
+    """
+    score_a, score_b = _scores(sums_a), _scores(sums_b)
+    high = np.maximum(score_a, score_b)  # NaN if either is NaN
+    with np.errstate(invalid="ignore"):
+        trusted = (np.minimum(score_a, score_b) >= _TINY) & (high <= _HUGE)
+        trusted &= np.abs(score_a - score_b) > _NEAR_TIE * high
+    wins_a = int(np.count_nonzero(trusted & (score_a > score_b)))
+    wins_b = int(np.count_nonzero(trusted & (score_b > score_a)))
+    differ = (sums_a != sums_b).any(axis=1)
+    for i in np.flatnonzero(differ & ~trusted).tolist():
+        exact_a = score_from_stats(sums_a[i].tolist()).score
+        exact_b = score_from_stats(sums_b[i].tolist()).score
+        wins_a += exact_a > exact_b
+        wins_b += exact_b > exact_a
+    return wins_a, wins_b
+
+
 @dataclass(frozen=True)
 class BootstrapConfig:
     """Paired bootstrap settings: resample count, p-value threshold, seed."""
@@ -291,9 +347,10 @@ def paired_bootstrap(
     replacement from one stream seeded by ``seed``, so the first m resamples
     of an n-sample run are those of an m-sample run. The indices are those
     ``Random.choices`` draws from that stream, taken in numpy several
-    resamples at a time, so the wins, ties and p-value equal a loop over
-    ``choices``. The p-value counts the resamples in which the full-set
-    winner did not win strictly. A zero observed delta is never significant.
+    resamples at a time, and the resamples are scored as :func:`_count_wins`
+    does, so the wins, ties and p-value equal a loop over ``choices`` and
+    ``score_from_stats``. The p-value counts the resamples in which the
+    full-set winner did not win strictly. A zero observed delta is never significant.
     """
     if not (len(hyps_a) == len(hyps_b) == len(refs)):
         raise ValidationError(
@@ -303,28 +360,23 @@ def paired_bootstrap(
         raise ValidationError("cannot bootstrap an empty test set")
     BootstrapConfig(n_samples, threshold, seed)  # checks the settings' ranges
 
-    stats_a = _stats_matrix(hyps_a, refs)
-    stats_b = _stats_matrix(hyps_b, refs)
-    observed_delta = (
-        score_from_stats(stats_a.sum(axis=0)).score - score_from_stats(stats_b.sum(axis=0)).score
-    )
+    stats = np.hstack((_stats_matrix(hyps_a, refs), _stats_matrix(hyps_b, refs)))
+    sums_a, sums_b = np.hsplit(stats.sum(axis=0), 2)
+    observed_delta = score_from_stats(sums_a).score - score_from_stats(sums_b).score
 
     num_sentences = len(refs)
     rows = max(1, _BLOCK_DRAWS // num_sentences)
     offsets = np.arange(rows)[:, None] * num_sentences
     rng = derived_rng(seed)
-    wins_a = wins_b = 0
+    # Row i holds resample i's summed statistics: system A's, then system B's.
+    sums = np.empty((n_samples, stats.shape[1]), dtype=np.int64)
     for start in range(0, n_samples, rows):
         block = min(rows, n_samples - start)
         picks = _choices(rng, num_sentences, block * num_sentences).reshape(block, num_sentences)
         # Row r of picks, shifted into its own bins, counts resample r's sentences.
         weights = np.bincount((picks + offsets[:block]).ravel(), minlength=block * num_sentences)
-        weights = weights.reshape(block, num_sentences)
-        for row_a, row_b in zip((weights @ stats_a).tolist(), (weights @ stats_b).tolist()):
-            score_a = score_from_stats(row_a).score
-            score_b = score_from_stats(row_b).score
-            wins_a += score_a > score_b
-            wins_b += score_b > score_a
+        np.matmul(weights.reshape(block, num_sentences), stats, out=sums[start : start + block])
+    wins_a, wins_b = _count_wins(*np.hsplit(sums, 2))
     ties = n_samples - wins_a - wins_b
 
     if observed_delta > 0:

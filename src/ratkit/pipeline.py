@@ -22,10 +22,11 @@ import signal
 import subprocess
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .augmentation import AugmentationConfig, AugmentedExample, augment_corpus, write_augmented
+from .augmentation import _select
 from .corpus import TranslationMemory, atomic_write, load_corpus, parse_json, read_lines, text_lines
 from .corpus import tokenize_13a, write_lines
 from .errors import ConfigurationError, CorpusFormatError, RatkitError, TranslatorError, ValidationError
@@ -40,7 +41,7 @@ from .evaluation import (
     report_to_markdown,
     suggestion_overlap,
 )
-from .retrieval import Bm25Params, TmIndex, save_index
+from .retrieval import Bm25Params, save_index
 from .scenarios import RELEVANCES, build_scenario, write_scenario_sidecar
 from .seeding import derive_seed
 
@@ -114,6 +115,7 @@ def _run_external(command: str, inputs: list[str], timeout: float) -> list[str]:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
+            errors="replace",  # console output is never parsed; stderr feeds the error tail
             start_new_session=True,
         )
         try:
@@ -213,6 +215,13 @@ class ExperimentManifest:
 
     def cell_config(self, k: int) -> AugmentationConfig:
         return AugmentationConfig(k=k, **self.augmentation)
+
+    def widest_config(self) -> AugmentationConfig:
+        """The one topk run whose suggestions hold every cell's matches: the
+        top max(k) for topk cells, the whole top pool for shuffle cells."""
+        widest = self.cell_config(max(self.k_values))
+        n = widest.pool_size if widest.mode == "shuffle" else widest.k
+        return replace(widest, k=n, mode="topk")
 
 
 _KINDS = {
@@ -363,12 +372,14 @@ def _run_cell(
     domain: str,
     k: int,
     scenario: str,
-    index: TmIndex,
-    test_corpus: TranslationMemory,
+    retrieved: list[AugmentedExample],
     cell_dir: Path,
 ) -> _CellOutput:
     cell_dir.mkdir(parents=True, exist_ok=True)
-    examples = list(augment_corpus(test_corpus, index, manifest.cell_config(k)))
+    cfg = manifest.cell_config(k)
+    examples = [
+        _select(ex.pair_id, ex.source, ex.reference, ex.suggestions, cfg) for ex in retrieved
+    ]
     write_augmented(examples, cell_dir / "augmented")
     hypotheses = translate(manifest.translator, examples)
     write_lines(hypotheses, cell_dir / "hyp.txt")
@@ -391,7 +402,9 @@ def _run_cell(
 def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport:
     """Run the full domain x k x scenario grid and persist every artifact.
 
-    Per cell: scenario index, augmented files, hypothesis file, cell.json.
+    Per (domain, scenario): a scenario index, queried once per test sentence
+    at the widest setting the grid needs. Per cell: augmented files (its k's
+    suggestions, selected from those matches), hypothesis file, cell.json.
     Per (domain, k): a paired bootstrap between the relevant and
     less_relevant hypotheses when both cells succeeded. Failures are recorded
     per cell and never abort the rest of the grid. Writes report.json and
@@ -418,19 +431,22 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
         except Exception as exc:
             test_errors[domain] = _error_text(exc)
 
-    indexes: dict[tuple[str, str], TmIndex] = {}
-    index_errors: dict[tuple[str, str], str] = {}
+    retrieved: dict[tuple[str, str], list[AugmentedExample]] = {}
+    group_errors: dict[tuple[str, str], str] = {}
     if tm_error is None:
+        widest = manifest.widest_config()
         for domain in manifest.domains:
             for scenario in manifest.scenarios:
                 try:
                     spec, index = build_scenario(domain, tms, scenario, manifest.retrieval)
-                    indexes[(domain, scenario)] = index
                     index_path = out_dir / "indexes" / f"{domain}__{scenario}.idx"
                     save_index(index, index_path)
                     write_scenario_sidecar(spec, index_path)
+                    if domain not in test_errors:
+                        examples = augment_corpus(test_corpora[domain], index, widest)
+                        retrieved[(domain, scenario)] = list(examples)
                 except Exception as exc:
-                    index_errors[(domain, scenario)] = _error_text(exc)
+                    group_errors[(domain, scenario)] = _error_text(exc)
 
     outputs: dict[tuple[str, int, str], _CellOutput] = {}
     failed: dict[tuple[str, int, str, str], str] = {}
@@ -445,8 +461,8 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
                     failed[key] = tm_error
                 elif domain in test_errors:
                     failed[key] = test_errors[domain]
-                elif (domain, scenario) in index_errors:
-                    failed[key] = index_errors[(domain, scenario)]
+                elif (domain, scenario) in group_errors:
+                    failed[key] = group_errors[(domain, scenario)]
                 else:
                     jobs.append((domain, k, scenario))
 
@@ -454,21 +470,15 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
         domain, k, scenario = job
         cell_dir = out_dir / "cells" / f"{domain}__k{k}__{scenario}"
         try:
-            return _run_cell(
-                manifest,
-                domain,
-                k,
-                scenario,
-                indexes[(domain, scenario)],
-                test_corpora[domain],
-                cell_dir,
-            )
+            return _run_cell(manifest, domain, k, scenario, retrieved[(domain, scenario)], cell_dir)
         except Exception as exc:
             return _error_text(exc)
 
-    # One loop for every worker count: cells run on threads, which pays off
-    # when an external translator spends its time waiting on a subprocess.
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # One loop for every worker count. Threads pay off only when an external
+    # translator spends its time waiting on a subprocess; the built-in
+    # baselines are CPU-bound, and two threads run them slower than one.
+    threads = workers if manifest.translator.kind == "external_command" else 1
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         for (domain, k, scenario), result in zip(jobs, pool.map(run_one, jobs)):
             if isinstance(result, str):
                 failed[(domain, k, scenario, system)] = result

@@ -23,6 +23,7 @@ from ratkit.augmentation import AugmentedExample
 from ratkit.evaluation import (
     BleuScore,
     _choices,
+    _count_wins,
     CellResult,
     SignificanceResult,
     aggregate_report,
@@ -378,6 +379,131 @@ class TestPairedBootstrap:
     def test_bad_sample_count_rejected(self):
         with pytest.raises(ValidationError, match="n_samples"):
             paired_bootstrap(["a"], ["a"], ["a"], n_samples=0)
+
+
+def _fixture_systems():
+    refs = [p["ref"] for p in FIXTURE["pairs"]]
+    hyps = [p["hyp"] for p in FIXTURE["pairs"]]
+    return hyps, refs
+
+
+def _identical():
+    hyps, refs = _fixture_systems()
+    return hyps, hyps, refs
+
+
+def _one_sentence_differs():
+    hyps, refs = _fixture_systems()
+    return hyps, [refs[0], *hyps[1:]], refs
+
+
+def _empty_against_real():
+    hyps, refs = _fixture_systems()
+    return [""] * len(refs), hyps, refs
+
+
+def _all_empty():
+    _, refs = _fixture_systems()
+    return [""] * len(refs), [""] * len(refs), refs
+
+
+def _equal_sums_and_zero_scores():
+    # Resamples {0, 1} sum to equal statistics on both sides, although no
+    # sentence's statistics agree; resamples {0, 0} and {1, 1} score zero on
+    # one side, which the vectorized scores never decide.
+    refs = ["a b c d", "e f g h"]
+    return ["a b c d", "x"], ["x", "e f g h"], refs
+
+
+class TestVectorizedScoring:
+    """Scores computed in one numpy pass give the wins and ties of a scalar loop.
+
+    Sample counts that are not a multiple of the block size are covered by
+    TestPairedBootstrap.test_equals_one_choices_call_per_resample.
+    """
+
+    @pytest.mark.parametrize(
+        "systems, n_samples",
+        [
+            (_identical, 300),
+            (_one_sentence_differs, 300),
+            (_empty_against_real, 200),
+            (_all_empty, 200),
+            (lambda: (["a b c d e"], ["a b c x e"], ["a b c d e"]), 50),
+            (_equal_sums_and_zero_scores, 500),
+        ],
+        ids=["identical", "one_sentence", "empty_vs_real", "all_empty", "n_1", "equal_sums"],
+    )
+    def test_equals_the_choices_loop(self, systems, n_samples):
+        hyps_a, hyps_b, refs = systems()
+        result = paired_bootstrap(hyps_a, hyps_b, refs, n_samples=n_samples, seed=n_samples)
+        expected = choices_loop_bootstrap(hyps_a, hyps_b, refs, n_samples, seed=n_samples)
+        assert (result.wins_a, result.wins_b, result.ties, result.p_value) == expected
+
+    @pytest.mark.parametrize(
+        "systems, scalar_scores",
+        [
+            # Only the two observed scores: every resample is decided in numpy.
+            (lambda: make_bootstrap_systems(200, 180), 2),
+            # Equal sums tie unscored; the zero-score resamples are rescored.
+            (_equal_sums_and_zero_scores, None),
+        ],
+        ids=["vectorized", "rescored"],
+    )
+    def test_scalar_scoring_only_where_needed(self, monkeypatch, systems, scalar_scores):
+        calls = []
+
+        def counting(stats):
+            calls.append(stats)
+            return score_from_stats(stats)
+
+        monkeypatch.setattr("ratkit.evaluation.score_from_stats", counting)
+        hyps_a, hyps_b, refs = systems()
+        result = paired_bootstrap(hyps_a, hyps_b, refs, n_samples=500, seed=3)
+        if scalar_scores is not None:
+            assert len(calls) == scalar_scores
+        else:
+            assert result.ties > 0 and result.wins_a > 0 and result.wins_b > 0
+            assert len(calls) == 2 + 2 * (result.wins_a + result.wins_b)
+
+    def test_equal_scores_from_different_statistics_are_rescored_to_a_tie(self, monkeypatch):
+        # Precisions (1, 1/2, 1, 1) and (1/2, 1, 1, 1): the same score exactly.
+        row_a, row_b = [4, 1, 2, 1, 4, 2, 2, 1, 4, 4], [2, 2, 2, 1, 4, 2, 2, 1, 4, 4]
+        assert score_from_stats(row_a).score == score_from_stats(row_b).score
+        rescored = []
+
+        def counting(stats):
+            rescored.append(list(stats))
+            return score_from_stats(stats)
+
+        monkeypatch.setattr("ratkit.evaluation.score_from_stats", counting)
+        assert _count_wins(np.array([row_a]), np.array([row_b])) == (0, 0)
+        assert rescored == [row_a, row_b]
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 40), min_size=10, max_size=10),
+                st.lists(st.integers(0, 40), min_size=10, max_size=10),
+                st.integers(1, 3),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_count_wins_equals_scalar_comparisons(self, rows):
+        # Arbitrary statistics, zeros included; scaled copies share their
+        # precisions unless smoothing applies, so many rows tie exactly.
+        a = [row_a for row_a, _, _ in rows]
+        b = [row_b if scale == 3 else [x * scale for x in row_a] for row_a, row_b, scale in rows]
+        wins_a = wins_b = 0
+        for row_a, row_b in zip(a, b):
+            score_a, score_b = score_from_stats(row_a).score, score_from_stats(row_b).score
+            wins_a += score_a > score_b
+            wins_b += score_b > score_a
+        sums_a, sums_b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        assert _count_wins(sums_a, sums_b) == (wins_a, wins_b)
 
 
 class TestAggregateReport:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -10,11 +11,13 @@ from pathlib import Path
 import pytest
 
 from ratkit import AugmentationConfig, Bm25Params, ConfigurationError, TranslatorError
-from ratkit.augmentation import AugmentedExample
-from ratkit.corpus import TranslationMemory, save_corpus
+from ratkit import augmentation, pipeline
+from ratkit.augmentation import AugmentedExample, augment_corpus, write_augmented
+from ratkit.corpus import TranslationMemory, load_corpus, save_corpus
 from ratkit.evaluation import BootstrapConfig
 from ratkit.pipeline import _SECTIONS, TranslatorSpec, load_manifest, run_experiment, translate
 from ratkit.retrieval import FuzzyMatch
+from ratkit.scenarios import build_scenario
 
 from synthetic import make_directional, make_three_domain
 
@@ -128,6 +131,22 @@ class TestTranslate:
             command="cat {input} > {output}; echo kaput >&2; exit 3",
         )
         with pytest.raises(TranslatorError, match="code 3.*kaput"):
+            translate(spec, [aug("x", "r", [])])
+
+    @pytest.mark.parametrize("stream", [">&2", ""], ids=["stderr", "stdout"])
+    def test_external_non_utf8_console_output_is_not_an_error(self, stream):
+        # printf writes the byte 0xe9, which is not UTF-8 on its own.
+        spec = TranslatorSpec(
+            kind="external_command", command=f"cat {{input}} > {{output}}; printf 'caf\\351\\n' {stream}"
+        )
+        examples = [aug("x", "r", ["t"])]
+        assert translate(spec, examples) == [examples[0].flat_input]
+
+    def test_external_non_utf8_stderr_tail_is_replaced(self):
+        spec = TranslatorSpec(
+            kind="external_command", command="printf 'caf\\351\\n' >&2; exit 3 # {input} {output}"
+        )
+        with pytest.raises(TranslatorError, match="code 3.*caf�"):
             translate(spec, [aug("x", "r", [])])
 
     def test_external_line_count_mismatch_rejected(self):
@@ -426,6 +445,53 @@ class TestRunExperiment:
             ("baseline_copy_first", "relevant"),
             ("baseline_copy_first", "less_relevant"),
         }
+
+    def test_builtin_translator_cells_run_on_one_thread(self, tmp_path, monkeypatch):
+        threads = []
+        run_cell = pipeline._run_cell
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return run_cell(*args)
+
+        monkeypatch.setattr(pipeline, "_run_cell", recording)
+        report = self.run(tmp_path, workers=2)
+        assert len(report.cells) == 8
+        assert len(threads) == 8
+        assert len(set(threads)) == 1
+
+    @pytest.mark.parametrize("mode", ["topk", "shuffle"])
+    def test_each_cell_equals_its_own_augment_corpus_run(self, tmp_path, mode):
+        settings = {"mode": mode, "pool": 4, "seed": 9, "exclude_self": True}
+        report = self.run(tmp_path, k_values=[1, 2, 3], augmentation=settings)
+        assert not report.failed
+        manifest = load_manifest(tmp_path / "exp.json")
+        tms = [load_corpus(path) for path in manifest.tms]
+        for domain in manifest.domains:
+            test = load_corpus(manifest.test_sets[domain], name=f"test[{domain}]")
+            for scenario in manifest.scenarios:
+                _, index = build_scenario(domain, tms, scenario, manifest.retrieval)
+                for k in manifest.k_values:
+                    name = f"{domain}__k{k}__{scenario}"
+                    examples = augment_corpus(test, index, manifest.cell_config(k))
+                    expected, _, _ = write_augmented(examples, tmp_path / "expected" / name)
+                    cell = tmp_path / "out" / "cells" / name / "augmented.jsonl"
+                    assert cell.read_bytes() == expected.read_bytes(), name
+
+    @pytest.mark.parametrize("mode", ["topk", "shuffle"])
+    def test_one_query_per_test_sentence_per_domain_and_scenario(self, tmp_path, monkeypatch, mode):
+        queries = []
+        query_top_n = augmentation.query_top_n
+
+        def counting(index, query_text, *args):
+            queries.append(query_text)
+            return query_top_n(index, query_text, *args)
+
+        monkeypatch.setattr("ratkit.augmentation.query_top_n", counting)
+        report = self.run(tmp_path, k_values=[1, 2, 3], augmentation={"mode": mode, "pool": 4})
+        assert len(report.cells) == 12
+        # 20 test sentences in each of 2 domains, for each of 2 scenarios.
+        assert len(queries) == 20 * 2 * 2
 
     def test_worker_count_validated(self, tmp_path):
         tm, test_sets = make_three_domain(tm_per_domain=30, test_per_domain=20)
