@@ -33,8 +33,10 @@ CORPUS_FORMATS = ("jsonl", "tsv")
 
 # TSV column order is fixed; files carry no header.
 _TSV_COLUMNS = ("id", "domain", "source", "target")
-# JSONL record key -> SentencePair field, in the order records are written.
+# JSONL record key -> SentencePair field, in the order _jsonl_line writes them.
 _JSONL_FIELDS = (("id", "id"), ("domain", "domain"), ("src", "source"), ("tgt", "target"))
+# The string encoder of json.dumps(..., ensure_ascii=False).
+_json_str = json.encoder.encode_basestring
 
 
 @dataclass(frozen=True)
@@ -202,9 +204,15 @@ def parse_json(text: str, path: str | Path, line: int = 1, **kwargs):
 
 
 def _jsonl_line(pair: SentencePair) -> str:
-    """One JSONL record line, newline included, with non-ASCII text kept readable."""
-    record = {key: getattr(pair, attr) for key, attr in _JSONL_FIELDS}
-    return json.dumps(record, ensure_ascii=False) + "\n"
+    """One JSONL record line, newline included, with non-ASCII text kept readable.
+
+    The bytes of ``json.dumps(record, ensure_ascii=False)``, keys in
+    ``_JSONL_FIELDS`` order: each string goes through the encoder it uses.
+    """
+    return (
+        f'{{"id": {_json_str(pair.id)}, "domain": {_json_str(pair.domain)}, '
+        f'"src": {_json_str(pair.source)}, "tgt": {_json_str(pair.target)}}}\n'
+    )
 
 
 def save_corpus(tm: TranslationMemory, path: str | Path, format: str | None = None) -> None:

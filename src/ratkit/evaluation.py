@@ -284,6 +284,7 @@ def _scores(sums: np.ndarray) -> np.ndarray:
         np.log(logs, out=logs)
         log_sum = ((logs[:, 0] + logs[:, 1]) + logs[:, 2]) + logs[:, 3]
         brevity_penalty = np.where(hyp_len >= ref_len, 1.0, np.exp(1.0 - ref_len / hyp_len))
+        brevity_penalty[hyp_len == 0] = 0.0  # as score_from_stats: no hypothesis, no score
         return brevity_penalty * np.exp(log_sum / NGRAM_ORDER) * 100.0
 
 

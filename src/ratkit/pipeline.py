@@ -42,7 +42,8 @@ from .evaluation import (
     suggestion_overlap,
 )
 from .retrieval import Bm25Params, save_index
-from .scenarios import RELEVANCES, build_scenario, write_scenario_sidecar
+from .scenarios import RELEVANCES, ScenarioSpec, build_pool, build_scenario, validate_scenario
+from .scenarios import write_scenario_sidecar
 from .seeding import derive_seed
 
 TRANSLATOR_KINDS = (
@@ -399,12 +400,25 @@ def _run_cell(
     return _CellOutput(cell=cell, hypotheses=hypotheses, references=references)
 
 
+def _check_domains(spec: ScenarioSpec, examples: list[AugmentedExample]) -> None:
+    """Raise a ValidationError if a suggestion comes from a domain the scenario excludes."""
+    validation = validate_scenario(spec, examples)
+    if not validation.passed:
+        pair_id, suggestion_id, domain = validation.violations[0]
+        raise ValidationError(
+            f"{spec.relevance} scenario for {spec.test_domain!r} suggested {suggestion_id!r} "
+            f"from excluded domain {domain!r} for pair {pair_id!r}"
+        )
+
+
 def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport:
     """Run the full domain x k x scenario grid and persist every artifact.
 
-    Per (domain, scenario): a scenario index, queried once per test sentence
-    at the widest setting the grid needs. Per cell: augmented files (its k's
-    suggestions, selected from those matches), hypothesis file, cell.json.
+    Per run: one index over all TMs. Per (domain, scenario): a scenario
+    index cut from it, queried once per test sentence at the widest setting
+    the grid needs; a suggestion from an excluded domain fails the group.
+    Per cell: augmented files (its k's suggestions, selected from those
+    matches), hypothesis file, cell.json.
     Per (domain, k): a paired bootstrap between the relevant and
     less_relevant hypotheses when both cells succeeded. Failures are recorded
     per cell and never abort the rest of the grid. Writes report.json and
@@ -431,6 +445,14 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
         except Exception as exc:
             test_errors[domain] = _error_text(exc)
 
+    # Every scenario index is cut from one index over all TMs, so a TM set
+    # that cannot be indexed together fails every cell, as a TM load fault does.
+    if tm_error is None:
+        try:
+            pool_index = build_pool(tms, manifest.retrieval)
+        except RatkitError as exc:
+            tm_error = _error_text(exc)
+
     retrieved: dict[tuple[str, str], list[AugmentedExample]] = {}
     group_errors: dict[tuple[str, str], str] = {}
     if tm_error is None:
@@ -438,13 +460,14 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
         for domain in manifest.domains:
             for scenario in manifest.scenarios:
                 try:
-                    spec, index = build_scenario(domain, tms, scenario, manifest.retrieval)
+                    spec, index = build_scenario(domain, tms, scenario, manifest.retrieval, pool_index)
                     index_path = out_dir / "indexes" / f"{domain}__{scenario}.idx"
                     save_index(index, index_path)
                     write_scenario_sidecar(spec, index_path)
                     if domain not in test_errors:
-                        examples = augment_corpus(test_corpora[domain], index, widest)
-                        retrieved[(domain, scenario)] = list(examples)
+                        examples = list(augment_corpus(test_corpora[domain], index, widest))
+                        _check_domains(spec, examples)
+                        retrieved[(domain, scenario)] = examples
                 except Exception as exc:
                     group_errors[(domain, scenario)] = _error_text(exc)
 

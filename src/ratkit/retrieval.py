@@ -110,23 +110,60 @@ class TmIndex:
         row_ids = np.array(rows, dtype=np.intp)
         # A stable sort by row keeps each row's docs in ascending order.
         order = np.argsort(row_ids, kind="stable")
-        self.pairs = pairs
-        self.params = params
         self.term_rows = term_rows
         self.offsets = np.concatenate(([0], np.cumsum(np.bincount(row_ids))))
         self.docs = np.repeat(np.arange(len(pairs), dtype=np.intp), widths)[order]
         self.tfs = np.array(tfs, dtype=np.float64)[order]
+        # Python str order: numpy "U" arrays drop trailing NULs when comparing.
+        by_id = sorted(range(len(pairs)), key=lambda doc: pairs[doc].id)
+        self._set_docs(pairs, params, doc_lengths, np.argsort(by_id))  # the inverse permutation
+
+    def _set_docs(
+        self,
+        pairs: tuple[SentencePair, ...],
+        params: Bm25Params,
+        doc_lengths: list[int],
+        id_rank: np.ndarray,
+    ) -> None:
+        """Set the per-document fields; the postings are already in place."""
+        self.pairs = pairs
+        self.params = params
         self.doc_count = len(pairs)
         self.doc_lengths = doc_lengths
         self.avg_doc_length = sum(doc_lengths) / len(doc_lengths)
         k1, b = params.k1, params.b
         self.norms = k1 * (1.0 - b + b * np.array(doc_lengths) / self.avg_doc_length)
-        # Python str order: numpy "U" arrays drop trailing NULs when comparing.
-        by_id = sorted(range(len(pairs)), key=lambda doc: pairs[doc].id)
-        self.id_rank = np.argsort(by_id)  # the inverse permutation
+        self.id_rank = id_rank
         self._pairs_by_source: dict[str, list[str]] = {}
         for pair in pairs:
             self._pairs_by_source.setdefault(pair.source, []).append(pair.id)
+
+    def subset(self, keep: np.ndarray) -> TmIndex:
+        """The index of the docs where the bool array ``keep`` is true, in doc order.
+
+        It equals ``TmIndex`` over those pairs: the same doc ids, postings,
+        statistics and score bits, without analyzing a source again. Only its
+        rows are numbered in this index's term order, empty ones left out.
+        """
+        kept = np.flatnonzero(keep).tolist()
+        if not kept:
+            raise ValidationError("a subset index needs at least one document")
+        on = keep[self.docs]
+        rows = np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))[on]
+        widths = np.bincount(rows, minlength=len(self.offsets) - 1)
+        live = widths > 0
+        row_of = np.where(live, np.cumsum(live) - 1, -1).tolist()  # -1: the row is empty
+        sub = TmIndex.__new__(TmIndex)
+        sub.term_rows = {term: row_of[row] for term, row in self.term_rows.items() if row_of[row] >= 0}
+        sub.offsets = np.concatenate(([0], np.cumsum(widths[live])))
+        # Kept docs keep their relative order, so each row stays ascending.
+        sub.docs = (np.cumsum(keep) - 1)[self.docs[on]]
+        sub.tfs = self.tfs[on]
+        pairs = tuple(self.pairs[doc] for doc in kept)
+        doc_lengths = [self.doc_lengths[doc] for doc in kept]
+        id_rank = np.argsort(np.argsort(self.id_rank[kept]))
+        sub._set_docs(pairs, self.params, doc_lengths, id_rank)
+        return sub
 
     def pairs_with_source(self, source: str) -> list[str]:
         """Pair ids of indexed documents whose raw source text equals ``source``."""

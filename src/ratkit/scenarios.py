@@ -5,6 +5,10 @@
 *other* domain, merged into a single search pool so BM25 statistics are
 global and scores comparable across the contributing TMs.
 
+Every scenario index is cut from one pool index over the pairs of all TMs
+(:func:`build_pool`), so a run analyzes each pair once. A cut equals a fresh
+index over the scenario's pairs, down to every score bit.
+
 Scenario indexes must be built from training-side TMs only; never feed test
 data in here, or retrieval leaks the references.
 """
@@ -14,6 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .augmentation import AugmentedExample
 from .corpus import SentencePair, TranslationMemory, atomic_write
@@ -42,36 +48,62 @@ class ScenarioValidation:
     violations: tuple[tuple[str, str, str], ...]  # (example pair_id, suggestion id, domain)
 
 
+def build_pool(tms: list[TranslationMemory], params: Bm25Params = Bm25Params()) -> TmIndex:
+    """One index over the pairs of all TMs, concatenated in the given order.
+
+    Every scenario index of a run is a subset of it, so each pair is analyzed
+    once per run. An id repeated across TMs, or a pair that cannot be indexed,
+    raises a ValidationError.
+    """
+    seen_ids: dict[str, str] = {}
+    for tm in tms:
+        for pair in tm.pairs:
+            if pair.id in seen_ids:
+                raise _repeated_id(pair.id, seen_ids[pair.id], tm.name)
+            seen_ids[pair.id] = tm.name
+    pairs = tuple(pair for tm in tms for pair in tm.pairs)
+    return build_index(TranslationMemory(name="pool", pairs=pairs), params)
+
+
+def _repeated_id(pair_id: str, first: str, second: str) -> ValidationError:
+    return ValidationError(
+        f"pair id {pair_id!r} occurs in both {first!r} and {second!r}; "
+        "scenario merging requires globally unique ids"
+    )
+
+
 def build_scenario(
     test_domain: str,
     tms: list[TranslationMemory],
     relevance: str,
     params: Bm25Params = Bm25Params(),
+    pool: TmIndex | None = None,
 ) -> tuple[ScenarioSpec, TmIndex]:
-    """Merge the eligible pairs of all TMs and index them for one scenario."""
+    """Merge the eligible pairs of all TMs and index them for one scenario.
+
+    The index is cut from ``pool``, the :func:`build_pool` index of the same
+    TMs and parameters; without one, the pool is built here. It equals a fresh
+    index over the merged pairs.
+    """
     if relevance not in RELEVANCES:
         raise ConfigurationError(f"relevance must be one of {RELEVANCES}, got {relevance!r}")
     if not tms:
         raise ConfigurationError("no translation memories given")
 
-    if relevance == "relevant":
-        keep = lambda pair: pair.domain == test_domain
-    else:
-        keep = lambda pair: pair.domain != test_domain
-
+    relevant = relevance == "relevant"
+    keep: list[bool] = []
     selected: list[SentencePair] = []
     sources: list[str] = []
     seen_ids: dict[str, str] = {}
     for tm in tms:
         contributed = False
         for pair in tm.pairs:
-            if not keep(pair):
+            kept = (pair.domain == test_domain) == relevant
+            keep.append(kept)
+            if not kept:
                 continue
             if pair.id in seen_ids:
-                raise ValidationError(
-                    f"pair id {pair.id!r} occurs in both {seen_ids[pair.id]!r} and "
-                    f"{tm.name!r}; scenario merging requires globally unique ids"
-                )
+                raise _repeated_id(pair.id, seen_ids[pair.id], tm.name)
             seen_ids[pair.id] = tm.name
             selected.append(pair)
             contributed = True
@@ -80,7 +112,7 @@ def build_scenario(
 
     all_domains = set().union(*(tm.domains for tm in tms))
     if not selected:
-        if relevance == "relevant":
+        if relevant:
             raise ConfigurationError(
                 f"domain {test_domain!r} not present in any TM (domains: {sorted(all_domains)})"
             )
@@ -88,17 +120,17 @@ def build_scenario(
             f"no domain other than {test_domain!r} available for a less-relevant scenario"
         )
 
-    merged = TranslationMemory(
-        name=f"{relevance}[{test_domain}]",
-        pairs=tuple(selected),
-    )
+    if pool is None:
+        pool = build_pool(tms, params)
+    elif pool.params != params or pool.pairs != tuple(pair for tm in tms for pair in tm.pairs):
+        raise ConfigurationError("the pool index was not built from these TMs and parameters")
     spec = ScenarioSpec(
         test_domain=test_domain,
         relevance=relevance,
         tm_sources=tuple(sources),
-        resolved_domains=merged.domains,
+        resolved_domains=frozenset(pair.domain for pair in selected),
     )
-    return spec, build_index(merged, params)
+    return spec, pool.subset(np.array(keep))
 
 
 def validate_scenario(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
@@ -13,6 +14,7 @@ from ratkit import CorpusFormatError, ValidationError, load_corpus
 from ratkit.corpus import (
     SentencePair,
     TranslationMemory,
+    _jsonl_line,
     analyze_for_index,
     atomic_write,
     read_lines,
@@ -188,6 +190,36 @@ class TestRoundTrip:
         )
         with pytest.raises(ValidationError, match="tab"):
             save_corpus(tm, tmp_path / "out.tsv")
+
+
+def _dumps_line(pair) -> str:
+    """The JSONL line as json.dumps writes it: the reference for ``_jsonl_line``."""
+    record = {"id": pair.id, "domain": pair.domain, "src": pair.source, "tgt": pair.target}
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
+class TestJsonlLine:
+    TEXTS = [
+        'say "yes" \\ or "no\\"',
+        "".join(map(chr, range(0x20))) + "\x7f",  # every C0 control, and DEL
+        "line\u2028separator\u2029paragraph",
+        "non-BMP \U0001F600 \U00010348 \U0010FFFF",
+        json.loads('"lone \\ud800 surrogate"'),
+        "plain ascii, é and 中文",
+    ]
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_equals_json_dumps_in_every_field(self, text):
+        # A stand-in for SentencePair, which rejects line breaks in any field.
+        for field_name in ("id", "domain", "source", "target"):
+            fields = {"id": "p1", "domain": "it", "source": "src", "target": "tgt", field_name: text}
+            pair = SimpleNamespace(**fields)
+            assert _jsonl_line(pair) == _dumps_line(pair), field_name
+
+    def test_every_field_at_once(self):
+        pair = SimpleNamespace(id=self.TEXTS[0], domain=self.TEXTS[2], source=self.TEXTS[1],
+                               target=self.TEXTS[3])
+        assert _jsonl_line(pair) == _dumps_line(pair)
 
 
 class TestAnalyzeForIndex:

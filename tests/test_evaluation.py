@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratkit import (
@@ -491,6 +491,8 @@ class TestVectorizedScoring:
             max_size=30,
         )
     )
+    # n-grams counted with a zero hypothesis length: score_from_stats gives 0.
+    @example(rows=[([0, 0, 0, 0, 1, 1, 1, 1, 0, 0], [0] * 10, 2)])
     @settings(max_examples=150, deadline=None)
     def test_count_wins_equals_scalar_comparisons(self, rows):
         # Arbitrary statistics, zeros included; scaled copies share their

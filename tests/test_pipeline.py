@@ -13,7 +13,8 @@ import pytest
 from ratkit import AugmentationConfig, Bm25Params, ConfigurationError, TranslatorError
 from ratkit import augmentation, pipeline
 from ratkit.augmentation import AugmentedExample, augment_corpus, write_augmented
-from ratkit.corpus import TranslationMemory, load_corpus, save_corpus
+from ratkit.cli import main
+from ratkit.corpus import SentencePair, TranslationMemory, load_corpus, save_corpus
 from ratkit.evaluation import BootstrapConfig
 from ratkit.pipeline import _SECTIONS, TranslatorSpec, load_manifest, run_experiment, translate
 from ratkit.retrieval import FuzzyMatch
@@ -492,6 +493,52 @@ class TestRunExperiment:
         assert len(report.cells) == 12
         # 20 test sentences in each of 2 domains, for each of 2 scenarios.
         assert len(queries) == 20 * 2 * 2
+
+    def assert_every_cell_fails_with(self, tmp_path, path, text):
+        assert main(["run", "--manifest", str(path)]) == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert not report["cells"]
+        errors = [cell["error"] for cell in report["failed_cells"]]
+        assert len(errors) == 8
+        assert len(set(errors)) == 1
+        assert text in errors[0]
+
+    def test_unindexable_pair_fails_every_cell(self, tmp_path):
+        tm, test_sets = make_three_domain(tm_per_domain=30, test_per_domain=20)
+        bad = SentencePair(id="med-tm-bad", source="!!!", target="t", domain="med")
+        materialize(tmp_path, TranslationMemory(tm.name, tm.pairs + (bad,)), test_sets)
+        path = write_manifest(tmp_path / "exp.json")
+        self.assert_every_cell_fails_with(
+            tmp_path, path, "ValidationError: pair 'med-tm-bad' has no postings"
+        )
+
+    def test_id_repeated_across_tm_files_fails_every_cell(self, tmp_path):
+        tm, test_sets = make_three_domain(tm_per_domain=30, test_per_domain=20)
+        materialize(tmp_path, tm, test_sets)
+        law = [p for p in tm.pairs if p.domain == "law"]
+        law[0] = replace(law[0], id="it-tm-0000")
+        save_corpus(TranslationMemory("law", tuple(law)), tmp_path / "tm_law.jsonl")
+        path = write_manifest(tmp_path / "exp.json", tms=["tm.jsonl", "tm_law.jsonl"])
+        self.assert_every_cell_fails_with(
+            tmp_path, path,
+            "pair id 'it-tm-0000' occurs in both 'tm' and 'tm_law'; "
+            "scenario merging requires globally unique ids",
+        )
+
+    def test_suggestion_from_an_excluded_domain_fails_its_group(self, tmp_path, monkeypatch):
+        def leaky(domain, tms, relevance, *args):
+            spec, index = build_scenario(domain, tms, relevance, *args)
+            if (domain, relevance) == ("it", "relevant"):
+                _, index = build_scenario(domain, tms, "less_relevant", *args)
+            return spec, index
+
+        monkeypatch.setattr("ratkit.pipeline.build_scenario", leaky)
+        report = self.run(tmp_path)
+        assert set(report.failed) == {("it", k, "relevant", "baseline_copy_first") for k in (1, 2)}
+        for error in report.failed.values():
+            assert error.startswith("ValidationError: relevant scenario for 'it' suggested ")
+            assert "from excluded domain" in error and "for pair 'it-test-" in error
+        assert len(report.cells) == 6
 
     def test_worker_count_validated(self, tmp_path):
         tm, test_sets = make_three_domain(tm_per_domain=30, test_per_domain=20)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import random
 
+import numpy as np
 import pytest
 
 from ratkit import (
@@ -17,10 +19,10 @@ from ratkit import (
 )
 from ratkit.augmentation import AugmentedExample
 from ratkit.corpus import SentencePair, TranslationMemory
-from ratkit.retrieval import FuzzyMatch
-from ratkit.scenarios import validate_scenario, write_scenario_sidecar
+from ratkit.retrieval import FuzzyMatch, TmIndex, query_top_n, save_index
+from ratkit.scenarios import build_pool, validate_scenario, write_scenario_sidecar
 
-from synthetic import make_three_domain, postings
+from synthetic import make_queries, make_random_tm, make_three_domain, postings
 
 
 def three_tms() -> list[TranslationMemory]:
@@ -69,6 +71,10 @@ class TestBuildScenario:
         )
         with pytest.raises(ValidationError, match="'shared'"):
             build_scenario("it", tms, "less_relevant")
+        # The pool holds every TM, so a scenario without the pair fails too.
+        for build in (lambda: build_pool(tms), lambda: build_scenario("it", tms, "relevant")):
+            with pytest.raises(ValidationError, match="'shared' occurs in both 'tm-law-dup' and 'extra'"):
+                build()
 
     def test_merged_statistics_equal_direct_concatenation(self):
         tms = three_tms()
@@ -84,6 +90,57 @@ class TestBuildScenario:
         tms = three_tms()
         spec, _ = build_scenario("it", tms, "relevant")
         assert spec.tm_sources == ("tm-it",)
+
+
+def mixed_tms(seed: int) -> list[TranslationMemory]:
+    """Three TMs of four interleaved domains, pairs shuffled so ids are out of order."""
+    pairs = list(make_random_tm(600, seed=seed).pairs)
+    random.Random(seed).shuffle(pairs)
+    bounds = [(0, 150), (150, 400), (400, 600)]
+    return [TranslationMemory(name=f"tm{i}", pairs=tuple(pairs[a:b])) for i, (a, b) in enumerate(bounds)]
+
+
+class TestPoolSubset:
+    @pytest.mark.parametrize("params", [Bm25Params(1.2, 0.75), Bm25Params(0.0, 1.0), Bm25Params(1.5, 0.0)])
+    def test_subset_equals_a_fresh_build(self, tmp_path, params):
+        tms = mixed_tms(seed=31)
+        pool = build_pool(tms, params)
+        queries = make_queries(TranslationMemory("all", pool.pairs), n_queries=40, seed=4)
+        for domain in ("news", "law", "med", "it"):
+            for relevance in ("relevant", "less_relevant"):
+                _, cut = build_scenario(domain, tms, relevance, params, pool)
+                selected = tuple(
+                    p for tm in tms for p in tm.pairs if (p.domain == domain) == (relevance == "relevant")
+                )
+                fresh = TmIndex(selected, params)
+                assert cut.pairs == fresh.pairs
+                assert postings(cut) == postings(fresh)
+                assert cut.doc_lengths == fresh.doc_lengths
+                assert cut.avg_doc_length.hex() == fresh.avg_doc_length.hex()
+                assert cut.norms.tobytes() == fresh.norms.tobytes()
+                assert cut.id_rank.dtype == fresh.id_rank.dtype
+                assert cut.id_rank.tobytes() == fresh.id_rank.tobytes()
+                for source in {p.source for p in selected} | {"absent source"}:
+                    assert cut.pairs_with_source(source) == fresh.pairs_with_source(source)
+                for query in queries:
+                    got = [(m.pair_id, m.score.hex(), m.rank) for m in query_top_n(cut, query, 10)]
+                    want = [(m.pair_id, m.score.hex(), m.rank) for m in query_top_n(fresh, query, 10)]
+                    assert got == want, (domain, relevance, query)
+                save_index(cut, tmp_path / "cut.idx")
+                save_index(fresh, tmp_path / "fresh.idx")
+                assert (tmp_path / "cut.idx").read_bytes() == (tmp_path / "fresh.idx").read_bytes()
+
+    def test_subset_drops_empty_rows(self):
+        tms = three_tms()
+        _, cut = build_scenario("it", tms, "relevant", Bm25Params(), build_pool(tms))
+        assert all(np.diff(cut.offsets) > 0)
+        assert len(cut.offsets) == len(cut.term_rows) + 1
+
+    def test_pool_of_other_tms_or_parameters_rejected(self):
+        tms = three_tms()
+        for pool in (build_pool(tms, Bm25Params(b=0.5)), build_pool(tms[::-1]), build_pool(tms[:2])):
+            with pytest.raises(ConfigurationError, match="pool index"):
+                build_scenario("it", tms, "relevant", Bm25Params(), pool)
 
 
 class TestValidateScenario:
