@@ -176,6 +176,16 @@ def _parse_record(path: str, lineno: int, line: str, fmt: str) -> SentencePair:
             if not isinstance(value, str):
                 raise CorpusFormatError(path, lineno, f"missing or non-string field {key!r}")
             fields[attr] = value
+        # Only a \u escape can put a lone surrogate into decoded JSON text; one
+        # would load here and fail later, when the text is written as UTF-8.
+        if "\\u" in line:
+            for key, attr in _JSONL_FIELDS:
+                try:
+                    fields[attr].encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    surrogate = ord(exc.object[exc.start])
+                    reason = f"field {key!r} holds a lone surrogate (\\u{surrogate:04x})"
+                    raise CorpusFormatError(path, lineno, reason) from exc
     else:
         columns = line.split("\t")
         if len(columns) != len(_TSV_COLUMNS):
@@ -253,6 +263,11 @@ def analyze_for_index(text: str) -> list[str]:
     """
     terms = []
     for token in text.lower().split():
+        # No alphanumeric character is punctuation (a test checks every code
+        # point), so a token with alphanumeric ends has nothing to strip.
+        if token[0].isalnum() and token[-1].isalnum():
+            terms.append(token)
+            continue
         stripped = _strip_edge_punctuation(token)
         if stripped:
             terms.append(stripped)

@@ -18,8 +18,17 @@ derived from them when the index is constructed. Each source is analyzed
 once into postings kept as CSR arrays (compressed sparse rows: per term, a
 row of ascending doc ids in ``docs`` with their term frequencies in ``tfs``,
 delimited by ``offsets``), together with the document lengths, their mean and
-each document's length norm. An index must be treated as immutable; queries
-share no mutable state and are safe to run concurrently.
+each document's length norm. Terms get rows in order of first occurrence.
+The postings come from one sort of an int64 key ``row * N + doc`` per
+token: each run of equal keys is one posting and its length is the tf. An
+index must be treated as immutable; queries share no mutable state and are
+safe to run concurrently.
+
+A query scores every document in one numpy pass over its terms' postings.
+Ranking then keeps only the hits scoring at least the m-th largest score,
+m = n + len(exclusions), ties at that score included, and sorts those by
+descending score and ascending pair id. No result of the full ranking can
+score below that cut, so the top n are the same as a sort of every hit.
 
 The index file is a corpus: a JSON header line with k1 and b, the pairs as
 JSONL corpus lines, and a last line holding the sha256 of every byte before
@@ -34,7 +43,6 @@ import itertools
 import json
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,10 +99,8 @@ class TmIndex:
     """
 
     def __init__(self, pairs: tuple[SentencePair, ...], params: Bm25Params):
-        term_rows: dict[str, int] = {}
-        rows: list[int] = []
-        tfs: list[int] = []
-        widths: list[int] = []
+        first: dict[str, str] = {}  # term -> its first str object, in first-occurrence order
+        tokens: list[str] = []
         doc_lengths: list[int] = []
         for pair in pairs:
             terms = analyze_for_index(pair.source)
@@ -102,18 +108,24 @@ class TmIndex:
                 raise ValidationError(
                     f"pair {pair.id!r} has no postings; a source without terms cannot be indexed"
                 )
-            counts = Counter(terms)
-            rows.extend(term_rows.setdefault(term, len(term_rows)) for term in counts)
-            tfs.extend(counts.values())
-            widths.append(len(counts))
+            # Holding one object per term, not per token, keeps peak memory down.
+            tokens.extend(map(first.setdefault, terms, terms))
             doc_lengths.append(len(terms))
-        row_ids = np.array(rows, dtype=np.intp)
-        # A stable sort by row keeps each row's docs in ascending order.
-        order = np.argsort(row_ids, kind="stable")
-        self.term_rows = term_rows
-        self.offsets = np.concatenate(([0], np.cumsum(np.bincount(row_ids))))
-        self.docs = np.repeat(np.arange(len(pairs), dtype=np.intp), widths)[order]
-        self.tfs = np.array(tfs, dtype=np.float64)[order]
+        self.term_rows = term_rows = {term: row for row, term in enumerate(first)}
+        del first
+        # One int64 key row * N + doc per token; sorted, each run of equal keys
+        # is one posting, rows in order and each row's docs ascending.
+        n = len(pairs)
+        keys = np.fromiter(map(term_rows.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+        del tokens
+        keys *= n
+        keys += np.repeat(np.arange(n, dtype=np.int64), doc_lengths)
+        keys.sort()
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        self.tfs = np.diff(starts, append=len(keys)).astype(np.float64)
+        keys = keys[starts]
+        self.offsets = np.concatenate(([0], np.cumsum(np.bincount(keys // n))))
+        self.docs = (keys % n).astype(np.intp, copy=False)
         # Python str order: numpy "U" arrays drop trailing NULs when comparing.
         by_id = sorted(range(len(pairs)), key=lambda doc: pairs[doc].id)
         self._set_docs(pairs, params, doc_lengths, np.argsort(by_id))  # the inverse permutation
@@ -204,7 +216,17 @@ def query_top_n(
         scores[docs] += term_idf * tfs * (k1 + 1.0) / (tfs + index.norms[docs])
 
     hits = np.flatnonzero(scores > 0.0)
-    ranked = hits[np.lexsort((index.id_rank[hits], -scores[hits]))]
+    hit_scores = scores[hits]
+    # Each of the first n results not excluded has at most m - 1 hits ranked
+    # above it, so it scores at least the m-th largest score: sorting only
+    # the hits that do (ties at the cut included) gives a prefix of the full
+    # ranking that holds every result.
+    m = n + len(exclusions)
+    if len(hits) > m:
+        cut = np.partition(hit_scores, len(hits) - m)[len(hits) - m]
+        top = hit_scores >= cut
+        hits, hit_scores = hits[top], hit_scores[top]
+    ranked = hits[np.lexsort((index.id_rank[hits], -hit_scores))]
     matches: list[FuzzyMatch] = []
     for doc in ranked:
         pair = index.pairs[doc]

@@ -79,6 +79,15 @@ class TestIndexCommand:
         assert code == 2
         assert f"{corpus}:2: invalid JSON" in capsys.readouterr().err
 
+    def test_lone_surrogate_exits_2_naming_the_line(self, tmp_path, capsys):
+        corpus = tmp_path / "tm.jsonl"
+        line = '{"id": "a", "domain": "d", "src": "click \\ud800 here", "tgt": "y"}\n'
+        corpus.write_text(line, encoding="utf-8")
+        code = run_cli("index", "--corpus", corpus, "--out", tmp_path / "x.idx")
+        assert code == 2
+        assert f"{corpus}:1: field 'src' holds a lone surrogate" in capsys.readouterr().err
+        assert not (tmp_path / "x.idx").exists()
+
 
 class TestScenarioCommand:
     def test_relevant_scenario_with_sidecar(self, corpus_files, capsys):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import random
+import sys
+import unicodedata
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,6 +18,7 @@ from ratkit.corpus import (
     SentencePair,
     TranslationMemory,
     _jsonl_line,
+    _strip_edge_punctuation,
     analyze_for_index,
     atomic_write,
     read_lines,
@@ -150,6 +154,20 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="'id'"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("field", ["id", "domain", "src", "tgt"])
+    def test_lone_surrogate_escape_names_line(self, tmp_path, field):
+        # A lone surrogate could not be written back as UTF-8. Only a JSON
+        # escape can carry one: strict UTF-8 decoding keeps them out of TSV.
+        record = {"id": "s1", "domain": "d", "src": "click here", "tgt": "klicken"}
+        record[field] += " \ud800"
+        escaped = '{"id": "s0", "domain": "d", "src": "caf\\u00e9 \\ud83d\\ude00", "tgt": "b"}\n'
+        path = _write(tmp_path / "tm.jsonl", escaped + json.dumps(record) + "\n")
+        with pytest.raises(CorpusFormatError, match=f"'{field}' holds a lone surrogate") as err:
+            load_corpus(path)
+        assert err.value.line == 2
+        # The first line's escapes, a surrogate pair included, decode to text that encodes.
+        assert load_corpus(_write(path, escaped)).pairs[0].source == "café \U0001f600"
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(ValidationError, match="no records"):
             load_corpus(_write(tmp_path / "tm.jsonl", "\n\n"))
@@ -244,6 +262,40 @@ class TestAnalyzeForIndex:
     def test_idempotent_on_joined_output(self, text):
         once = analyze_for_index(text)
         assert analyze_for_index(" ".join(once)) == once
+
+
+def _strip_every_token(text: str) -> list[str]:
+    """analyze_for_index without its fast path: every token goes through the stripper."""
+    return [t for t in map(_strip_edge_punctuation, text.lower().split()) if t]
+
+
+# Letters, digits, punctuation, combining marks, symbols and spaces.
+_ANALYZER_ALPHABET = "aZéß9٣Ⅻ" + "-'’.,;¿?¡!«»()[]\"_…" + "\u0301\u0308\u064b" + "$€+^`~|©" + "  \t\u00a0"
+
+
+class TestAnalyzeForIndexFastPath:
+    def test_no_alphanumeric_character_is_punctuation(self):
+        # The fast path keeps a token whose ends are alphanumeric as it is;
+        # that is exact only while this holds for the interpreter's Unicode.
+        bad = [
+            f"U+{cp:04X}"
+            for cp in range(sys.maxunicode + 1)
+            if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")
+        ]
+        assert bad == [], unicodedata.unidata_version
+
+    @pytest.mark.parametrize(
+        "text",
+        ["¿qué?", "'tis", "--", "a\u0301", "\u0301a", "e\u0301.", "'a\u0301'", "x--y", "Ⅻ.", "٣!", "$5", "€"],
+    )
+    def test_edge_cases_equal_the_reference(self, text):
+        assert analyze_for_index(text) == _strip_every_token(text)
+
+    def test_random_text_equals_the_reference(self):
+        rng = random.Random(14)
+        for _ in range(20000):
+            text = "".join(rng.choices(_ANALYZER_ALPHABET, k=rng.randint(0, 24)))
+            assert analyze_for_index(text) == _strip_every_token(text), repr(text)
 
 
 class TestTokenize13a:

@@ -12,15 +12,24 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratkit import Bm25Params, ValidationError, build_index, query_top_n
 from ratkit.corpus import SentencePair, TranslationMemory, analyze_for_index, save_corpus
-from ratkit.retrieval import load_index, save_index
+from ratkit.retrieval import TmIndex, load_index, save_index
 
-from synthetic import brute_force_top_n, make_queries, make_random_tm, postings, tiny_tm
+from synthetic import (
+    brute_force_top_n,
+    make_directional,
+    make_queries,
+    make_random_tm,
+    make_three_domain,
+    postings,
+    tiny_tm,
+)
 
 
 class TestBm25Params:
@@ -268,6 +277,178 @@ class TestQueryTopN:
             for seed in ("0", "1")
         ]
         assert outputs[0] and outputs[0] == outputs[1]
+
+
+def counter_postings(pairs):
+    """Reference postings build: a Counter per document, then a stable sort by row.
+
+    Returns term_rows, offsets, docs, tfs and doc_lengths as TmIndex holds them.
+    """
+    term_rows: dict[str, int] = {}
+    rows, tfs, widths, doc_lengths = [], [], [], []
+    for pair in pairs:
+        terms = analyze_for_index(pair.source)
+        counts = Counter(terms)
+        rows.extend(term_rows.setdefault(term, len(term_rows)) for term in counts)
+        tfs.extend(counts.values())
+        widths.append(len(counts))
+        doc_lengths.append(len(terms))
+    row_ids = np.array(rows, dtype=np.intp)
+    order = np.argsort(row_ids, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(row_ids))))
+    docs = np.repeat(np.arange(len(pairs), dtype=np.intp), widths)[order]
+    return term_rows, offsets, docs, np.array(tfs, dtype=np.float64)[order], doc_lengths
+
+
+def _punctuated_tm() -> TranslationMemory:
+    """Sources with repeated terms, edge punctuation, case and non-ASCII letters."""
+    rng = random.Random(8)
+    words = ["Cat", "cat,", "«cat»", "dog", "dog.", "¿qué?", "'tis", "über-maß", "٣", "x", "--x--"]
+    return TranslationMemory(
+        name="punctuated",
+        pairs=tuple(
+            SentencePair(id=f"q{i:03d}", source=" ".join(rng.choices(words, k=rng.randint(1, 9))),
+                         target="t", domain=("a", "b", "c")[i % 3])
+            for i in range(300)
+        ),
+    )
+
+
+_POSTINGS_TMS = {
+    "random-0": lambda: make_random_tm(1000, seed=0),
+    "random-7": lambda: make_random_tm(2500, seed=7),
+    "three-domain": lambda: make_three_domain()[0],
+    "directional": lambda: make_directional()[0],
+    "punctuated": _punctuated_tm,
+    "tiny": tiny_tm,
+}
+
+
+class TestPostingsBuild:
+    @pytest.mark.parametrize("name", sorted(_POSTINGS_TMS))
+    def test_equals_the_counter_reference(self, name):
+        tm = _POSTINGS_TMS[name]()
+        index = build_index(tm)
+        term_rows, offsets, docs, tfs, doc_lengths = counter_postings(tm.pairs)
+        assert list(index.term_rows.items()) == list(term_rows.items())
+        for got, want in ((index.offsets, offsets), (index.docs, docs), (index.tfs, tfs)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert index.docs.dtype == np.intp
+        assert index.tfs.dtype == np.float64
+        assert index.doc_lengths == doc_lengths
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_subset_of_a_pool_equals_the_counter_reference(self, seed):
+        rng = random.Random(seed)
+        pairs = list(make_random_tm(900, seed=seed).pairs + _punctuated_tm().pairs)
+        rng.shuffle(pairs)
+        pool = TmIndex(tuple(pairs), Bm25Params())
+        keep = np.array([rng.random() < 0.4 for _ in pairs])
+        sub = pool.subset(keep)
+        kept = tuple(pair for pair, k in zip(pairs, keep) if k)
+        term_rows, offsets, docs, tfs, doc_lengths = counter_postings(kept)
+        # A subset numbers its rows in the pool's term order, so compare term by term.
+        assert set(sub.term_rows) == set(term_rows)
+        for term, row in term_rows.items():
+            sub_row = sub.term_rows[term]
+            got = slice(sub.offsets[sub_row], sub.offsets[sub_row + 1])
+            want = slice(offsets[row], offsets[row + 1])
+            assert sub.docs[got].tobytes() == docs[want].tobytes()
+            assert sub.tfs[got].tobytes() == tfs[want].tobytes()
+        assert sub.docs.dtype == np.intp
+        assert sub.tfs.dtype == np.float64
+        assert sub.doc_lengths == doc_lengths
+
+
+def full_sort_top_n(index, query_text: str, n: int, exclusions=frozenset()):
+    """Reference ranking: score as query_top_n does, then sort every hit.
+
+    Returns (pair_id, score as float.hex, rank) per result.
+    """
+    k1 = index.params.k1
+    scores = np.zeros(index.doc_count)
+    for term in sorted(set(analyze_for_index(query_text))):
+        row = index.term_rows.get(term)
+        if row is None:
+            continue
+        start, end = int(index.offsets[row]), int(index.offsets[row + 1])
+        df = end - start
+        term_idf = math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
+        docs, tfs = index.docs[start:end], index.tfs[start:end]
+        scores[docs] += term_idf * tfs * (k1 + 1.0) / (tfs + index.norms[docs])
+    hits = np.flatnonzero(scores > 0.0)
+    ranked = hits[np.lexsort((index.id_rank[hits], -scores[hits]))]
+    matches = []
+    for doc in ranked:
+        pair_id = index.pairs[doc].id
+        if pair_id in exclusions:
+            continue
+        matches.append((pair_id, scores[doc].item().hex(), len(matches) + 1))
+        if len(matches) == n:
+            break
+    return matches
+
+
+def top_n(index, query_text: str, n: int, exclusions=frozenset()):
+    return [(m.pair_id, m.score.hex(), m.rank) for m in query_top_n(index, query_text, n, exclusions)]
+
+
+class TestTopMCut:
+    def _ties_tm(self) -> TranslationMemory:
+        """One best match for "red button", then six exact ties, then weaker hits."""
+        sources = ["red button"] + ["red lamp"] * 6 + ["a red lamp and more words"] * 3 + ["blue lamp"]
+        ids = ["m", "t5", "t0", "t3", "t1", "t4", "t2", "w2", "w0", "w1", "b"]
+        return TranslationMemory(
+            name="ties",
+            pairs=tuple(SentencePair(id=i, source=s, target="t", domain="d") for i, s in zip(ids, sources)),
+        )
+
+    def test_ties_straddling_the_cut_stay_in(self):
+        index = build_index(self._ties_tm())
+        # m = 2, 3 and 4 fall inside the run of six tied scores.
+        for n in (1, 2, 3, 4, 7, 8):
+            want = full_sort_top_n(index, "red button", n)
+            assert top_n(index, "red button", n) == want
+        assert [pid for pid, _, _ in top_n(index, "red button", 4)] == ["m", "t0", "t1", "t2"]
+
+    def test_excluded_ids_inside_the_top_m(self):
+        index = build_index(self._ties_tm())
+        for exclusions in ({"m"}, {"t0", "t1"}, {"m", "t0", "t5", "absent"}, {"t0", "t1", "t2", "t3", "t4"}):
+            for n in (1, 2, 3, 5):
+                want = full_sort_top_n(index, "red button", n, exclusions)
+                assert top_n(index, "red button", n, exclusions) == want, (n, exclusions)
+
+    def test_n_at_least_the_number_of_hits(self):
+        index = build_index(self._ties_tm())
+        for n in (11, 12, 50):  # every doc holds "red" or "lamp"
+            want = full_sort_top_n(index, "red lamp", n)
+            assert len(want) == 11
+            assert top_n(index, "red lamp", n) == want
+
+    def test_more_exclusions_than_hits(self):
+        index = build_index(self._ties_tm())
+        exclusions = frozenset({"t0", "t1"} | {f"absent{i}" for i in range(20)})
+        want = full_sort_top_n(index, "red button", 2, exclusions)
+        assert [pid for pid, _, _ in want] == ["m", "t2"]
+        assert top_n(index, "red button", 2, exclusions) == want
+
+    @pytest.mark.parametrize("params", [Bm25Params(), Bm25Params(0.9, 0.4), Bm25Params(2.0, 1.0)])
+    def test_random_corpus_with_duplicated_sources(self, params):
+        rng = random.Random(21)
+        base = make_random_tm(n_pairs=600, seed=13).pairs
+        copies = tuple(
+            SentencePair(id=f"c{i:03d}", source=p.source, target=p.target, domain=p.domain)
+            for i, p in enumerate(rng.sample(base, 200))
+        )
+        tm = TranslationMemory(name="dups", pairs=base + copies)
+        index = build_index(tm, params)
+        ids = [p.id for p in tm.pairs]
+        for query in make_queries(tm, n_queries=40, seed=14):
+            for n in (1, 3, 10, 50):
+                top = {pid for pid, _, _ in full_sort_top_n(index, query, 5)}
+                for exclusions in (frozenset(), frozenset(top), frozenset(rng.sample(ids, 30))):
+                    assert top_n(index, query, n, exclusions) == full_sort_top_n(index, query, n, exclusions)
 
 
 # The tiny TM as stored in an index file: (pair_id, domain, source, target)
