@@ -5,16 +5,23 @@ reference, clipped 1..4-gram precisions pooled corpus-wide, exponential
 smoothing for zero-match orders, and no effective-order reduction. Scores are
 on the 0..100 scale.
 
-The paired bootstrap draws every resample of a comparison from one seeded
-stream of sentence indices and scores both systems on each. The indices are
-drawn in numpy, blocks of resamples at a time, from the same Mersenne Twister
-words that ``Random.choices`` would use, so they, and every p-value, are the
-ones a ``Random.choices`` loop gives. Both systems' scores on every resample
-are computed in one numpy pass; resamples whose two scores are too close for
-numpy's last bits to decide are rescored with the scalar scorer, so wins and
-ties are those of a scalar loop. Ties count against significance: the
-p-value is the fraction of resamples in which the observed winner failed to
-win strictly, so identical systems come out at p = 1.0.
+Per-sentence statistics are computed in this module only, once per scored
+system: ``bleu_corpus`` keeps them on the BleuScore it returns, and the
+paired bootstrap resamples the statistics of the two BleuScores it is given
+(or computes them from hypothesis lines). It draws every resample of a
+comparison from one seeded stream of sentence indices and scores both
+systems on each. The indices are drawn in numpy, blocks of resamples at a
+time, from the same Mersenne Twister words that ``Random.choices`` would
+use, so they, and every p-value, are the ones a ``Random.choices`` loop
+gives. Each resample's sums are a float64 (BLAS) product of sentence counts
+and statistics, exact because every partial sum is an integer below 2**53
+(checked: the sentence count times the largest statistic). Both systems'
+scores on every resample are computed in one numpy pass; resamples whose
+two scores are too close for numpy's last bits to decide are rescored with
+the scalar scorer, so wins and ties are those of a scalar loop. Ties count
+against significance: the p-value is the fraction of resamples in which
+the observed winner failed to win strictly, so identical systems come out
+at p = 1.0.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import math
 import random
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,6 +49,11 @@ class BleuScore:
     ``precisions`` are fractions in [0, 1]; ``score`` is 100-based. The
     brevity penalty is 1 when the hypothesis side is at least as long as the
     reference side, else exp(1 - ref/hyp) (0 for an empty hypothesis corpus).
+    ``sentence_stats`` is the read-only (N, 10) matrix of per-sentence
+    :func:`sentence_stats` rows the score was summed from, kept by
+    :func:`bleu_corpus` so that :func:`paired_bootstrap` can resample it. It
+    takes no part in equality and is not serialized: ``from_dict`` leaves it
+    ``None``.
     """
 
     score: float
@@ -49,6 +61,7 @@ class BleuScore:
     brevity_penalty: float
     hyp_length: int
     ref_length: int
+    sentence_stats: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -185,7 +198,9 @@ def bleu_corpus(hypotheses: list[str], references: list[str]) -> BleuScore:
         )
     if not hypotheses:
         raise ValidationError("cannot score an empty corpus")
-    return score_from_stats(_stats_matrix(hypotheses, references).sum(axis=0))
+    stats = _stats_matrix(hypotheses, references)
+    stats.flags.writeable = False
+    return replace(score_from_stats(stats.sum(axis=0)), sentence_stats=stats)
 
 
 def suggestion_overlap(
@@ -334,9 +349,66 @@ class BootstrapConfig:
             raise ValidationError(f"threshold must be in (0, 1), got {self.threshold}")
 
 
+def _system_stats(system: list[str] | BleuScore, refs: list[str], name: str) -> np.ndarray:
+    """System ``name``'s (N, 10) statistics against ``refs``: computed from its
+    hypothesis lines, or taken from the BleuScore :func:`bleu_corpus` returned
+    for those lines against ``refs``.
+    """
+    if not isinstance(system, BleuScore):
+        if len(system) != len(refs):
+            raise ValidationError(f"alignment mismatch: {name}={len(system)} refs={len(refs)}")
+        return _stats_matrix(system, refs)
+    stats = system.sentence_stats
+    if stats is None:
+        raise ValidationError(
+            f"system {name}: BleuScore carries no per-sentence statistics "
+            "(one read back from a dict); pass bleu_corpus's result or the hypothesis lines"
+        )
+    if len(stats) != len(refs):
+        raise ValidationError(f"alignment mismatch: {name}={len(stats)} refs={len(refs)}")
+    # The reference-length column must be these references' (13a tokens are memoized).
+    ref_lengths = [len(_tokens_13a(ref.rstrip())) for ref in refs]
+    if stats[:, 2 * NGRAM_ORDER + 1].tolist() != ref_lengths:
+        raise ValidationError(f"system {name}: BleuScore was not scored against these references")
+    return stats
+
+
+# Resample sums are taken as a float64 matrix product, which numpy hands to
+# BLAS (an int64 product runs as a plain loop). They are exact while every
+# partial sum is an integer below 2**53: the weights of a resample sum to N, so
+# N * max(stats) bounds them.
+_EXACT_FLOAT = 2**53
+
+
+def _resample_sums(stats: np.ndarray, n_samples: int, rng: random.Random) -> np.ndarray:
+    """The (n_samples, columns) int64 column sums of ``stats`` over resamples.
+
+    Resample i is the i-th block of N row indices drawn from ``rng`` as
+    ``rng.choices(range(N), k=N)`` would draw them.
+    """
+    num_sentences, largest = len(stats), int(stats.max())
+    if num_sentences * largest >= _EXACT_FLOAT:
+        raise ValidationError(
+            f"statistics too large to resample exactly: {num_sentences} sentences "
+            f"with a count of {largest}"
+        )
+    stats = stats.astype(np.float64)
+    rows = max(1, _BLOCK_DRAWS // num_sentences)
+    offsets = np.arange(rows)[:, None] * num_sentences
+    sums = np.empty((n_samples, stats.shape[1]), dtype=np.int64)
+    for start in range(0, n_samples, rows):
+        block = min(rows, n_samples - start)
+        picks = _choices(rng, num_sentences, block * num_sentences).reshape(block, num_sentences)
+        # Row r of picks, shifted into its own bins, counts resample r's sentences.
+        weights = np.bincount((picks + offsets[:block]).ravel(), minlength=block * num_sentences)
+        weights = weights.reshape(block, num_sentences).astype(np.float64)
+        sums[start : start + block] = weights @ stats
+    return sums
+
+
 def paired_bootstrap(
-    hyps_a: list[str],
-    hyps_b: list[str],
+    hyps_a: list[str] | BleuScore,
+    hyps_b: list[str] | BleuScore,
     refs: list[str],
     n_samples: int = BootstrapConfig.n_samples,
     threshold: float = BootstrapConfig.threshold,
@@ -344,39 +416,30 @@ def paired_bootstrap(
 ) -> SignificanceResult:
     """Paired bootstrap resampling over sentences, comparing systems A and B.
 
-    Resample i is the i-th block of len(refs) sentence indices drawn with
-    replacement from one stream seeded by ``seed``, so the first m resamples
-    of an n-sample run are those of an m-sample run. The indices are those
-    ``Random.choices`` draws from that stream, taken in numpy several
-    resamples at a time, and the resamples are scored as :func:`_count_wins`
-    does, so the wins, ties and p-value equal a loop over ``choices`` and
+    Each system is given as its hypothesis lines, or as the BleuScore that
+    :func:`bleu_corpus` returned for those lines against ``refs``; its
+    per-sentence statistics are then resampled as they are, not recomputed,
+    and the result is the same bit for bit. Resample i is the i-th block of
+    len(refs) sentence indices drawn with replacement from one stream seeded
+    by ``seed``, so the first m resamples of an n-sample run are those of an
+    m-sample run. The indices are those ``Random.choices`` draws from that
+    stream, taken in numpy several resamples at a time; the resampled sums
+    are exact float64 products (a ValidationError if a count is too large
+    for that), and the resamples are scored as :func:`_count_wins` does, so
+    the wins, ties and p-value equal a loop over ``choices`` and
     ``score_from_stats``. The p-value counts the resamples in which the
     full-set winner did not win strictly. A zero observed delta is never significant.
     """
-    if not (len(hyps_a) == len(hyps_b) == len(refs)):
-        raise ValidationError(
-            f"alignment mismatch: a={len(hyps_a)} b={len(hyps_b)} refs={len(refs)}"
-        )
+    stats = np.hstack((_system_stats(hyps_a, refs, "a"), _system_stats(hyps_b, refs, "b")))
     if not refs:
         raise ValidationError("cannot bootstrap an empty test set")
     BootstrapConfig(n_samples, threshold, seed)  # checks the settings' ranges
 
-    stats = np.hstack((_stats_matrix(hyps_a, refs), _stats_matrix(hyps_b, refs)))
     sums_a, sums_b = np.hsplit(stats.sum(axis=0), 2)
     observed_delta = score_from_stats(sums_a).score - score_from_stats(sums_b).score
 
-    num_sentences = len(refs)
-    rows = max(1, _BLOCK_DRAWS // num_sentences)
-    offsets = np.arange(rows)[:, None] * num_sentences
-    rng = derived_rng(seed)
     # Row i holds resample i's summed statistics: system A's, then system B's.
-    sums = np.empty((n_samples, stats.shape[1]), dtype=np.int64)
-    for start in range(0, n_samples, rows):
-        block = min(rows, n_samples - start)
-        picks = _choices(rng, num_sentences, block * num_sentences).reshape(block, num_sentences)
-        # Row r of picks, shifted into its own bins, counts resample r's sentences.
-        weights = np.bincount((picks + offsets[:block]).ravel(), minlength=block * num_sentences)
-        np.matmul(weights.reshape(block, num_sentences), stats, out=sums[start : start + block])
+    sums = _resample_sums(stats, n_samples, derived_rng(seed))
     wins_a, wins_b = _count_wins(*np.hsplit(sums, 2))
     ties = n_samples - wins_a - wins_b
 

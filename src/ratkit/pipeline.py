@@ -363,8 +363,7 @@ def _error_text(exc: Exception) -> str:
 
 @dataclass
 class _CellOutput:
-    cell: CellResult
-    hypotheses: list[str]
+    cell: CellResult  # its BleuScore carries the per-sentence statistics
     references: list[str]
 
 
@@ -397,7 +396,7 @@ def _run_cell(
     )
     with atomic_write(cell_dir / "cell.json") as fh:
         fh.write(json.dumps(cell.to_dict(), indent=2, sort_keys=True) + "\n")
-    return _CellOutput(cell=cell, hypotheses=hypotheses, references=references)
+    return _CellOutput(cell=cell, references=references)
 
 
 def _check_domains(spec: ScenarioSpec, examples: list[AugmentedExample]) -> None:
@@ -420,7 +419,8 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
     Per cell: augmented files (its k's suggestions, selected from those
     matches), hypothesis file, cell.json.
     Per (domain, k): a paired bootstrap between the relevant and
-    less_relevant hypotheses when both cells succeeded. Failures are recorded
+    less_relevant cells when both succeeded, resampling the per-sentence
+    BLEU statistics each cell's score was summed from. Failures are recorded
     per cell and never abort the rest of the grid. Writes report.json and
     report.md under out_dir; report.json is byte-stable for fixed seeds.
     """
@@ -517,8 +517,8 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
                 if side_a is None or side_b is None:
                     continue
                 result = paired_bootstrap(
-                    side_a.hypotheses,
-                    side_b.hypotheses,
+                    side_a.cell.bleu,
+                    side_b.cell.bleu,
                     side_a.references,
                     n_samples=manifest.bootstrap.n_samples,
                     threshold=manifest.bootstrap.threshold,

@@ -22,8 +22,10 @@ from ratkit import (
 from ratkit.augmentation import AugmentedExample
 from ratkit.evaluation import (
     BleuScore,
+    _EXACT_FLOAT,
     _choices,
     _count_wins,
+    _resample_sums,
     CellResult,
     SignificanceResult,
     aggregate_report,
@@ -309,6 +311,10 @@ class TestPairedBootstrap:
         result = paired_bootstrap(hyps_a, hyps_b, refs, n_samples=n_samples, seed=n_samples)
         expected = choices_loop_bootstrap(hyps_a, hyps_b, refs, n_samples, seed=n_samples)
         assert (result.wins_a, result.wins_b, result.ties, result.p_value) == expected
+        # The statistics bleu_corpus kept give the same result, bit for bit.
+        bleu_a, bleu_b = bleu_corpus(hyps_a, refs), bleu_corpus(hyps_b, refs)
+        for a, b in ((bleu_a, bleu_b), (bleu_a, hyps_b), (hyps_a, bleu_b)):
+            assert paired_bootstrap(a, b, refs, n_samples=n_samples, seed=n_samples) == result
 
     def test_identical_systems_all_ties(self):
         hyps = [p["hyp"] for p in FIXTURE["pairs"]]
@@ -379,6 +385,60 @@ class TestPairedBootstrap:
     def test_bad_sample_count_rejected(self):
         with pytest.raises(ValidationError, match="n_samples"):
             paired_bootstrap(["a"], ["a"], ["a"], n_samples=0)
+
+    def test_bleu_score_without_statistics_rejected(self):
+        hyps_a, hyps_b, refs = make_bootstrap_systems(n_sentences=20, a_wins=12)
+        read_back = BleuScore.from_dict(bleu_corpus(hyps_a, refs).to_dict())
+        assert read_back.sentence_stats is None
+        with pytest.raises(ValidationError, match="no per-sentence statistics"):
+            paired_bootstrap(read_back, hyps_b, refs)
+
+    def test_bleu_score_of_other_references_rejected(self):
+        hyps_a, hyps_b, refs = make_bootstrap_systems(n_sentences=20, a_wins=12)
+        bleu_a = bleu_corpus(hyps_a, refs)
+        with pytest.raises(ValidationError, match="alignment"):
+            paired_bootstrap(bleu_a, hyps_b[:-1], refs[:-1])
+        other = [f"{ref} and more" for ref in refs]
+        with pytest.raises(ValidationError, match="not scored against these references"):
+            paired_bootstrap(hyps_b, bleu_a, other)
+
+    def test_kept_statistics_are_read_only(self):
+        stats = bleu_corpus(["a b c"], ["a b d"]).sentence_stats
+        with pytest.raises(ValueError):
+            stats[0, 0] = 7
+
+
+class TestResampleSums:
+    """Resample sums taken as a float64 product equal the int64 product."""
+
+    @pytest.mark.parametrize(
+        "num_sentences, largest, n_samples",
+        [
+            (1, 40, 5),
+            (7, 40, 600),  # several blocks, the last one partial
+            (300, 60, 30),
+            (7, (_EXACT_FLOAT - 1) // 7, 600),  # N * max just below 2**53
+            (300, (_EXACT_FLOAT - 1) // 300, 30),
+            (5000, (_EXACT_FLOAT - 1) // 5000, 3),  # one resample per block
+        ],
+    )
+    def test_equal_the_int64_product(self, num_sentences, largest, n_samples):
+        generator = np.random.default_rng(num_sentences)
+        stats = generator.integers(0, largest, size=(num_sentences, 20), endpoint=True)
+        stats[generator.integers(num_sentences), 3] = largest
+        sums = _resample_sums(stats, n_samples, derived_rng(largest))
+        picks = _choices(derived_rng(largest), num_sentences, n_samples * num_sentences)
+        weights = np.array(
+            [np.bincount(row, minlength=num_sentences) for row in picks.reshape(n_samples, -1)]
+        )
+        assert sums.dtype == np.int64
+        assert np.array_equal(sums, weights @ stats)
+
+    def test_counts_too_large_for_exact_float_sums_rejected(self):
+        stats = np.zeros((4, 20), dtype=np.int64)
+        stats[2, 5] = _EXACT_FLOAT // 4
+        with pytest.raises(ValidationError, match="too large to resample exactly"):
+            _resample_sums(stats, 10, derived_rng(1))
 
 
 def _fixture_systems():
@@ -622,6 +682,19 @@ class TestAggregateReport:
     def test_cell_round_trips_through_dict(self):
         cell = make_cell("it", 3, scenario="less_relevant", score=12.25, overlap=None)
         assert CellResult.from_dict(cell.to_dict()) == cell
+
+    def test_cell_with_statistics_round_trips_without_them(self):
+        hyps, refs = _fixture_systems()
+        bleu = bleu_corpus(hyps, refs)
+        assert bleu.sentence_stats.shape == (len(refs), 10)
+        cell = CellResult(domain="it", k=1, scenario="relevant", system="sys", bleu=bleu,
+                          overlap_pct=None)
+        payload = cell.to_dict()
+        assert set(payload["bleu"]) == {
+            "score", "precisions", "brevity_penalty", "hyp_length", "ref_length"
+        }
+        assert CellResult.from_dict(payload) == cell
+        assert CellResult.from_dict(payload).bleu.sentence_stats is None
 
 
 class TestMarkdownReport:

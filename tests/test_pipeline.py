@@ -11,14 +11,15 @@ from pathlib import Path
 import pytest
 
 from ratkit import AugmentationConfig, Bm25Params, ConfigurationError, TranslatorError
-from ratkit import augmentation, pipeline
+from ratkit import augmentation, evaluation, pipeline
 from ratkit.augmentation import AugmentedExample, augment_corpus, write_augmented
 from ratkit.cli import main
-from ratkit.corpus import SentencePair, TranslationMemory, load_corpus, save_corpus
-from ratkit.evaluation import BootstrapConfig
+from ratkit.corpus import SentencePair, TranslationMemory, load_corpus, read_lines, save_corpus
+from ratkit.evaluation import BootstrapConfig, paired_bootstrap
 from ratkit.pipeline import _SECTIONS, TranslatorSpec, load_manifest, run_experiment, translate
 from ratkit.retrieval import FuzzyMatch
 from ratkit.scenarios import build_scenario
+from ratkit.seeding import derive_seed
 
 from synthetic import make_directional, make_three_domain
 
@@ -340,6 +341,10 @@ class TestRunExperiment:
         )
         cell = report.cells[("it", 1, "relevant", "baseline_copy_first")]
         assert raw == cell.to_dict()
+        assert set(raw) == {"domain", "k", "scenario", "system", "bleu", "overlap_pct"}
+        assert set(raw["bleu"]) == {
+            "score", "precisions", "brevity_penalty", "hyp_length", "ref_length"
+        }
 
     def test_report_json_identical_across_runs_and_workers(self, tmp_path):
         self.run(tmp_path, out_name="out1")
@@ -493,6 +498,51 @@ class TestRunExperiment:
         assert len(report.cells) == 12
         # 20 test sentences in each of 2 domains, for each of 2 scenarios.
         assert len(queries) == 20 * 2 * 2
+
+    def test_one_sentence_stats_call_per_test_sentence_per_cell(self, tmp_path, monkeypatch):
+        pairs = []
+        sentence_stats = evaluation.sentence_stats
+
+        def counting(hypothesis, reference):
+            pairs.append((hypothesis, reference))
+            return sentence_stats(hypothesis, reference)
+
+        monkeypatch.setattr("ratkit.evaluation.sentence_stats", counting)
+        report = self.run(tmp_path)
+        assert len(report.cells) == 8
+        assert len(report.significance) == 4
+        # 20 test sentences in each of 8 cells; the bootstraps score none again.
+        assert len(pairs) == 20 * 8
+
+    def test_significance_equals_a_bootstrap_of_the_hypothesis_files(self, tmp_path):
+        # Every third test sentence is a law TM pair's, which only the
+        # less_relevant TMs answer, so every comparison is contested.
+        tm, test_sets = make_three_domain(tm_per_domain=30, test_per_domain=20)
+        law = [pair for pair in tm.pairs if pair.domain == "law"]
+        for domain in ("it", "med"):
+            pairs = list(test_sets[domain].pairs)
+            for i in range(0, len(pairs), 3):
+                pairs[i] = replace(pairs[i], source=law[i].source.replace(" now", " today"),
+                                   target=law[i].target.replace(" pronto", " subito"))
+            test_sets[domain] = TranslationMemory(domain, tuple(pairs))
+        materialize(tmp_path, tm, test_sets)
+        manifest = load_manifest(write_manifest(tmp_path / "exp.json", bootstrap={"n": 300, "seed": 11}))
+        run_experiment(manifest)
+        entries = json.loads((tmp_path / "out" / "report.json").read_text())["significance"]
+        assert len(entries) == 4
+        assert all(entry["wins_a"] and entry["wins_b"] for entry in entries)
+        cells = tmp_path / "out" / "cells"
+        for entry in entries:
+            domain, k, system = entry["domain"], entry["k"], entry["system"]
+            hyp_a = read_lines(cells / f"{domain}__k{k}__{entry['a']}" / "hyp.txt")
+            hyp_b = read_lines(cells / f"{domain}__k{k}__{entry['b']}" / "hyp.txt")
+            fresh = paired_bootstrap(
+                hyp_a, hyp_b, [pair.target for pair in test_sets[domain].pairs],
+                n_samples=manifest.bootstrap.n_samples,
+                seed=derive_seed(manifest.bootstrap.seed, domain, k, system),
+            ).to_dict()
+            for name in ("wins_a", "wins_b", "ties", "p_value", "observed_delta"):
+                assert entry[name] == fresh[name], (domain, k, name)
 
     def assert_every_cell_fails_with(self, tmp_path, path, text):
         assert main(["run", "--manifest", str(path)]) == 1
