@@ -15,12 +15,14 @@ choice: re-invoke with a different seed to draw a fresh corpus.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .corpus import TranslationMemory, atomic_write, parse_json, text_lines, write_lines
+from .corpus import _json_str  # the string encoder of json.dumps
 from .errors import ValidationError
 from .retrieval import FuzzyMatch, TmIndex, query_top_n
 from .seeding import derived_rng
@@ -171,21 +173,41 @@ def write_augmented(
     ref_path = prefix.with_name(prefix.name + ".ref.txt")
     examples = list(examples)
     with atomic_write(jsonl_path) as fh:
-        for example in examples:
-            record = {
-                "id": example.pair_id,
-                "src": example.source,
-                "ref": example.reference,
-                "suggestions": [
-                    {"id": m.pair_id, "rank": m.rank, "score": m.score, "tgt": m.target}
-                    for m in example.suggestions
-                ],
-                "flat": example.flat_input,
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        fh.writelines(map(_augmented_line, examples))
     write_lines((e.flat_input for e in examples), flat_path)
     write_lines((e.reference for e in examples), ref_path)
     return jsonl_path, flat_path, ref_path
+
+
+def _json_scalar(value) -> str:
+    """``json.dumps(value, ensure_ascii=False)`` for a str, int or float field.
+
+    A str goes through the encoder json.dumps uses, and an int or a finite
+    float is its repr, as json.dumps writes them. Anything else, such as NaN,
+    a bool or a field of another type read back by :func:`read_augmented`, is
+    left to json.dumps, which also raises for what JSON cannot encode.
+    """
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value)
+    return json.dumps(value, ensure_ascii=False)
+
+
+def _augmented_line(example: AugmentedExample) -> str:
+    """One JSONL record line, newline included: the bytes of ``json.dumps(record,
+    ensure_ascii=False)`` for the record that :func:`read_augmented` reads back."""
+    suggestions = ", ".join(
+        f'{{"id": {_json_scalar(m.pair_id)}, "rank": {_json_scalar(m.rank)}, '
+        f'"score": {_json_scalar(m.score)}, "tgt": {_json_scalar(m.target)}}}'
+        for m in example.suggestions
+    )
+    return (
+        f'{{"id": {_json_scalar(example.pair_id)}, "src": {_json_scalar(example.source)}, '
+        f'"ref": {_json_scalar(example.reference)}, "suggestions": [{suggestions}], '
+        f'"flat": {_json_scalar(example.flat_input)}}}\n'
+    )
 
 
 def _example_from_record(record: dict) -> AugmentedExample:

@@ -78,13 +78,14 @@ class TranslationMemory:
     def __post_init__(self):
         if not self.pairs:
             raise ValidationError(f"translation memory {self.name!r} is empty")
-        seen: set[str] = set()
-        for pair in self.pairs:
-            if pair.id in seen:
-                raise ValidationError(
-                    f"translation memory {self.name!r}: duplicate pair id {pair.id!r}"
-                )
-            seen.add(pair.id)
+        if len({pair.id for pair in self.pairs}) != len(self.pairs):
+            seen: set[str] = set()
+            for pair in self.pairs:
+                if pair.id in seen:
+                    raise ValidationError(
+                        f"translation memory {self.name!r}: duplicate pair id {pair.id!r}"
+                    )
+                seen.add(pair.id)
         object.__setattr__(self, "domains", frozenset(p.domain for p in self.pairs))
 
     def __len__(self) -> int:

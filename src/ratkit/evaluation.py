@@ -31,6 +31,7 @@ import random
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -127,13 +128,17 @@ def sentence_stats(hypothesis: str, reference: str) -> list[int]:
     """
     hyp_tokens = _tokens_13a(hypothesis.rstrip())
     ref_tokens = _tokens_13a(reference.rstrip())
+    # The 1- to 4-grams (NGRAM_ORDER) as token tuples, made and counted in C.
     hyp_ngrams, ref_ngrams = (
-        Counter(t[i : i + n] for n in range(1, NGRAM_ORDER + 1) for i in range(len(t) - n + 1))
+        Counter(chain(zip(t), zip(t, t[1:]), zip(t, t[1:], t[2:]), zip(t, t[1:], t[2:], t[3:])))
         for t in (hyp_tokens, ref_tokens)
     )
     correct = [0] * NGRAM_ORDER
-    for gram, count in (hyp_ngrams & ref_ngrams).items():
-        correct[len(gram) - 1] += count
+    ref_count = ref_ngrams.get
+    for gram, count in hyp_ngrams.items():
+        matched = ref_count(gram)
+        if matched:
+            correct[len(gram) - 1] += min(count, matched)
     total = [max(0, len(hyp_tokens) - n) for n in range(NGRAM_ORDER)]
     return correct + total + [len(hyp_tokens), len(ref_tokens)]
 
@@ -554,9 +559,10 @@ def aggregate_report(
     """Assemble cells into a report with one average per (system, scenario).
 
     A group's grid is the cross product of the domains and k values among its
-    cells. A group with holes is left out of the averages when every missing
-    cell is listed in ``failed``; any other hole raises an AggregationError
-    naming it. With no cells at all, failures alone give an empty report.
+    cells. A group with a cell listed in ``failed`` is left out of the
+    averages, even when every cell of a domain failed; a hole not listed there
+    raises an AggregationError naming it. With no cells at all, failures alone
+    give an empty report.
     """
     failed = dict(failed or {})
     if not cells and not failed:
@@ -571,6 +577,7 @@ def aggregate_report(
     for cell in by_key.values():
         groups.setdefault((cell.system, cell.scenario), []).append(cell)
 
+    failed_groups = {(system, scenario) for _, _, scenario, system in failed}
     averages: dict[tuple[str, str], GroupAverage] = {}
     for (system, scenario), group in groups.items():
         domains = sorted({c.domain for c in group})
@@ -583,7 +590,7 @@ def aggregate_report(
                     f"missing cell: domain={domain!r} k={k} scenario={scenario!r} "
                     f"system={system!r}"
                 )
-        if holes:
+        if (system, scenario) in failed_groups:
             continue
         overlaps = [c.overlap_pct for c in group if c.overlap_pct is not None]
         averages[(system, scenario)] = GroupAverage(

@@ -24,8 +24,11 @@ token: each run of equal keys is one posting and its length is the tf. An
 index must be treated as immutable; queries share no mutable state and are
 safe to run concurrently.
 
-A query scores every document in one numpy pass over its terms' postings.
-Ranking then keeps only the hits scoring at least the m-th largest score,
+Each posting's BM25 term weight, ``idf(t) * tf * (k1 + 1) / (tf + norm)``,
+depends on the index alone, so it is computed once, when the index is
+constructed, into ``weights``. A query adds its terms' weights into one
+score array, one numpy gather-add per term, in sorted term order. Ranking
+then keeps only the hits scoring at least the m-th largest score,
 m = n + len(exclusions), ties at that score included, and sorts those by
 descending score and ascending pair id. No result of the full ranking can
 score below that cut, so the top n are the same as a sort of every hit.
@@ -95,6 +98,8 @@ class TmIndex:
         doc_lengths: per-doc length in analyzed terms, the sum of its tfs.
         avg_doc_length: mean of ``doc_lengths``.
         norms: float64 per-doc length norm ``k1 * (1 - b + b * dl / avgdl)``.
+        weights: float64 BM25 term weight of every posting, aligned with
+            ``docs``: ``idf(row) * tf * (k1 + 1) / (tf + norms[doc])``.
         id_rank: per-doc position of its pair id in ascending ``str`` order.
     """
 
@@ -126,6 +131,7 @@ class TmIndex:
         keys = keys[starts]
         self.offsets = np.concatenate(([0], np.cumsum(np.bincount(keys // n))))
         self.docs = (keys % n).astype(np.intp, copy=False)
+        del keys, starts  # free before the weights are computed, which keeps the peak down
         # Python str order: numpy "U" arrays drop trailing NULs when comparing.
         by_id = sorted(range(len(pairs)), key=lambda doc: pairs[doc].id)
         self._set_docs(pairs, params, doc_lengths, np.argsort(by_id))  # the inverse permutation
@@ -137,7 +143,7 @@ class TmIndex:
         doc_lengths: list[int],
         id_rank: np.ndarray,
     ) -> None:
-        """Set the per-document fields; the postings are already in place."""
+        """Set the per-document fields and the weights; the postings are already in place."""
         self.pairs = pairs
         self.params = params
         self.doc_count = len(pairs)
@@ -145,6 +151,14 @@ class TmIndex:
         self.avg_doc_length = sum(doc_lengths) / len(doc_lengths)
         k1, b = params.k1, params.b
         self.norms = k1 * (1.0 - b + b * np.array(doc_lengths) / self.avg_doc_length)
+        df = np.diff(self.offsets)
+        # math.log per row, not np.log, whose last bit may differ from it.
+        idf_args = (1.0 + (self.doc_count - df + 0.5) / (df + 0.5)).tolist()
+        idf = np.fromiter(map(math.log, idf_args), dtype=np.float64, count=len(idf_args))
+        tfs = self.tfs
+        # The module formula's operand order, so each weight has the bits of
+        # the scalar expression.
+        self.weights = np.repeat(idf, df) * tfs * (k1 + 1.0) / (tfs + self.norms[self.docs])
         self.id_rank = id_rank
         self._pairs_by_source: dict[str, list[str]] = {}
         for pair in pairs:
@@ -201,19 +215,14 @@ def query_top_n(
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    k1 = index.params.k1
     scores = np.zeros(index.doc_count)
+    offsets, docs, weights = index.offsets, index.docs, index.weights
     for term in sorted(set(analyze_for_index(query_text))):
         row = index.term_rows.get(term)
         if row is None:
             continue
-        start, end = int(index.offsets[row]), int(index.offsets[row + 1])
-        df = end - start
-        term_idf = math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
-        docs, tfs = index.docs[start:end], index.tfs[start:end]
-        # Same operand order as the formula, so each score is the same float
-        # as a scalar loop over the postings would give.
-        scores[docs] += term_idf * tfs * (k1 + 1.0) / (tfs + index.norms[docs])
+        start, end = int(offsets[row]), int(offsets[row + 1])
+        scores[docs[start:end]] += weights[start:end]
 
     hits = np.flatnonzero(scores > 0.0)
     hit_scores = scores[hits]
@@ -295,6 +304,7 @@ def load_index(path: str | Path) -> TmIndex:
         lines = numbered_lines(fh, path)
         params = _header_params(path, next(lines)[1])
         tm = _read_records(path, lines, "jsonl", path.name)
+    del data, checksum  # the match holds the file's bytes too; neither is needed for the build
     try:
         return TmIndex(tm.pairs, params)
     except ValidationError as exc:

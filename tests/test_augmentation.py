@@ -17,7 +17,14 @@ from ratkit import (
     augment_corpus,
     build_index,
 )
-from ratkit.augmentation import flatten_input, read_augmented, sample_suggestions, write_augmented
+from ratkit.augmentation import (
+    AugmentedExample,
+    _augmented_line,
+    flatten_input,
+    read_augmented,
+    sample_suggestions,
+    write_augmented,
+)
 from ratkit.corpus import SentencePair, TranslationMemory
 from ratkit.retrieval import FuzzyMatch
 from ratkit.seeding import derive_seed, derived_rng
@@ -222,7 +229,46 @@ class TestAugmentCorpus:
             list(augment_corpus(queries, index, AugmentationConfig(k=1)))
 
 
+def json_dumps_line(example: AugmentedExample) -> str:
+    """The reference JSONL line: the record dict through json.dumps."""
+    record = {
+        "id": example.pair_id,
+        "src": example.source,
+        "ref": example.reference,
+        "suggestions": [
+            {"id": m.pair_id, "rank": m.rank, "score": m.score, "tgt": m.target}
+            for m in example.suggestions
+        ],
+        "flat": example.flat_input,
+    }
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
+# Fields as augment_corpus makes them, and as read_augmented may read them back.
+_field = st.one_of(st.text(), st.integers(), st.booleans())
+_number = st.one_of(st.floats(), st.integers(), st.booleans(), st.text(max_size=3))
+_suggestion = st.builds(
+    FuzzyMatch, pair_id=_field, score=_number, rank=_number,
+    source=st.just(""), target=_field, domain=st.just(""),
+)
+_example = st.builds(
+    AugmentedExample, pair_id=_field, source=_field, reference=_field,
+    suggestions=st.lists(_suggestion, max_size=3).map(tuple), flat_input=_field,
+)
+
+
 class TestSerialization:
+    @settings(max_examples=300, deadline=None)
+    @given(_example)
+    def test_jsonl_line_equals_json_dumps(self, example):
+        assert _augmented_line(example) == json_dumps_line(example)
+
+    def test_jsonl_file_equals_json_dumps_lines(self, tmp_path):
+        tm = make_random_tm(n_pairs=20, seed=28)
+        examples = list(augment_corpus(tm, build_index(tm), AugmentationConfig(k=3)))
+        jsonl, _, _ = write_augmented(examples, tmp_path / "aug")
+        assert jsonl.read_text(encoding="utf-8") == "".join(map(json_dumps_line, examples))
+
     def test_jsonl_record_schema(self, tmp_path):
         tm = make_random_tm(n_pairs=10, seed=29)
         index = build_index(tm)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from ratkit import (
     suggestion_overlap,
 )
 from ratkit.augmentation import AugmentedExample
+from ratkit.corpus import _tokens_13a
 from ratkit.evaluation import (
     BleuScore,
     _EXACT_FLOAT,
@@ -71,6 +73,40 @@ def make_cell(
     return CellResult(
         domain=domain, k=k, scenario=scenario, system=system, bleu=bleu, overlap_pct=overlap
     )
+
+
+def slice_counter_stats(hypothesis: str, reference: str) -> list[int]:
+    """Reference sentence statistics: n-grams as tuple slices, clipped by ``hyp & ref``."""
+    hyp_tokens = _tokens_13a(hypothesis.rstrip())
+    ref_tokens = _tokens_13a(reference.rstrip())
+    hyp_ngrams, ref_ngrams = (
+        Counter(t[i : i + n] for n in range(1, 5) for i in range(len(t) - n + 1))
+        for t in (hyp_tokens, ref_tokens)
+    )
+    correct = [0] * 4
+    for gram, count in (hyp_ngrams & ref_ngrams).items():
+        correct[len(gram) - 1] += count
+    total = [max(0, len(hyp_tokens) - n) for n in range(4)]
+    return correct + total + [len(hyp_tokens), len(ref_tokens)]
+
+
+# Few distinct tokens, so n-grams repeat; lengths from 0 to past the top order.
+_sentence = st.lists(st.sampled_from(["a", "b", "c", "a.", "é", "5-3"]), max_size=9).map(" ".join)
+
+
+class TestSentenceStats:
+    @settings(max_examples=400, deadline=None)
+    @given(_sentence, _sentence)
+    @example("", "a b")
+    @example("a a a a a", "a a")
+    @example("a b c", "a b c")
+    def test_equal_the_slice_counter_construction(self, hypothesis, reference):
+        assert sentence_stats(hypothesis, reference) == slice_counter_stats(hypothesis, reference)
+
+    def test_equal_it_on_the_fixture(self):
+        for pair in FIXTURE["pairs"] + FIXTURE["smoothing_pairs"]:
+            hyp, ref = pair["hyp"], pair["ref"]
+            assert sentence_stats(hyp, ref) == slice_counter_stats(hyp, ref)
 
 
 class TestBleuCorpus:
@@ -612,6 +648,12 @@ class TestAggregateReport:
         assert set(report.averages) == {("sys", "less_relevant")}
         assert len(report.cells) == 4
         assert report.failed == failed
+
+    def test_group_whose_every_cell_of_a_domain_failed_is_left_out(self):
+        cells = [make_cell("d1", 1), make_cell("d1", 2), make_cell("d1", 1, scenario="other")]
+        failed = {("d2", k, "relevant", "sys"): "ValidationError: bad test set" for k in (1, 2)}
+        report = aggregate_report(cells, failed=failed)
+        assert set(report.averages) == {("sys", "other")}
 
     def test_hole_not_listed_as_failed_raises(self):
         cells = [make_cell("d1", 1), make_cell("d1", 2), make_cell("d2", 1)]

@@ -441,16 +441,17 @@ class TestRunExperiment:
             > report.averages[(system, "less_relevant")].bleu
         )
 
-    def test_whole_domain_failure_keeps_remaining_groups_complete(self, tmp_path):
+    def test_whole_domain_failure_leaves_its_groups_out_of_the_averages(self, tmp_path):
         tm, test_sets = make_three_domain(tm_per_domain=30, test_per_domain=20)
         materialize(tmp_path, tm, test_sets)
-        (tmp_path / "test_med.jsonl").unlink()
+        (tmp_path / "test_med.jsonl").write_text("{bad\n", encoding="utf-8")
         report = run_experiment(load_manifest(write_manifest(tmp_path / "exp.json")))
-        # the surviving single-domain group still forms a full 1x2 grid
-        assert set(report.averages) == {
-            ("baseline_copy_first", "relevant"),
-            ("baseline_copy_first", "less_relevant"),
-        }
+        # Averaging the surviving domain alone would pass off one domain's
+        # BLEU as the grid's, so both groups are left out.
+        assert {key[0] for key in report.failed} == {"med"}
+        assert {key[0] for key in report.cells} == {"it"}
+        assert report.averages == {}
+        assert {key[0] for key in report.significance} == {"it"}
 
     def test_builtin_translator_cells_run_on_one_thread(self, tmp_path, monkeypatch):
         threads = []

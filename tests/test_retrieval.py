@@ -106,6 +106,10 @@ class TestBuildIndex:
         )
 
 
+# The defaults, other values, no tf saturation (k1 = 0) and no length norm (b = 0).
+PARAMS = [Bm25Params(1.2, 0.75), Bm25Params(0.9, 0.4), Bm25Params(0.0, 1.0), Bm25Params(1.5, 0.0)]
+
+
 def scores_by_id(index, query: str) -> dict[str, float]:
     return {m.pair_id: m.score for m in query_top_n(index, query, index.doc_count)}
 
@@ -204,17 +208,18 @@ class TestQueryTopN:
 
     def test_matches_brute_force_oracle_on_random_corpus(self):
         tm = make_random_tm(n_pairs=300, seed=4)
-        index = build_index(tm)
-        for query in make_queries(tm, n_queries=25, seed=6):
-            # Without exclusions, then excluding the top hits and one id that
-            # matches nothing, so the walk must skip before it stops at n.
-            top = {pid for pid, _ in brute_force_top_n(tm, query, 3)}
-            for exclusions in (frozenset(), frozenset(top | {"absent"})):
-                got = [(m.pair_id, m.score) for m in query_top_n(index, query, 10, exclusions)]
-                want = brute_force_top_n(tm, query, 10, exclusions=exclusions)
-                assert [pid for pid, _ in got] == [pid for pid, _ in want]
-                for (_, gs), (_, ws) in zip(got, want):
-                    assert gs == pytest.approx(ws, rel=1e-9)
+        for params in PARAMS:
+            index = build_index(tm, params)
+            for query in make_queries(tm, n_queries=25, seed=6):
+                # Without exclusions, then excluding the top hits and one id that
+                # matches nothing, so the walk must skip before it stops at n.
+                top = {pid for pid, _ in brute_force_top_n(tm, query, 3, params)}
+                for exclusions in (frozenset(), frozenset(top | {"absent"})):
+                    got = query_top_n(index, query, 10, exclusions)
+                    want = brute_force_top_n(tm, query, 10, params, exclusions=exclusions)
+                    assert [(m.pair_id, m.score.hex()) for m in got] == [
+                        (pid, score.hex()) for pid, score in want
+                    ]
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
@@ -485,6 +490,58 @@ def index_file(docs, header=HEADER) -> bytes:
         lines.append(doc)
     body = b"".join(line + b"\n" for line in lines)
     return body + b'{"sha256": "%s"}\n' % hashlib.sha256(body).hexdigest().encode()
+
+
+def scalar_weights(index) -> list[float]:
+    """Each posting's BM25 term weight from the module formula, one posting at a time."""
+    k1, b = index.params.k1, index.params.b
+    n = index.doc_count
+    avgdl = sum(index.doc_lengths) / n
+    weights = []
+    for row in range(len(index.offsets) - 1):
+        start, end = int(index.offsets[row]), int(index.offsets[row + 1])
+        df = end - start
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        for doc, tf in zip(index.docs[start:end].tolist(), index.tfs[start:end].tolist()):
+            norm = k1 * (1.0 - b + b * index.doc_lengths[doc] / avgdl)
+            weights.append(idf * tf * (k1 + 1.0) / (tf + norm))
+    return weights
+
+
+def term_weights(index) -> dict[str, bytes]:
+    """Term -> the bytes of its row's weights, whatever the row numbering."""
+    return {
+        term: index.weights[index.offsets[row] : index.offsets[row + 1]].tobytes()
+        for term, row in index.term_rows.items()
+    }
+
+
+class TestWeights:
+    @pytest.mark.parametrize("params", PARAMS, ids=repr)
+    @pytest.mark.parametrize("name", sorted(_POSTINGS_TMS))
+    def test_equal_the_scalar_formula(self, name, params):
+        index = build_index(_POSTINGS_TMS[name](), params)
+        assert index.weights.dtype == np.float64
+        assert index.weights.tobytes() == np.array(scalar_weights(index)).tobytes()
+
+    @pytest.mark.parametrize("params", PARAMS, ids=repr)
+    def test_every_subset_equals_a_fresh_build(self, params):
+        tm = make_three_domain()[0]
+        pool = build_index(tm, params)
+        domains = np.array([pair.domain for pair in tm.pairs])
+        for domain in sorted(tm.domains):
+            for keep in (domains == domain, domains != domain):
+                sub = pool.subset(keep)
+                fresh = TmIndex(tuple(p for p, k in zip(tm.pairs, keep) if k), params)
+                assert term_weights(sub) == term_weights(fresh)
+                assert sub.weights.tobytes() == np.array(scalar_weights(sub)).tobytes()
+
+    @pytest.mark.parametrize("params", PARAMS, ids=repr)
+    def test_survive_a_save_load_round_trip(self, tmp_path, params):
+        index = build_index(make_random_tm(n_pairs=200, seed=12), params)
+        save_index(index, tmp_path / "tm.idx")
+        loaded = load_index(tmp_path / "tm.idx")
+        assert loaded.weights.tobytes() == index.weights.tobytes()
 
 
 class TestPersistence:
