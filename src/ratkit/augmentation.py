@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .corpus import TranslationMemory, atomic_write, parse_json, text_lines, write_lines
+from .corpus import TranslationMemory, atomic_write, make_dirs, parse_json, text_lines, write_lines
 from .corpus import _json_str  # the string encoder of json.dumps
 from .errors import ValidationError
 from .retrieval import FuzzyMatch, TmIndex, query_top_n
@@ -167,7 +167,7 @@ def write_augmented(
 ) -> tuple[Path, Path, Path]:
     """Write ``<prefix>.jsonl`` plus the aligned flat-input and reference files."""
     prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
+    make_dirs(prefix.parent)
     jsonl_path = prefix.with_name(prefix.name + ".jsonl")
     flat_path = prefix.with_name(prefix.name + ".flat.txt")
     ref_path = prefix.with_name(prefix.name + ".ref.txt")

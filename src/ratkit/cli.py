@@ -3,30 +3,22 @@
 Subcommands mirror the pipeline stages: ``index`` builds a BM25 index from a
 corpus file, ``scenario`` builds a relevance-filtered index, ``augment``
 attaches retrieved suggestions to a corpus, ``bleu``/``overlap``/``compare``
-score outputs, ``report`` aggregates per-cell JSON files, and ``run``
-executes a whole manifest grid.
+score outputs, ``run`` executes a whole manifest grid, and ``report``
+rebuilds a run's report from the outcome record in each of its cell
+directories, through the same code as ``run``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .augmentation import MODES, AugmentationConfig, augment_corpus, read_augmented, write_augmented
-from .corpus import atomic_write, load_corpus, parse_json, read_lines, text_lines
-from .errors import RatkitError, ValidationError
-from .evaluation import (
-    BootstrapConfig,
-    CellResult,
-    aggregate_report,
-    bleu_corpus,
-    paired_bootstrap,
-    report_to_markdown,
-    suggestion_overlap,
-)
-from .pipeline import load_manifest, run_experiment
+from .corpus import load_corpus, read_lines
+from .errors import RatkitError
+from .evaluation import BootstrapConfig, bleu_corpus, paired_bootstrap, suggestion_overlap
+from .pipeline import load_manifest, report_experiment, run_experiment
 from .retrieval import Bm25Params, build_index, load_index, save_index
 from .scenarios import build_scenario, write_scenario_sidecar
 
@@ -121,39 +113,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_cell(path: Path) -> CellResult:
-    data = parse_json("".join(line for _, line in text_lines(path, "cell file")), path)
-    try:
-        return CellResult.from_dict(data)
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"{path}: malformed cell file ({type(exc).__name__}: {exc})") from exc
+def _summary(report, out_dir: Path) -> int:
+    print(f"{len(report.cells)} cells completed, {len(report.failed)} failed -> {out_dir}")
+    for key, error in sorted(report.failed.items()):
+        print(f"failed {key}: {error}", file=sys.stderr)
+    return 0 if not report.failed else 1
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    cell_files = sorted(Path(args.cells).glob("**/cell.json"))
-    if not cell_files:
-        print(f"error: no cell.json files under {args.cells}", file=sys.stderr)
-        return 2
-    cells = [_read_cell(p) for p in cell_files]
-    report = aggregate_report(cells)
-    out = Path(args.out)
-    with atomic_write(out) as fh:
-        fh.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    if args.markdown:
-        with atomic_write(args.markdown) as fh:
-            fh.write(report_to_markdown(report))
-    print(f"aggregated {len(cells)} cells -> {out}")
-    return 0
+    manifest = load_manifest(args.manifest)
+    return _summary(report_experiment(manifest), manifest.out_dir)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
-    report = run_experiment(manifest, workers=args.workers)
-    done = len(report.cells)
-    print(f"{done} cells completed, {len(report.failed)} failed -> {manifest.out_dir}")
-    for key, error in sorted(report.failed.items()):
-        print(f"failed {key}: {error}", file=sys.stderr)
-    return 0 if not report.failed else 1
+    return _summary(run_experiment(manifest, workers=args.workers), manifest.out_dir)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,10 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=BootstrapConfig.seed)
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("report", help="aggregate per-cell results into a report")
-    p.add_argument("--cells", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--markdown", type=Path, default=None)
+    p = sub.add_parser("report", help="rebuild a run's report from its cell directories")
+    p.add_argument("--manifest", required=True, type=Path)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("run", help="run a full experiment manifest")

@@ -331,15 +331,32 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
 
     The text goes to a new file in the same directory, which ``os.replace``
     then moves over ``path``. If the block raises, the temporary file is
-    removed and whatever was at ``path`` before is left as it was.
+    removed and whatever was at ``path`` before is left as it was. A
+    temporary file that cannot be created (say, in a missing directory), or
+    cannot be moved over ``path``, raises a ValidationError naming ``path``.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         # Mode "x" creates the file with the usual umask-based permissions.
-        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:  # strerror leaves out the random temp name
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from exc
+    try:
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # say, path is a directory
+            raise ValidationError(f"cannot write {path}: {exc.strerror}") from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def make_dirs(path: str | Path) -> None:
+    """Create directory ``path`` and its parents; a fault raises a ValidationError naming it."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create directory {path}: {exc.strerror}") from exc

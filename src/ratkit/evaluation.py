@@ -53,8 +53,7 @@ class BleuScore:
     ``sentence_stats`` is the read-only (N, 10) matrix of per-sentence
     :func:`sentence_stats` rows the score was summed from, kept by
     :func:`bleu_corpus` so that :func:`paired_bootstrap` can resample it. It
-    takes no part in equality and is not serialized: ``from_dict`` leaves it
-    ``None``.
+    takes no part in equality and is not serialized.
     """
 
     score: float
@@ -72,16 +71,6 @@ class BleuScore:
             "hyp_length": self.hyp_length,
             "ref_length": self.ref_length,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BleuScore":
-        return cls(
-            score=data["score"],
-            precisions=tuple(data["precisions"]),
-            brevity_penalty=data["brevity_penalty"],
-            hyp_length=data["hyp_length"],
-            ref_length=data["ref_length"],
-        )
 
 
 @dataclass(frozen=True)
@@ -367,7 +356,7 @@ def _system_stats(system: list[str] | BleuScore, refs: list[str], name: str) -> 
     if stats is None:
         raise ValidationError(
             f"system {name}: BleuScore carries no per-sentence statistics "
-            "(one read back from a dict); pass bleu_corpus's result or the hypothesis lines"
+            "(one not made by bleu_corpus); pass bleu_corpus's result or the hypothesis lines"
         )
     if len(stats) != len(refs):
         raise ValidationError(f"alignment mismatch: {name}={len(stats)} refs={len(refs)}")
@@ -489,17 +478,6 @@ class CellResult:
             "bleu": self.bleu.to_dict(),
             "overlap_pct": self.overlap_pct,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CellResult":
-        return cls(
-            domain=data["domain"],
-            k=data["k"],
-            scenario=data["scenario"],
-            system=data["system"],
-            bleu=BleuScore.from_dict(data["bleu"]),
-            overlap_pct=data["overlap_pct"],
-        )
 
 
 @dataclass(frozen=True)

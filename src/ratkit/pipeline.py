@@ -7,9 +7,9 @@ grid runnable without any model; oracle_copy emulates a maximally
 suggestion-reliant system so that scenario quality differences show up in
 BLEU without training anything.
 
-Grid cells are independent: each gets its own artifact subdirectory, failures
-are recorded per cell without aborting the rest, and the final report JSON is
-byte-identical across runs for fixed seeds.
+Grid cells are independent: each gets its own artifact subdirectory with one
+outcome record, and a failure never aborts the rest. report.json, which
+``report_experiment`` rebuilds from those directories, is byte-stable for fixed seeds.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ import subprocess
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import product
 from pathlib import Path
 
 from .augmentation import AugmentationConfig, AugmentedExample, augment_corpus, write_augmented
-from .augmentation import _select
+from .augmentation import _select, read_augmented
 from .corpus import TranslationMemory, atomic_write, load_corpus, parse_json, read_lines, text_lines
-from .corpus import tokenize_13a, write_lines
+from .corpus import make_dirs, tokenize_13a, write_lines
 from .errors import ConfigurationError, CorpusFormatError, RatkitError, TranslatorError, ValidationError
 from .evaluation import (
     BootstrapConfig,
@@ -361,10 +362,23 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-@dataclass
-class _CellOutput:
-    cell: CellResult  # its BleuScore carries the per-sentence statistics
-    references: list[str]
+def _cell_dir(out_dir: Path, domain: str, k: int, scenario: str) -> Path:
+    return out_dir / "cells" / f"{domain}__k{k}__{scenario}"
+
+
+def _write_json(path: Path, data: dict) -> None:
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def _score_cell(
+    manifest: ExperimentManifest, domain: str, k: int, scenario: str,
+    examples: list[AugmentedExample], hypotheses: list[str],
+) -> CellResult:
+    """One cell's BLEU, whose BleuScore keeps the per-sentence statistics, and overlap."""
+    bleu = bleu_corpus(hypotheses, [ex.reference for ex in examples])
+    overlap = suggestion_overlap(examples, hypotheses).mean_pct
+    return CellResult(domain, k, scenario, manifest.translator.kind, bleu, overlap)
 
 
 def _run_cell(
@@ -374,8 +388,8 @@ def _run_cell(
     scenario: str,
     retrieved: list[AugmentedExample],
     cell_dir: Path,
-) -> _CellOutput:
-    cell_dir.mkdir(parents=True, exist_ok=True)
+) -> CellResult:
+    make_dirs(cell_dir)
     cfg = manifest.cell_config(k)
     examples = [
         _select(ex.pair_id, ex.source, ex.reference, ex.suggestions, cfg) for ex in retrieved
@@ -383,20 +397,23 @@ def _run_cell(
     write_augmented(examples, cell_dir / "augmented")
     hypotheses = translate(manifest.translator, examples)
     write_lines(hypotheses, cell_dir / "hyp.txt")
-    references = [ex.reference for ex in examples]
-    bleu = bleu_corpus(hypotheses, references)
-    overlap = suggestion_overlap(examples, hypotheses)
-    cell = CellResult(
-        domain=domain,
-        k=k,
-        scenario=scenario,
-        system=manifest.translator.kind,
-        bleu=bleu,
-        overlap_pct=overlap.mean_pct,
-    )
-    with atomic_write(cell_dir / "cell.json") as fh:
-        fh.write(json.dumps(cell.to_dict(), indent=2, sort_keys=True) + "\n")
-    return _CellOutput(cell=cell, references=references)
+    cell = _score_cell(manifest, domain, k, scenario, examples, hypotheses)
+    (cell_dir / "failed.json").unlink(missing_ok=True)
+    _write_json(cell_dir / "cell.json", cell.to_dict())
+    return cell
+
+
+def _read_outcome(cell_dir: Path) -> str | None:
+    """The error in a cell directory's failed.json, or None when it holds a cell.json."""
+    succeeded, failed = cell_dir / "cell.json", cell_dir / "failed.json"
+    if succeeded.exists() == failed.exists():
+        raise ValidationError(f"cell directory {cell_dir} must hold one of cell.json and failed.json")
+    if succeeded.exists():
+        return None
+    record = parse_json("".join(line for _, line in text_lines(failed, "failed cell record")), failed)
+    if not isinstance(record, dict) or not isinstance(record.get("error"), str):
+        raise ValidationError(f'{failed}: malformed failed cell record; expected {{"error": <text>}}')
+    return record["error"]
 
 
 def _check_domains(spec: ScenarioSpec, examples: list[AugmentedExample]) -> None:
@@ -417,18 +434,16 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
     index cut from it, queried once per test sentence at the widest setting
     the grid needs; a suggestion from an excluded domain fails the group.
     Per cell: augmented files (its k's suggestions, selected from those
-    matches), hypothesis file, cell.json.
-    Per (domain, k): a paired bootstrap between the relevant and
-    less_relevant cells when both succeeded, resampling the per-sentence
-    BLEU statistics each cell's score was summed from. Failures are recorded
-    per cell and never abort the rest of the grid. Writes report.json and
-    report.md under out_dir; report.json is byte-stable for fixed seeds.
+    matches), hypothesis file, and one outcome record, cell.json or
+    failed.json; a failure never aborts the rest of the grid. The report is
+    built from the in-memory scores as :func:`report_experiment` builds it
+    from the cell directories; report.json is byte-stable for fixed seeds.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     out_dir = manifest.out_dir
-    (out_dir / "cells").mkdir(parents=True, exist_ok=True)
-    (out_dir / "indexes").mkdir(parents=True, exist_ok=True)
+    make_dirs(out_dir / "cells")
+    make_dirs(out_dir / "indexes")
 
     tm_error: str | None = None
     tms: list[TranslationMemory] = []
@@ -471,27 +486,25 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
                 except Exception as exc:
                     group_errors[(domain, scenario)] = _error_text(exc)
 
-    outputs: dict[tuple[str, int, str], _CellOutput] = {}
+    cells: list[CellResult] = []
     failed: dict[tuple[str, int, str, str], str] = {}
     system = manifest.translator.kind
 
     jobs = []
-    for domain in manifest.domains:
-        for k in manifest.k_values:
-            for scenario in manifest.scenarios:
-                key = (domain, k, scenario, system)
-                if tm_error is not None:
-                    failed[key] = tm_error
-                elif domain in test_errors:
-                    failed[key] = test_errors[domain]
-                elif (domain, scenario) in group_errors:
-                    failed[key] = group_errors[(domain, scenario)]
-                else:
-                    jobs.append((domain, k, scenario))
+    for domain, k, scenario in product(manifest.domains, manifest.k_values, manifest.scenarios):
+        key = (domain, k, scenario, system)
+        if tm_error is not None:
+            failed[key] = tm_error
+        elif domain in test_errors:
+            failed[key] = test_errors[domain]
+        elif (domain, scenario) in group_errors:
+            failed[key] = group_errors[(domain, scenario)]
+        else:
+            jobs.append((domain, k, scenario))
 
-    def run_one(job: tuple[str, int, str]) -> _CellOutput | str:
+    def run_one(job: tuple[str, int, str]) -> CellResult | str:
         domain, k, scenario = job
-        cell_dir = out_dir / "cells" / f"{domain}__k{k}__{scenario}"
+        cell_dir = _cell_dir(out_dir, domain, k, scenario)
         try:
             return _run_cell(manifest, domain, k, scenario, retrieved[(domain, scenario)], cell_dir)
         except Exception as exc:
@@ -506,30 +519,67 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
             if isinstance(result, str):
                 failed[(domain, k, scenario, system)] = result
             else:
-                outputs[(domain, k, scenario)] = result
+                cells.append(result)
+    for (domain, k, scenario, _), error in failed.items():
+        cell_dir = _cell_dir(out_dir, domain, k, scenario)
+        make_dirs(cell_dir)
+        for stale in ("cell.json", "hyp.txt"):  # an earlier run's outcome
+            (cell_dir / stale).unlink(missing_ok=True)
+        _write_json(cell_dir / "failed.json", {"error": error})
 
+    references = {domain: [pair.target for pair in test] for domain, test in test_corpora.items()}
+    return _write_report(manifest, cells, failed, references)
+
+
+def report_experiment(manifest: ExperimentManifest) -> EvalReport:
+    """Rebuild a run's report.json and report.md, the bytes the run wrote, from its cells.
+
+    A cell directory's failed.json gives its error; with a cell.json instead,
+    the cell is scored again from its augmented.jsonl and hyp.txt. A missing,
+    doubled or malformed record or file raises a ValidationError naming it.
+    """
+    system = manifest.translator.kind
+    cells, failed, references = [], {}, {}
+    for domain, k, scenario in product(manifest.domains, manifest.k_values, manifest.scenarios):
+        cell_dir = _cell_dir(manifest.out_dir, domain, k, scenario)
+        error = _read_outcome(cell_dir)
+        if error is not None:
+            failed[(domain, k, scenario, system)] = error
+            continue
+        examples = read_augmented(cell_dir / "augmented.jsonl")
+        hypotheses = read_lines(cell_dir / "hyp.txt")
+        try:
+            cells.append(_score_cell(manifest, domain, k, scenario, examples, hypotheses))
+        except ValidationError as exc:  # say, a hyp.txt shorter than the test set
+            raise ValidationError(f"cell directory {cell_dir}: {exc}") from exc
+        references[domain] = [ex.reference for ex in examples]
+    return _write_report(manifest, cells, failed, references)
+
+
+def _write_report(
+    manifest: ExperimentManifest, cells: list[CellResult], failed: dict, references: dict
+) -> EvalReport:
+    """The grid's report, written as report.json and report.md under out_dir.
+
+    Per (domain, k) whose relevant and less_relevant cells both succeeded, a paired
+    bootstrap resamples the cells' BLEU statistics against ``references[domain]``.
+    """
+    system = manifest.translator.kind
+    by_key = {cell.key: cell for cell in cells}
     significance: dict[tuple[str, int, str, str, str], SignificanceResult] = {}
-    if "relevant" in manifest.scenarios and "less_relevant" in manifest.scenarios:
-        for domain in manifest.domains:
-            for k in manifest.k_values:
-                side_a = outputs.get((domain, k, "relevant"))
-                side_b = outputs.get((domain, k, "less_relevant"))
-                if side_a is None or side_b is None:
-                    continue
-                result = paired_bootstrap(
-                    side_a.cell.bleu,
-                    side_b.cell.bleu,
-                    side_a.references,
-                    n_samples=manifest.bootstrap.n_samples,
-                    threshold=manifest.bootstrap.threshold,
-                    seed=derive_seed(manifest.bootstrap.seed, domain, k, system),
-                )
-                significance[(domain, k, system, "relevant", "less_relevant")] = result
-
-    cells = [output.cell for output in outputs.values()]
+    for domain, k in product(manifest.domains, manifest.k_values):
+        side_a = by_key.get((domain, k, "relevant", system))
+        side_b = by_key.get((domain, k, "less_relevant", system))
+        if side_a is None or side_b is None:
+            continue
+        significance[(domain, k, system, "relevant", "less_relevant")] = paired_bootstrap(
+            side_a.bleu, side_b.bleu, references[domain],
+            n_samples=manifest.bootstrap.n_samples,
+            threshold=manifest.bootstrap.threshold,
+            seed=derive_seed(manifest.bootstrap.seed, domain, k, system),
+        )
     report = aggregate_report(cells, significance, failed)
-    with atomic_write(out_dir / "report.json") as fh:
-        fh.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    with atomic_write(out_dir / "report.md") as fh:
+    _write_json(manifest.out_dir / "report.json", report.to_dict())
+    with atomic_write(manifest.out_dir / "report.md") as fh:
         fh.write(report_to_markdown(report))
     return report

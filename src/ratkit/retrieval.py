@@ -300,8 +300,11 @@ def load_index(path: str | Path) -> TmIndex:
         raise ValidationError(f"{path}: trailing bytes after the checksum line")
     if hashlib.sha256(memoryview(data)[:body_end]).hexdigest().encode() != checksum[1]:
         raise ValidationError(f"{path}: checksum mismatch; the index file is corrupt")
-    with io.TextIOWrapper(io.BytesIO(memoryview(data)[:body_end]), encoding="utf-8") as fh:
-        lines = numbered_lines(fh, path)
+    # BytesIO shares a bytes object (it would copy a slice of one), so the
+    # parser reads the very bytes checksummed above and stops before the
+    # checksum line; lines are split on "\n" only, as they were counted.
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n") as fh:
+        lines = itertools.islice(numbered_lines(fh, path), data.count(b"\n", 0, body_end))
         params = _header_params(path, next(lines)[1])
         tm = _read_records(path, lines, "jsonl", path.name)
     del data, checksum  # the match holds the file's bytes too; neither is needed for the build

@@ -4,29 +4,62 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import sys
 
 import pytest
 
 from ratkit.augmentation import read_augmented
 from ratkit.cli import main
-from ratkit.corpus import save_corpus, write_lines
+from ratkit.corpus import read_lines, save_corpus, write_lines
 from ratkit.retrieval import build_index, load_index, save_index
 
 from synthetic import make_three_domain, tiny_tm
 
 
+def write_corpora(root):
+    tm, test_sets = make_three_domain(tm_per_domain=25, test_per_domain=15)
+    save_corpus(tm, root / "tm.jsonl")
+    for domain, tests in test_sets.items():
+        save_corpus(tests, root / f"test_{domain}.jsonl")
+    return root
+
+
 @pytest.fixture()
 def corpus_files(tmp_path):
-    tm, test_sets = make_three_domain(tm_per_domain=25, test_per_domain=15)
-    save_corpus(tm, tmp_path / "tm.jsonl")
-    for domain, tests in test_sets.items():
-        save_corpus(tests, tmp_path / f"test_{domain}.jsonl")
-    return tmp_path
+    return write_corpora(tmp_path)
 
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def write_manifest(root, **overrides):
+    manifest = {
+        "tms": ["tm.jsonl"],
+        "test_sets": {"it": "test_it.jsonl", "med": "test_med.jsonl"},
+        "domains": ["it", "med"],
+        "k_values": [1],
+        "scenarios": ["relevant", "less_relevant"],
+        "translator": {"kind": "baseline_copy_first"},
+        "out_dir": "out",
+        "bootstrap": {"n": 50},
+        **overrides,
+    }
+    path = root / "exp.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    return path
+
+
+# Fails every cell: a run whose cells all hold a failed.json.
+FAILING = {"kind": "external_command", "command": "exit 4 # {input} {output}"}
+
+
+def run_grid(root, **overrides):
+    """The manifest path of a finished ``ratkit run`` over fresh corpora in ``root``."""
+    path = write_manifest(write_corpora(root), **overrides)
+    assert run_cli("run", "--manifest", path) in (0, 1)
+    return path
 
 
 class TestIndexCommand:
@@ -45,6 +78,12 @@ class TestIndexCommand:
                 "--k1", "0.9", "--b", "0.4")
         index = load_index(out)
         assert (index.params.k1, index.params.b) == (0.9, 0.4)
+
+    def test_output_in_a_missing_directory_exits_2(self, corpus_files, capsys):
+        out = corpus_files / "nodir" / "tm.idx"
+        code = run_cli("index", "--corpus", corpus_files / "tm.jsonl", "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
 
     def test_missing_corpus_exits_2(self, corpus_files, capsys):
         code = run_cli("index", "--corpus", corpus_files / "nope.jsonl",
@@ -255,87 +294,143 @@ class TestCompareCommand:
 
 
 class TestReportCommand:
-    def write_cell(self, root, domain, k, score):
-        cell_dir = root / f"{domain}__k{k}__relevant"
-        cell_dir.mkdir(parents=True)
-        payload = {
-            "domain": domain, "k": k, "scenario": "relevant", "system": "sys",
-            "bleu": {
-                "score": score, "precisions": [0.5, 0.5, 0.5, 0.5],
-                "brevity_penalty": 1.0, "hyp_length": 10, "ref_length": 10,
-            },
-            "overlap_pct": 50.0,
-        }
-        (cell_dir / "cell.json").write_text(json.dumps(payload), encoding="utf-8")
+    """``ratkit report`` rebuilds a run's report from its cell directories."""
+
+    def assert_reproduces_the_run(self, path, capsys, code):
+        out = path.parent / "out"
+        run_output = capsys.readouterr()
+        written = {name: (out / name).read_bytes() for name in ("report.json", "report.md")}
+        for name in written:
+            (out / name).unlink()
+        assert run_cli("report", "--manifest", path) == code
+        assert capsys.readouterr() == run_output
+        for name, data in written.items():
+            assert (out / name).read_bytes() == data, name
+        return json.loads(written["report.json"])
 
     def test_aggregates_cells_into_json_and_markdown(self, tmp_path, capsys):
-        cells = tmp_path / "cells"
-        self.write_cell(cells, "it", 1, 40.0)
-        self.write_cell(cells, "med", 1, 50.0)
-        code = run_cli("report", "--cells", cells, "--out", tmp_path / "report.json",
-                       "--markdown", tmp_path / "report.md")
-        assert code == 0
-        assert "aggregated 2 cells" in capsys.readouterr().out
-        payload = json.loads((tmp_path / "report.json").read_text())
-        assert payload["averages"] == [
-            {"system": "sys", "scenario": "relevant", "bleu": 45.0, "overlap_pct": 50.0}
-        ]
-        assert "## BLEU per domain" in (tmp_path / "report.md").read_text()
+        path = run_grid(tmp_path, k_values=[1, 2])
+        report = self.assert_reproduces_the_run(path, capsys, 0)
+        assert len(report["cells"]) == 8
+        assert len(report["significance"]) == 4
+        assert len(report["averages"]) == 2
+
+    def test_reproduces_a_run_with_failed_cells(self, tmp_path, capsys):
+        # Only a k=2 cell's flat inputs hold two suggestions.
+        command = "grep -q '@@SEP@@.*@@SEP@@' {input} && exit 3; cp {input} {output}"
+        translator = {"kind": "external_command", "command": command}
+        path = run_grid(tmp_path, k_values=[1, 2], translator=translator)
+        report = self.assert_reproduces_the_run(path, capsys, 1)
+        assert {cell["k"] for cell in report["failed_cells"]} == {2}
+        assert len(report["failed_cells"]) == 4
+        assert len(report["cells"]) == 4
+        assert len(report["significance"]) == 2
+        assert report["averages"] == []
+
+    def test_reproduces_a_run_whose_test_set_failed_before_its_cells(self, tmp_path, capsys):
+        write_corpora(tmp_path)
+        (tmp_path / "test_med.jsonl").write_text("{bad\n", encoding="utf-8")
+        path = write_manifest(tmp_path)
+        assert run_cli("run", "--manifest", path) == 1
+        report = self.assert_reproduces_the_run(path, capsys, 1)
+        assert {cell["domain"] for cell in report["failed_cells"]} == {"med"}
+        for cell in ("med__k1__relevant", "med__k1__less_relevant"):
+            assert sorted(p.name for p in (tmp_path / "out" / "cells" / cell).iterdir()) == [
+                "failed.json"
+            ]
+
+    def test_rerun_that_fails_leaves_no_earlier_outcome(self, tmp_path, capsys):
+        path = run_grid(tmp_path, k_values=[1, 2], translator={"kind": "baseline_oracle_copy"})
+        assert capsys.readouterr().out.startswith("8 cells completed, 0 failed")
+        write_manifest(tmp_path, k_values=[1, 2], translator=FAILING)
+        assert run_cli("run", "--manifest", path) == 1
+        cells = list((tmp_path / "out" / "cells").iterdir())
+        assert len(cells) == 8
+        for cell in cells:
+            assert (cell / "failed.json").is_file()
+            assert not (cell / "cell.json").exists()
+            assert not (cell / "hyp.txt").exists()
+        report = self.assert_reproduces_the_run(path, capsys, 1)
+        assert report["cells"] == []
+        assert len(report["failed_cells"]) == 8
 
     def test_empty_cells_dir_exits_2(self, tmp_path, capsys):
-        (tmp_path / "cells").mkdir()
-        code = run_cli("report", "--cells", tmp_path / "cells", "--out", tmp_path / "r.json")
+        path = write_manifest(write_corpora(tmp_path))
+        (tmp_path / "out" / "cells").mkdir(parents=True)
+        code = run_cli("report", "--manifest", path)
         assert code == 2
-        assert "no cell.json" in capsys.readouterr().err
+        cell = tmp_path / "out" / "cells" / "it__k1__relevant"
+        assert f"cell directory {cell} must hold one of cell.json and failed.json" in (
+            capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize(
         "corrupt, error",
         [
-            (
-                lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "k"}),
-                ": malformed cell file (KeyError: 'k'",
-            ),
-            (lambda text: text[:10], ":1: invalid JSON"),
+            (lambda text: json.dumps({"reason": json.loads(text)["error"]}),
+             ': malformed failed cell record; expected {"error": <text>}'),
+            (lambda text: "{" + text, ":1: invalid JSON"),
         ],
         ids=["missing-key", "not-json"],
     )
     def test_malformed_cell_exits_2_naming_the_file(self, tmp_path, capsys, corrupt, error):
-        cells = tmp_path / "cells"
-        self.write_cell(cells, "it", 1, 40.0)
-        path = cells / "it__k1__relevant" / "cell.json"
-        path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
-        code = run_cli("report", "--cells", cells, "--out", tmp_path / "r.json")
+        path = run_grid(tmp_path, translator=FAILING)
+        record = tmp_path / "out" / "cells" / "med__k1__relevant" / "failed.json"
+        record.write_text(corrupt(record.read_text(encoding="utf-8")), encoding="utf-8")
+        code = run_cli("report", "--manifest", path)
         assert code == 2
-        assert f"{path}{error}" in capsys.readouterr().err
+        assert f"{record}{error}" in capsys.readouterr().err
 
     def test_incomplete_grid_exits_2(self, tmp_path, capsys):
-        cells = tmp_path / "cells"
-        self.write_cell(cells, "it", 1, 40.0)
-        self.write_cell(cells, "it", 2, 41.0)
-        self.write_cell(cells, "med", 1, 50.0)
-        code = run_cli("report", "--cells", cells, "--out", tmp_path / "r.json")
+        path = run_grid(tmp_path)
+        cell = tmp_path / "out" / "cells" / "med__k1__less_relevant"
+        shutil.rmtree(cell)
+        code = run_cli("report", "--manifest", path)
         assert code == 2
-        assert "missing cell" in capsys.readouterr().err
+        assert f"cell directory {cell} must hold one of" in capsys.readouterr().err
+
+    def test_cell_holding_both_records_exits_2(self, tmp_path, capsys):
+        path = run_grid(tmp_path)
+        cell = tmp_path / "out" / "cells" / "it__k1__relevant"
+        (cell / "failed.json").write_text('{"error": "stale"}\n', encoding="utf-8")
+        code = run_cli("report", "--manifest", path)
+        assert code == 2
+        assert f"cell directory {cell} must hold one of" in capsys.readouterr().err
+
+    def test_malformed_augmented_file_exits_2_naming_the_line(self, tmp_path, capsys):
+        path = run_grid(tmp_path)
+        augmented = tmp_path / "out" / "cells" / "it__k1__relevant" / "augmented.jsonl"
+        lines = augmented.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = json.dumps({k: v for k, v in json.loads(lines[1]).items() if k != "ref"}) + "\n"
+        augmented.write_text("".join(lines), encoding="utf-8")
+        code = run_cli("report", "--manifest", path)
+        assert code == 2
+        assert f"{augmented}:2: malformed augmented record (KeyError: 'ref')" in (
+            capsys.readouterr().err
+        )
+
+    def test_missing_hypotheses_exit_2_naming_the_file(self, tmp_path, capsys):
+        path = run_grid(tmp_path)
+        hyp = tmp_path / "out" / "cells" / "med__k1__relevant" / "hyp.txt"
+        hyp.unlink()
+        code = run_cli("report", "--manifest", path)
+        assert code == 2
+        assert f"cannot read text file {hyp}" in capsys.readouterr().err
+
+    def test_short_hypotheses_exit_2_naming_the_cell(self, tmp_path, capsys):
+        path = run_grid(tmp_path)
+        cell = tmp_path / "out" / "cells" / "med__k1__relevant"
+        write_lines(read_lines(cell / "hyp.txt")[:-1], cell / "hyp.txt")
+        code = run_cli("report", "--manifest", path)
+        assert code == 2
+        assert f"cell directory {cell}: hypothesis/reference length mismatch: 14 vs 15" in (
+            capsys.readouterr().err
+        )
 
 
 class TestRunCommand:
-    def write_manifest(self, root):
-        manifest = {
-            "tms": ["tm.jsonl"],
-            "test_sets": {"it": "test_it.jsonl", "med": "test_med.jsonl"},
-            "domains": ["it", "med"],
-            "k_values": [1],
-            "scenarios": ["relevant", "less_relevant"],
-            "translator": {"kind": "baseline_copy_first"},
-            "out_dir": "out",
-            "bootstrap": {"n": 50},
-        }
-        path = root / "exp.json"
-        path.write_text(json.dumps(manifest), encoding="utf-8")
-        return path
-
     def test_healthy_grid_exits_0(self, corpus_files, capsys):
-        code = run_cli("run", "--manifest", self.write_manifest(corpus_files))
+        code = run_cli("run", "--manifest", write_manifest(corpus_files))
         captured = capsys.readouterr()
         assert code == 0
         assert "4 cells completed, 0 failed" in captured.out
@@ -344,7 +439,7 @@ class TestRunCommand:
 
     def test_failed_cells_exit_1_with_stderr(self, corpus_files, capsys):
         (corpus_files / "test_med.jsonl").unlink()
-        code = run_cli("run", "--manifest", self.write_manifest(corpus_files))
+        code = run_cli("run", "--manifest", write_manifest(corpus_files))
         captured = capsys.readouterr()
         assert code == 1
         assert "2 cells completed, 2 failed" in captured.out
@@ -384,7 +479,7 @@ class TestRunCommand:
              "timeout-huge-int", "k1-huge-int"],
     )
     def test_malformed_manifest_field_exits_2(self, corpus_files, capsys, override):
-        path = self.write_manifest(corpus_files)
+        path = write_manifest(corpus_files)
         text = path.read_text(encoding="utf-8")
         if isinstance(override, str):  # raw JSON member: a dict cannot repeat a key
             text = text.replace('"bootstrap": {"n": 50}', override)
@@ -396,7 +491,7 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: manifest field")
 
     def test_non_finite_bm25_parameter_exits_2(self, corpus_files, capsys):
-        path = self.write_manifest(corpus_files)
+        path = write_manifest(corpus_files)
         manifest = json.loads(path.read_text(encoding="utf-8"))
         manifest["retrieval"] = {"k1": float("nan")}
         path.write_text(json.dumps(manifest), encoding="utf-8")  # writes the token NaN
@@ -404,6 +499,12 @@ class TestRunCommand:
         assert code == 2
         assert "k1 must be finite" in capsys.readouterr().err
         assert not (corpus_files / "out").exists()
+
+    def test_out_dir_that_is_a_file_exits_2(self, corpus_files, capsys):
+        code = run_cli("run", "--manifest", write_manifest(corpus_files, out_dir="tm.jsonl"))
+        assert code == 2
+        cells = corpus_files / "tm.jsonl" / "cells"
+        assert capsys.readouterr().err == f"error: cannot create directory {cells}: Not a directory\n"
 
     def test_bad_manifest_exits_2(self, tmp_path, capsys):
         code = run_cli("run", "--manifest", tmp_path / "missing.json")
@@ -450,23 +551,23 @@ def deep_augmented_line(root):
     return ["overlap", "--augmented", path, "--hyp", root / "hyp.txt"], f"{path}:2: invalid JSON"
 
 
-def cell_path(root):
-    path = root / "cells" / "it__k1__relevant" / "cell.json"
-    path.parent.mkdir(parents=True)
-    return path
+def failed_record(root):
+    """A failed cell's failed.json, after a run whose every cell failed."""
+    manifest = run_grid(root, translator=FAILING)
+    return manifest, root / "out" / "cells" / "it__k1__relevant" / "failed.json"
 
 
 def deep_cell(root):
-    path = cell_path(root)
-    path.write_text('{"domain": %s}' % DEEP, encoding="utf-8")
-    return ["report", "--cells", root / "cells", "--out", root / "r.json"], f"{path}:1: invalid JSON"
+    manifest, path = failed_record(root)
+    path.write_text('{"error": %s}' % DEEP, encoding="utf-8")
+    return ["report", "--manifest", manifest], f"{path}:1: invalid JSON"
 
 
 def directory_cell(root):
-    path = cell_path(root)
+    manifest, path = failed_record(root)
+    path.unlink()
     path.mkdir()
-    argv = ["report", "--cells", root / "cells", "--out", root / "r.json"]
-    return argv, f"cannot read cell file {path}"
+    return ["report", "--manifest", manifest], f"cannot read failed cell record {path}"
 
 
 def deep_manifest(root):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import sys
 import unicodedata
 from pathlib import Path
@@ -21,6 +22,7 @@ from ratkit.corpus import (
     _strip_edge_punctuation,
     analyze_for_index,
     atomic_write,
+    make_dirs,
     read_lines,
     save_corpus,
     tokenize_13a,
@@ -398,3 +400,23 @@ class TestAtomicWrites:
             assert path.read_text(encoding="utf-8") == "old\n"
         assert path.read_bytes() == b"new\n"
         assert [p.name for p in tmp_path.iterdir()] == ["cell.json"]
+
+    def test_missing_directory_raises_naming_the_path(self, tmp_path):
+        path = tmp_path / "nodir" / "tm.idx"
+        with pytest.raises(ValidationError, match=re.escape(f"cannot write {path}: No such file")):
+            with atomic_write(path):
+                pass
+
+    def test_directory_in_the_way_raises_and_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "out").mkdir()
+        with pytest.raises(ValidationError, match=re.escape(f"cannot write {tmp_path / 'out'}: ")):
+            with atomic_write(tmp_path / "out") as fh:
+                fh.write("x\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_directory_under_a_file_raises_naming_it(self, tmp_path):
+        (tmp_path / "tm.jsonl").write_text("{}\n", encoding="utf-8")
+        path = tmp_path / "tm.jsonl" / "cells"
+        with pytest.raises(ValidationError, match=re.escape(f"cannot create directory {path}: ")):
+            make_dirs(path)

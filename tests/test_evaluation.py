@@ -6,6 +6,7 @@ import json
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -424,10 +425,10 @@ class TestPairedBootstrap:
 
     def test_bleu_score_without_statistics_rejected(self):
         hyps_a, hyps_b, refs = make_bootstrap_systems(n_sentences=20, a_wins=12)
-        read_back = BleuScore.from_dict(bleu_corpus(hyps_a, refs).to_dict())
-        assert read_back.sentence_stats is None
+        summed = score_from_stats(bleu_corpus(hyps_a, refs).sentence_stats.sum(axis=0))
+        assert summed.sentence_stats is None
         with pytest.raises(ValidationError, match="no per-sentence statistics"):
-            paired_bootstrap(read_back, hyps_b, refs)
+            paired_bootstrap(summed, hyps_b, refs)
 
     def test_bleu_score_of_other_references_rejected(self):
         hyps_a, hyps_b, refs = make_bootstrap_systems(n_sentences=20, a_wins=12)
@@ -721,11 +722,7 @@ class TestAggregateReport:
         assert payload["significance"][0]["a"] == "relevant"
         json.dumps(payload)
 
-    def test_cell_round_trips_through_dict(self):
-        cell = make_cell("it", 3, scenario="less_relevant", score=12.25, overlap=None)
-        assert CellResult.from_dict(cell.to_dict()) == cell
-
-    def test_cell_with_statistics_round_trips_without_them(self):
+    def test_cell_dict_leaves_the_statistics_out(self):
         hyps, refs = _fixture_systems()
         bleu = bleu_corpus(hyps, refs)
         assert bleu.sentence_stats.shape == (len(refs), 10)
@@ -735,8 +732,9 @@ class TestAggregateReport:
         assert set(payload["bleu"]) == {
             "score", "precisions", "brevity_penalty", "hyp_length", "ref_length"
         }
-        assert CellResult.from_dict(payload) == cell
-        assert CellResult.from_dict(payload).bleu.sentence_stats is None
+        assert payload["bleu"]["score"] == bleu.score
+        # Equality leaves the statistics out too.
+        assert replace(bleu, sentence_stats=None) == bleu
 
 
 class TestMarkdownReport:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,8 @@ from ratkit.augmentation import AugmentedExample, augment_corpus, write_augmente
 from ratkit.cli import main
 from ratkit.corpus import SentencePair, TranslationMemory, load_corpus, read_lines, save_corpus
 from ratkit.evaluation import BootstrapConfig, paired_bootstrap
-from ratkit.pipeline import _SECTIONS, TranslatorSpec, load_manifest, run_experiment, translate
+from ratkit.pipeline import _SECTIONS, TranslatorSpec, load_manifest, report_experiment
+from ratkit.pipeline import run_experiment, translate
 from ratkit.retrieval import FuzzyMatch
 from ratkit.scenarios import build_scenario
 from ratkit.seeding import derive_seed
@@ -452,6 +454,7 @@ class TestRunExperiment:
         assert {key[0] for key in report.cells} == {"it"}
         assert report.averages == {}
         assert {key[0] for key in report.significance} == {"it"}
+        assert report_experiment(load_manifest(tmp_path / "exp.json")) == report
 
     def test_builtin_translator_cells_run_on_one_thread(self, tmp_path, monkeypatch):
         threads = []
@@ -515,6 +518,18 @@ class TestRunExperiment:
         # 20 test sentences in each of 8 cells; the bootstraps score none again.
         assert len(pairs) == 20 * 8
 
+    def test_each_cell_scored_once_and_each_pair_of_cells_bootstrapped_once(self, tmp_path, monkeypatch):
+        calls = Counter()
+        for name in ("bleu_corpus", "suggestion_overlap", "paired_bootstrap"):
+            def counting(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counting)
+        report = self.run(tmp_path)
+        assert len(report.cells) == 8
+        assert calls == {"bleu_corpus": 8, "suggestion_overlap": 8, "paired_bootstrap": 4}
+
     def test_significance_equals_a_bootstrap_of_the_hypothesis_files(self, tmp_path):
         # Every third test sentence is a law TM pair's, which only the
         # less_relevant TMs answer, so every comparison is contested.
@@ -547,12 +562,19 @@ class TestRunExperiment:
 
     def assert_every_cell_fails_with(self, tmp_path, path, text):
         assert main(["run", "--manifest", str(path)]) == 1
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        written = (tmp_path / "out" / "report.json").read_bytes()
+        report = json.loads(written)
         assert not report["cells"]
         errors = [cell["error"] for cell in report["failed_cells"]]
         assert len(errors) == 8
         assert len(set(errors)) == 1
         assert text in errors[0]
+        # The TM fault comes before any cell runs; each cell still records it.
+        for cell in (tmp_path / "out" / "cells").iterdir():
+            assert [p.name for p in cell.iterdir()] == ["failed.json"]
+            assert json.loads((cell / "failed.json").read_text()) == {"error": errors[0]}
+        report_experiment(load_manifest(path))
+        assert (tmp_path / "out" / "report.json").read_bytes() == written
 
     def test_unindexable_pair_fails_every_cell(self, tmp_path):
         tm, test_sets = make_three_domain(tm_per_domain=30, test_per_domain=20)

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from ratkit import Bm25Params, ValidationError, build_index, query_top_n
 from ratkit.corpus import SentencePair, TranslationMemory, analyze_for_index, save_corpus
+from ratkit import retrieval
 from ratkit.retrieval import TmIndex, load_index, save_index
 
 from synthetic import (
@@ -708,3 +710,35 @@ class TestPersistence:
             with pytest.raises(ValidationError):
                 load_index(path)
 
+
+    def test_parses_the_checksummed_bytes_without_copying_them(self, tmp_path, monkeypatch):
+        path = tmp_path / "tm.idx"
+        save_index(build_index(make_random_tm(n_pairs=3000, seed=23)), path)
+        size = path.stat().st_size
+        held = []
+        read_records = retrieval._read_records
+
+        def measured(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return read_records(*args)
+
+        monkeypatch.setattr(retrieval, "_read_records", measured)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_index(path)
+        finally:
+            tracemalloc.stop()
+        assert loaded.doc_count == 3000
+        # The file's bytes are held once while the records are parsed; a copy
+        # for the parser would hold them twice.
+        assert size < held[0] - before < 1.25 * size
+
+    def test_crlf_line_ends_lose_no_pair(self, tmp_path):
+        index = build_index(make_random_tm(n_pairs=50, seed=24))
+        path = tmp_path / "tm.idx"
+        save_index(index, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        body = b"".join(line.replace(b"\n", b"\r\n") for line in lines[:-1])
+        path.write_bytes(body + b'{"sha256": "%s"}\n' % hashlib.sha256(body).hexdigest().encode())
+        assert load_index(path).pairs == index.pairs
