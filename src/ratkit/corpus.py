@@ -12,6 +12,11 @@ Every file the toolkit writes goes through :func:`atomic_write`, so a crash
 mid-write leaves the previous file, not a truncated one. Every file it reads
 goes through :func:`numbered_lines` and, for JSON, :func:`parse_json`, so an
 unreadable or malformed input raises a RatkitError naming ``path[:line]``.
+A JSONL record line (corpora and index files) first goes through the C
+scanner behind ``json.loads``, in one call; only a line whose value does not
+end exactly at the line's end (whitespace, a BOM, a syntax error, nesting or
+an integer past the interpreter's limits) is parsed again by
+:func:`parse_json`, which gives ``json.loads``' result or its error.
 """
 
 from __future__ import annotations
@@ -33,10 +38,12 @@ CORPUS_FORMATS = ("jsonl", "tsv")
 
 # TSV column order is fixed; files carry no header.
 _TSV_COLUMNS = ("id", "domain", "source", "target")
-# JSONL record key -> SentencePair field, in the order _jsonl_line writes them.
-_JSONL_FIELDS = (("id", "id"), ("domain", "domain"), ("src", "source"), ("tgt", "target"))
+# The JSONL record key of each TSV column, in the order _jsonl_line writes them.
+_JSONL_KEYS = ("id", "domain", "src", "tgt")
 # The string encoder of json.dumps(..., ensure_ascii=False).
 _json_str = json.encoder.encode_basestring
+# The value scanner of json.loads, without its whitespace and BOM handling.
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
 
 
 @dataclass(frozen=True)
@@ -51,20 +58,22 @@ class SentencePair:
     def __post_init__(self):
         if not self.id:
             raise ValidationError("sentence pair has an empty id")
-        if not self.source.strip():
+        if not self.source or self.source.isspace():
             raise ValidationError(f"pair {self.id!r}: source is empty")
-        if not self.target.strip():
+        if not self.target or self.target.isspace():
             raise ValidationError(f"pair {self.id!r}: target is empty")
         # Sentences flow into line-aligned files later; embedded line breaks
         # would silently shift the alignment, so reject them at the door.
-        for label, value in (
-            ("id", self.id),
-            ("domain", self.domain),
-            ("source", self.source),
-            ("target", self.target),
-        ):
-            if "\n" in value or "\r" in value:
-                raise ValidationError(f"pair {self.id!r}: {label} contains a line break")
+        text = f"{self.id}{self.domain}{self.source}{self.target}"
+        if "\n" in text or "\r" in text:
+            for label, value in (
+                ("id", self.id),
+                ("domain", self.domain),
+                ("source", self.source),
+                ("target", self.target),
+            ):
+                if "\n" in value or "\r" in value:
+                    raise ValidationError(f"pair {self.id!r}: {label} contains a line break")
 
 
 @dataclass(frozen=True)
@@ -121,21 +130,27 @@ def load_corpus(path: str | Path, format: str | None = None, name: str | None = 
 def _read_records(
     path: Path, lines: Iterable[tuple[int, str]], fmt: str, name: str
 ) -> TranslationMemory:
-    """The TM in numbered record lines; a bad or repeated record names ``path:line``."""
+    """The TM in numbered lines as a file yields them; a bad or repeated record names ``path:line``."""
+    where = str(path)
     pairs: list[SentencePair] = []
-    seen: dict[str, int] = {}
+    linenos: list[int] = []
     for lineno, line in lines:
-        if not line.strip():
+        if line.isspace():
             continue
-        pair = _parse_record(str(path), lineno, line.rstrip("\n"), fmt)
-        if pair.id in seen:
-            reason = f"duplicate id {pair.id!r} (first seen on line {seen[pair.id]})"
-            raise CorpusFormatError(str(path), lineno, reason)
-        seen[pair.id] = lineno
-        pairs.append(pair)
+        pairs.append(_parse_record(where, lineno, line, fmt))
+        linenos.append(lineno)
     if not pairs:
         raise ValidationError(f"{path}: the file contains no records")
-    return TranslationMemory(name=name, pairs=tuple(pairs))
+    try:
+        return TranslationMemory(name=name, pairs=tuple(pairs))
+    except ValidationError:  # its one fault left is a repeated id: name the lines
+        first_seen: dict[str, int] = {}
+        for lineno, pair in zip(linenos, pairs):
+            if pair.id in first_seen:
+                reason = f"duplicate id {pair.id!r} (first seen on line {first_seen[pair.id]})"
+                raise CorpusFormatError(where, lineno, reason) from None
+            first_seen[pair.id] = lineno
+        raise
 
 
 def text_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
@@ -167,35 +182,45 @@ def numbered_lines(fh: TextIO, path: str | Path) -> Iterator[tuple[int, str]]:
 
 
 def _parse_record(path: str, lineno: int, line: str, fmt: str) -> SentencePair:
+    """The pair in one record line, its newline included or not."""
+    end = len(line) - line.endswith("\n")
     if fmt == "jsonl":
-        record = parse_json(line, path, lineno)
+        # A value that the scanner reads from the first character to the
+        # line's end is json.loads' value too; in every other case json.loads
+        # is called, for its own result or error.
+        try:
+            record, stop = _scan_json(line, 0)
+        except (ValueError, RecursionError, StopIteration):
+            stop = -1
+        if stop != end:
+            record = parse_json(line[:end], path, lineno)
         if not isinstance(record, dict):
             raise CorpusFormatError(path, lineno, "record is not a JSON object")
-        fields = {}
-        for key, attr in _JSONL_FIELDS:
+        values = []
+        for key in _JSONL_KEYS:
             value = record.get(key)
             if not isinstance(value, str):
                 raise CorpusFormatError(path, lineno, f"missing or non-string field {key!r}")
-            fields[attr] = value
+            values.append(value)
         # Only a \u escape can put a lone surrogate into decoded JSON text; one
         # would load here and fail later, when the text is written as UTF-8.
         if "\\u" in line:
-            for key, attr in _JSONL_FIELDS:
+            for key, value in zip(_JSONL_KEYS, values):
                 try:
-                    fields[attr].encode("utf-8")
+                    value.encode("utf-8")
                 except UnicodeEncodeError as exc:
                     surrogate = ord(exc.object[exc.start])
                     reason = f"field {key!r} holds a lone surrogate (\\u{surrogate:04x})"
                     raise CorpusFormatError(path, lineno, reason) from exc
     else:
-        columns = line.split("\t")
-        if len(columns) != len(_TSV_COLUMNS):
+        values = line[:end].split("\t")
+        if len(values) != len(_TSV_COLUMNS):
             raise CorpusFormatError(
-                path, lineno, f"expected {len(_TSV_COLUMNS)} tab-separated columns, got {len(columns)}"
+                path, lineno, f"expected {len(_TSV_COLUMNS)} tab-separated columns, got {len(values)}"
             )
-        fields = dict(zip(_TSV_COLUMNS, columns))
+    id_, domain, source, target = values
     try:
-        return SentencePair(**fields)
+        return SentencePair(id=id_, source=source, target=target, domain=domain)
     except ValidationError as exc:
         raise CorpusFormatError(path, lineno, str(exc)) from exc
 
@@ -218,7 +243,7 @@ def _jsonl_line(pair: SentencePair) -> str:
     """One JSONL record line, newline included, with non-ASCII text kept readable.
 
     The bytes of ``json.dumps(record, ensure_ascii=False)``, keys in
-    ``_JSONL_FIELDS`` order: each string goes through the encoder it uses.
+    ``_JSONL_KEYS`` order: each string goes through the encoder it uses.
     """
     return (
         f'{{"id": {_json_str(pair.id)}, "domain": {_json_str(pair.domain)}, '

@@ -403,14 +403,32 @@ def _run_cell(
     return cell
 
 
-def _read_outcome(cell_dir: Path) -> str | None:
-    """The error in a cell directory's failed.json, or None when it holds a cell.json."""
+def _read_json(path: Path, what: str):
+    """The JSON value of a whole file; a fault raises a ValidationError naming the path."""
+    return parse_json("".join(line for _, line in text_lines(path, what)), path)
+
+
+def _read_outcome(cell_dir: Path, labels: dict) -> str | None:
+    """The error in a cell directory's failed.json, or None when it holds a cell.json.
+
+    The cell.json must carry ``labels``, the cell's domain, k, scenario and
+    system, so that a manifest changed since the run cannot relabel its cells.
+    """
     succeeded, failed = cell_dir / "cell.json", cell_dir / "failed.json"
     if succeeded.exists() == failed.exists():
         raise ValidationError(f"cell directory {cell_dir} must hold one of cell.json and failed.json")
     if succeeded.exists():
+        record = _read_json(succeeded, "cell record")
+        if not isinstance(record, dict):
+            raise ValidationError(f"{succeeded}: malformed cell record; expected a JSON object")
+        for key, value in labels.items():
+            found = record.get(key)
+            if type(found) is not type(value) or found != value:
+                raise ValidationError(
+                    f"{succeeded}: the cell record's {key} is {found!r}, not the manifest's {value!r}"
+                )
         return None
-    record = parse_json("".join(line for _, line in text_lines(failed, "failed cell record")), failed)
+    record = _read_json(failed, "failed cell record")
     if not isinstance(record, dict) or not isinstance(record.get("error"), str):
         raise ValidationError(f'{failed}: malformed failed cell record; expected {{"error": <text>}}')
     return record["error"]
@@ -536,13 +554,15 @@ def report_experiment(manifest: ExperimentManifest) -> EvalReport:
 
     A cell directory's failed.json gives its error; with a cell.json instead,
     the cell is scored again from its augmented.jsonl and hyp.txt. A missing,
-    doubled or malformed record or file raises a ValidationError naming it.
+    doubled or malformed record or file, or a cell.json whose domain, k,
+    scenario or system is not the manifest's, raises a ValidationError naming it.
     """
     system = manifest.translator.kind
     cells, failed, references = [], {}, {}
     for domain, k, scenario in product(manifest.domains, manifest.k_values, manifest.scenarios):
         cell_dir = _cell_dir(manifest.out_dir, domain, k, scenario)
-        error = _read_outcome(cell_dir)
+        labels = {"domain": domain, "k": k, "scenario": scenario, "system": system}
+        error = _read_outcome(cell_dir, labels)
         if error is not None:
             failed[(domain, k, scenario, system)] = error
             continue

@@ -104,8 +104,11 @@ class TmIndex:
     """
 
     def __init__(self, pairs: tuple[SentencePair, ...], params: Bm25Params):
-        first: dict[str, str] = {}  # term -> its first str object, in first-occurrence order
-        tokens: list[str] = []
+        term_rows: dict[str, int] = {}
+        self.term_rows = term_rows
+        # Draws len(term_rows) each time, so a term not seen yet gets the next row.
+        next_rows = map(len, itertools.repeat(term_rows))
+        rows: list[int] = []  # each token's row, in doc order
         doc_lengths: list[int] = []
         for pair in pairs:
             terms = analyze_for_index(pair.source)
@@ -113,16 +116,13 @@ class TmIndex:
                 raise ValidationError(
                     f"pair {pair.id!r} has no postings; a source without terms cannot be indexed"
                 )
-            # Holding one object per term, not per token, keeps peak memory down.
-            tokens.extend(map(first.setdefault, terms, terms))
+            rows += map(term_rows.setdefault, terms, next_rows)
             doc_lengths.append(len(terms))
-        self.term_rows = term_rows = {term: row for row, term in enumerate(first)}
-        del first
         # One int64 key row * N + doc per token; sorted, each run of equal keys
         # is one posting, rows in order and each row's docs ascending.
         n = len(pairs)
-        keys = np.fromiter(map(term_rows.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-        del tokens
+        keys = np.array(rows, dtype=np.int64)
+        del rows
         keys *= n
         keys += np.repeat(np.arange(n, dtype=np.int64), doc_lengths)
         keys.sort()
@@ -160,9 +160,12 @@ class TmIndex:
         # the scalar expression.
         self.weights = np.repeat(idf, df) * tfs * (k1 + 1.0) / (tfs + self.norms[self.docs])
         self.id_rank = id_rank
-        self._pairs_by_source: dict[str, list[str]] = {}
-        for pair in pairs:
-            self._pairs_by_source.setdefault(pair.source, []).append(pair.id)
+        by_source = {pair.source: [pair.id] for pair in pairs}
+        if len(by_source) < len(pairs):  # a source repeats: gather its ids in doc order
+            by_source = {}
+            for pair in pairs:
+                by_source.setdefault(pair.source, []).append(pair.id)
+        self._pairs_by_source = by_source
 
     def subset(self, keep: np.ndarray) -> TmIndex:
         """The index of the docs where the bool array ``keep`` is true, in doc order.
@@ -277,10 +280,15 @@ def save_index(index: TmIndex, path: str | Path) -> None:
 def load_index(path: str | Path) -> TmIndex:
     """Load an index written by :func:`save_index`.
 
-    The sha256 line is checked before anything is parsed. A v1-v3 file, a
-    bad checksum line or digest, a bad header or pair line, or invalid pairs
-    or parameters raise a ValidationError naming the file, and the line where
-    there is one.
+    The sha256 line is checked before anything is parsed. The pair lines are
+    then streamed from those very bytes and parsed as
+    :func:`~ratkit.corpus.load_corpus` parses a JSONL corpus: a line that
+    holds one JSON value and nothing else takes one call of the JSON scanner.
+    The index is built from the pairs by the same code as a fresh build.
+
+    A v1-v3 file, a bad checksum line or digest, a bad header or pair line, or
+    invalid pairs or parameters raise a ValidationError naming the file, and
+    the line where there is one.
     """
     path = Path(path)
     try:

@@ -381,6 +381,43 @@ class TestReportCommand:
         assert code == 2
         assert f"{record}{error}" in capsys.readouterr().err
 
+    def test_cells_of_another_system_exit_2(self, tmp_path, capsys):
+        translator = {"kind": "external_command", "command": "cp {input} {output}"}
+        path = run_grid(tmp_path, translator=translator)
+        write_manifest(tmp_path, translator={"kind": "baseline_oracle_copy"})
+        code = run_cli("report", "--manifest", path)
+        assert code == 2
+        record = tmp_path / "out" / "cells" / "it__k1__relevant" / "cell.json"
+        assert (
+            f"{record}: the cell record's system is 'external_command', "
+            "not the manifest's 'baseline_oracle_copy'"
+        ) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            (lambda cells: (cells / "med__k1__relevant" / "cell.json").read_text(encoding="utf-8"),
+             ": the cell record's domain is 'med', not the manifest's 'it'"),
+            (lambda cells: json.dumps({**json.loads((cells / "it__k1__relevant" / "cell.json")
+                                                    .read_text(encoding="utf-8")), "k": True}),
+             ": the cell record's k is True, not the manifest's 1"),
+            (lambda cells: json.dumps({"domain": "it", "k": 1, "scenario": "relevant"}),
+             ": the cell record's system is None, not the manifest's 'baseline_copy_first'"),
+            (lambda cells: "[]", ": malformed cell record; expected a JSON object"),
+            (lambda cells: "{" + (cells / "it__k1__relevant" / "cell.json").read_text(encoding="utf-8"),
+             ":1: invalid JSON"),
+        ],
+        ids=["other-domain", "bool-k", "no-system", "not-an-object", "not-json"],
+    )
+    def test_mislabelled_or_malformed_cell_record_exits_2(self, tmp_path, capsys, corrupt, error):
+        path = run_grid(tmp_path)
+        cells = tmp_path / "out" / "cells"
+        record = cells / "it__k1__relevant" / "cell.json"
+        record.write_text(corrupt(cells), encoding="utf-8")
+        code = run_cli("report", "--manifest", path)
+        assert code == 2
+        assert f"{record}{error}" in capsys.readouterr().err
+
     def test_incomplete_grid_exits_2(self, tmp_path, capsys):
         path = run_grid(tmp_path)
         cell = tmp_path / "out" / "cells" / "med__k1__less_relevant"

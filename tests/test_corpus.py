@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import random
 import re
@@ -28,6 +30,7 @@ from ratkit.corpus import (
     tokenize_13a,
     write_lines,
 )
+from ratkit.retrieval import load_index
 
 FIXTURE = Path(__file__).parent / "data" / "bleu_fixture.json"
 
@@ -210,6 +213,133 @@ class TestRoundTrip:
         )
         with pytest.raises(ValidationError, match="tab"):
             save_corpus(tm, tmp_path / "out.tsv")
+
+
+_RECORD = '"id": "x", "domain": "d", "src": "s t u v w", "tgt": "u v"'
+_DEPTH = sys.getrecursionlimit() + 100
+
+# JSONL record lines whose parse json.loads and a scanner used alone could
+# tell apart, each read on the first line of a file and between two records.
+_CRAFTED_LINES = {
+    "plain": "{%s}" % _RECORD,
+    "leading-spaces-and-tabs": " \t {%s}" % _RECORD,
+    "trailing-spaces-and-tabs": "{%s}\t \t" % _RECORD,
+    "bom": "\ufeff{%s}" % _RECORD,
+    "nan-in-an-extra-key": '{%s, "score": NaN}' % _RECORD,
+    "duplicate-keys": '{"id": "y", "src": "first", %s, "tgt": "last"}' % _RECORD,
+    "nesting-past-the-recursion-limit": '{%s, "deep": %s%s}' % (_RECORD, "[" * _DEPTH, "]" * _DEPTH),
+    "int-past-the-digit-limit": '{%s, "n": %s}' % (_RECORD, "7" * 5000),
+    "two-values": "{%s} {%s}" % (_RECORD, _RECORD),
+    "extra-brace": "{%s}}" % _RECORD,
+    "array": '["x", "d", "s", "t"]',
+    "string": '"x"',
+    "number": "7",
+    "lone-surrogate-escape": '{"id": "x", "domain": "d", "src": "s \\ud800", "tgt": "t"}',
+    "escaped-newline": '{"id": "x", "domain": "d", "src": "s\\nt", "tgt": "t"}',
+    "unterminated": "{%s" % _RECORD,
+    "whitespace-only": " \t ",
+}
+_GOOD = ('{"id": "g1", "domain": "d", "src": "a b", "tgt": "c d"}',
+         '{"id": "g2", "domain": "d", "src": "e f", "tgt": "g h"}')
+
+
+def _json_loads_oracle(lines, path, skip=0):
+    """The pairs, or the CorpusFormatError text, of JSONL record lines parsed
+    by ``json.loads`` one line at a time; the first ``skip`` lines are not records."""
+    pairs, first_seen = [], {}
+    for lineno, line in enumerate(lines, start=1):
+        if lineno <= skip or not line.strip():
+            continue
+        try:
+            record = json.loads(line.rstrip("\n"))
+        except json.JSONDecodeError as exc:
+            return f"{path}:{lineno + exc.lineno - 1}: invalid JSON: {exc.msg}"
+        except (ValueError, RecursionError) as exc:
+            return f"{path}:{lineno}: invalid JSON: {exc}"
+        if not isinstance(record, dict):
+            return f"{path}:{lineno}: record is not a JSON object"
+        keys = ("id", "domain", "src", "tgt")
+        for key in keys:
+            if not isinstance(record.get(key), str):
+                return f"{path}:{lineno}: missing or non-string field {key!r}"
+        for key in keys:
+            try:
+                record[key].encode("utf-8")
+            except UnicodeEncodeError as exc:
+                surrogate = ord(exc.object[exc.start])
+                return f"{path}:{lineno}: field {key!r} holds a lone surrogate (\\u{surrogate:04x})"
+        try:
+            pair = SentencePair(
+                id=record["id"], domain=record["domain"], source=record["src"], target=record["tgt"]
+            )
+        except ValidationError as exc:
+            return f"{path}:{lineno}: {exc}"
+        if pair.id in first_seen:
+            return f"{path}:{lineno}: duplicate id {pair.id!r} (first seen on line {first_seen[pair.id]})"
+        first_seen[pair.id] = lineno
+        pairs.append(pair)
+    return tuple(pairs)
+
+
+def _index_bytes(body: bytes) -> bytes:
+    """An index file holding a v4 header, ``body`` and the checksum line."""
+    header = b'{"b": 0.75, "format": "ratkit-index", "k1": 1.2, "version": 4}\n'
+    return header + body + b'{"sha256": "%s"}\n' % hashlib.sha256(header + body).hexdigest().encode()
+
+
+def _loaded(load, path):
+    try:
+        return load(path).pairs
+    except CorpusFormatError as exc:
+        return str(exc)
+
+
+def assert_loads_as_json_loads(tmp_path, text: str):
+    """load_corpus and load_index of ``text`` as record lines equal the json.loads oracle."""
+    corpus_path = tmp_path / "tm.jsonl"
+    corpus_path.write_bytes(text.encode("utf-8"))
+    # load_corpus reads with universal newlines, load_index splits on "\n" only.
+    expected = _json_loads_oracle(io.StringIO(text, newline=None), corpus_path)
+    assert _loaded(load_corpus, corpus_path) == expected
+    if not text.endswith("\n"):  # the checksum line starts a line of its own
+        text += "\n"
+    index_path = tmp_path / "tm.idx"
+    index_path.write_bytes(_index_bytes(text.encode("utf-8")))
+    expected = _json_loads_oracle(io.StringIO("header\n" + text, newline="\n"), index_path, skip=1)
+    assert _loaded(load_index, index_path) == expected
+    return expected
+
+
+class TestJsonFastPath:
+    """A record line parses as ``json.loads`` parses it, or fails with its error."""
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("line", list(_CRAFTED_LINES.values()), ids=list(_CRAFTED_LINES))
+    def test_crafted_line_loads_as_json_loads_does(self, tmp_path, line, eol):
+        first = assert_loads_as_json_loads(tmp_path, eol.join([line, _GOOD[0]]) + eol)
+        middle = assert_loads_as_json_loads(tmp_path, eol.join([_GOOD[0], line, _GOOD[1]]))
+        if line == _CRAFTED_LINES["plain"]:
+            assert [pair.id for pair in middle] == ["g1", "x", "g2"]
+        elif line == _CRAFTED_LINES["bom"]:
+            assert first.endswith(": invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)")
+
+    def test_random_edits_load_as_json_loads_does(self, tmp_path):
+        pieces = ["{", "}", "[", "]", '"', ":", ",", " ", "\t", "\r", "\\", "\\u", "\\ud800",
+                  "\\n", "\\\\", "NaN", "1e999", "-", "0", "7" * 4400, "null", "\x00", "\ufeff", "é"]
+        rng = random.Random(18)
+        outcomes = set()
+        for _ in range(300):
+            line = "{%s}" % _RECORD
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(line) + 1)
+                if rng.random() < 0.3:
+                    line = line[:at] + line[at + 1:]
+                else:
+                    line = line[:at] + rng.choice(pieces) + line[at:]
+            result = assert_loads_as_json_loads(tmp_path, "\n".join([_GOOD[0], line, _GOOD[1]]))
+            outcomes.add(type(result).__name__ if isinstance(result, tuple) else result.split(": ")[1])
+        # Both accepted lines and several kinds of fault came up.
+        assert {"tuple", "invalid JSON", "missing or non-string field 'src'"} <= outcomes
 
 
 def _dumps_line(pair) -> str:
