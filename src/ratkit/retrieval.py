@@ -106,8 +106,6 @@ class TmIndex:
     def __init__(self, pairs: tuple[SentencePair, ...], params: Bm25Params):
         term_rows: dict[str, int] = {}
         self.term_rows = term_rows
-        # Draws len(term_rows) each time, so a term not seen yet gets the next row.
-        next_rows = map(len, itertools.repeat(term_rows))
         rows: list[int] = []  # each token's row, in doc order
         doc_lengths: list[int] = []
         for pair in pairs:
@@ -116,7 +114,7 @@ class TmIndex:
                 raise ValidationError(
                     f"pair {pair.id!r} has no postings; a source without terms cannot be indexed"
                 )
-            rows += map(term_rows.setdefault, terms, next_rows)
+            rows += [term_rows.setdefault(term, len(term_rows)) for term in terms]
             doc_lengths.append(len(terms))
         # One int64 key row * N + doc per token; sorted, each run of equal keys
         # is one posting, rows in order and each row's docs ascending.
@@ -160,12 +158,9 @@ class TmIndex:
         # the scalar expression.
         self.weights = np.repeat(idf, df) * tfs * (k1 + 1.0) / (tfs + self.norms[self.docs])
         self.id_rank = id_rank
-        by_source = {pair.source: [pair.id] for pair in pairs}
-        if len(by_source) < len(pairs):  # a source repeats: gather its ids in doc order
-            by_source = {}
-            for pair in pairs:
-                by_source.setdefault(pair.source, []).append(pair.id)
-        self._pairs_by_source = by_source
+        self._pairs_by_source: dict[str, list[str]] = {}
+        for pair in pairs:
+            self._pairs_by_source.setdefault(pair.source, []).append(pair.id)
 
     def subset(self, keep: np.ndarray) -> TmIndex:
         """The index of the docs where the bool array ``keep`` is true, in doc order.

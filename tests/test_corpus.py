@@ -245,8 +245,12 @@ _GOOD = ('{"id": "g1", "domain": "d", "src": "a b", "tgt": "c d"}',
 
 def _json_loads_oracle(lines, path, skip=0):
     """The pairs, or the CorpusFormatError text, of JSONL record lines parsed
-    by ``json.loads`` one line at a time; the first ``skip`` lines are not records."""
-    pairs, first_seen = [], {}
+    by ``json.loads`` one line at a time; the first ``skip`` lines are not records.
+
+    Every line is parsed before ids are compared, so a malformed line is named
+    even when a repeated id comes before it.
+    """
+    pairs, linenos = [], []
     for lineno, line in enumerate(lines, start=1):
         if lineno <= skip or not line.strip():
             continue
@@ -274,10 +278,13 @@ def _json_loads_oracle(lines, path, skip=0):
             )
         except ValidationError as exc:
             return f"{path}:{lineno}: {exc}"
+        pairs.append(pair)
+        linenos.append(lineno)
+    first_seen = {}
+    for lineno, pair in zip(linenos, pairs):
         if pair.id in first_seen:
             return f"{path}:{lineno}: duplicate id {pair.id!r} (first seen on line {first_seen[pair.id]})"
         first_seen[pair.id] = lineno
-        pairs.append(pair)
     return tuple(pairs)
 
 
@@ -322,6 +329,24 @@ class TestJsonFastPath:
             assert [pair.id for pair in middle] == ["g1", "x", "g2"]
         elif line == _CRAFTED_LINES["bom"]:
             assert first.endswith(": invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)")
+
+    def test_malformed_line_is_named_before_an_earlier_repeated_id(self, tmp_path):
+        # The index file's header line puts each record one line further down.
+        text = "\n".join([_GOOD[0], _GOOD[1], _GOOD[0], _CRAFTED_LINES["unterminated"]]) + "\n"
+        assert assert_loads_as_json_loads(tmp_path, text).endswith(
+            "tm.idx:5: invalid JSON: Expecting ',' delimiter"
+        )
+        assert _loaded(load_corpus, tmp_path / "tm.jsonl").endswith(
+            "tm.jsonl:4: invalid JSON: Expecting ',' delimiter"
+        )
+        # Without the malformed line, the repeated id is the fault.
+        text = "\n".join([_GOOD[0], _GOOD[1], _GOOD[0]]) + "\n"
+        assert assert_loads_as_json_loads(tmp_path, text).endswith(
+            "tm.idx:4: duplicate id 'g1' (first seen on line 2)"
+        )
+        assert _loaded(load_corpus, tmp_path / "tm.jsonl").endswith(
+            "tm.jsonl:3: duplicate id 'g1' (first seen on line 1)"
+        )
 
     def test_random_edits_load_as_json_loads_does(self, tmp_path):
         pieces = ["{", "}", "[", "]", '"', ":", ",", " ", "\t", "\r", "\\", "\\u", "\\ud800",
