@@ -46,7 +46,7 @@ _json_str = json.encoder.encode_basestring
 _scan_json = json.scanner.make_scanner(json.JSONDecoder())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentencePair:
     """One aligned sentence pair with a domain label."""
 

@@ -6,7 +6,13 @@ smoothing for zero-match orders, and no effective-order reduction. Scores are
 on the 0..100 scale.
 
 Per-sentence statistics are computed in this module only, once per scored
-system: ``bleu_corpus`` keeps them on the BleuScore it returns, and the
+system, in one numpy pass over all its lines: the 13a tokens of both sides
+are numbered, each n-gram (none spans two sentences) becomes an integer
+code, both sides' (sentence, code) keys are counted by sorting, and each
+hypothesis n-gram's count is clipped by its count in the same sentence's
+reference. The counts are the integers a per-sentence ``Counter`` of
+n-gram tuples gives.
+``bleu_corpus`` keeps them on the BleuScore it returns, and the
 paired bootstrap resamples the statistics of the two BleuScores it is given
 (or computes them from hypothesis lines). It draws every resample of a
 comparison from one seeded stream of sentence indices and scores both
@@ -113,23 +119,11 @@ def sentence_stats(hypothesis: str, reference: str) -> list[int]:
     """Clipped-match sufficient statistics for one sentence pair.
 
     Returns [correct1..4, total1..4, hyp_len, ref_len]; summing these over
-    sentences and feeding :func:`score_from_stats` gives corpus BLEU.
+    sentences and feeding :func:`score_from_stats` gives corpus BLEU. It is
+    the one-row case of :func:`_stats_matrix`: correct_n counts each n-gram
+    of the hypothesis at most as often as it occurs in the reference.
     """
-    hyp_tokens = _tokens_13a(hypothesis.rstrip())
-    ref_tokens = _tokens_13a(reference.rstrip())
-    # The 1- to 4-grams (NGRAM_ORDER) as token tuples, made and counted in C.
-    hyp_ngrams, ref_ngrams = (
-        Counter(chain(zip(t), zip(t, t[1:]), zip(t, t[1:], t[2:]), zip(t, t[1:], t[2:], t[3:])))
-        for t in (hyp_tokens, ref_tokens)
-    )
-    correct = [0] * NGRAM_ORDER
-    ref_count = ref_ngrams.get
-    for gram, count in hyp_ngrams.items():
-        matched = ref_count(gram)
-        if matched:
-            correct[len(gram) - 1] += min(count, matched)
-    total = [max(0, len(hyp_tokens) - n) for n in range(NGRAM_ORDER)]
-    return correct + total + [len(hyp_tokens), len(ref_tokens)]
+    return _stats_matrix([hypothesis], [reference])[0].tolist()
 
 
 def score_from_stats(stats) -> BleuScore:
@@ -178,10 +172,76 @@ def score_from_stats(stats) -> BleuScore:
     )
 
 
+# Every n-gram code is below the number of tokens T once reranked, and the
+# vocabulary has at most T types, so a code extended by one token is below
+# T * T; a (sentence, code) key is below N * T. Both fit in int64 while
+# max(T, N)**2 is below this, and then every count, below T, is also exact
+# in the float64 sums of np.bincount.
+_INT64_KEYS = 2**63
+
+
 def _stats_matrix(hyps: list[str], refs: list[str]) -> np.ndarray:
-    """The (N, 10) int64 matrix of :func:`sentence_stats` rows, one per sentence."""
-    rows = (sentence_stats(h, r) for h, r in zip(hyps, refs))
-    return np.fromiter(rows, dtype=np.dtype((np.int64, 2 * NGRAM_ORDER + 2)), count=len(refs))
+    """The (N, 10) int64 matrix of per-sentence statistics, one row
+    [correct1..4, total1..4, hyp_len, ref_len] per line-aligned pair.
+
+    All 13a tokens of both sides are numbered, and each n-gram becomes an
+    integer code: a token's is its number, a longer n-gram's is its
+    (n-1)-gram's code times the vocabulary size plus its last token's
+    number, reranked to 0.. by ``np.unique``. An n-gram starts only
+    where n tokens remain in its own sentence, so none spans two. Each
+    side's (sentence, code) keys are counted by ``np.unique``, each
+    hypothesis key's count is clipped by its reference count (found by
+    ``searchsorted``), and the clipped counts are summed per sentence.
+    """
+    num_sentences = len(refs)
+    token_lines = [_tokens_13a(line.rstrip()) for line in chain(hyps, refs)]
+    lengths = np.fromiter(map(len, token_lines), dtype=np.int64, count=2 * num_sentences)
+    hyp_len, ref_len = lengths[:num_sentences], lengths[num_sentences:]
+    stats = np.zeros((num_sentences, 2 * NGRAM_ORDER + 2), dtype=np.int64)
+    for n in range(NGRAM_ORDER):
+        np.maximum(hyp_len - n, 0, out=stats[:, NGRAM_ORDER + n])
+    stats[:, 2 * NGRAM_ORDER], stats[:, 2 * NGRAM_ORDER + 1] = hyp_len, ref_len
+
+    num_tokens = int(lengths.sum())
+    if max(num_tokens, num_sentences) ** 2 >= _INT64_KEYS:
+        raise ValidationError(
+            f"too many tokens to count n-grams exactly: {num_tokens} tokens "
+            f"in {num_sentences} sentences"
+        )
+    if not num_tokens:
+        return stats
+    vocab = {token: i for i, token in enumerate(dict.fromkeys(chain.from_iterable(token_lines)))}
+    tokens = map(vocab.__getitem__, chain.from_iterable(token_lines))
+    ids, num_types = np.fromiter(tokens, dtype=np.int64, count=num_tokens), len(vocab)
+    sentence = np.repeat(np.tile(np.arange(num_sentences), 2), lengths)
+    # Tokens from each position to the end of its sentence, itself included.
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(num_tokens)
+    split = int(hyp_len.sum())  # positions below are hypothesis tokens
+    starts, codes, num_codes = np.arange(num_tokens), ids, num_types
+    for n in range(NGRAM_ORDER):
+        if n:
+            keep = room[starts] > n
+            starts, codes = starts[keep], codes[keep]
+            distinct, codes = np.unique(codes * num_types + ids[starts + n], return_inverse=True)
+            num_codes = len(distinct)
+        keys = sentence[starts] * num_codes + codes
+        at = np.searchsorted(starts, split)
+        stats[:, n] = _clipped_matches(keys[:at], keys[at:], num_codes, num_sentences)
+    return stats
+
+
+def _clipped_matches(hyp: np.ndarray, ref: np.ndarray, num_codes: int, num_sentences: int):
+    """Per sentence, the hypothesis n-grams that the reference also has, each
+    counted at most as often as the reference has it. An n-gram is given as
+    a key ``sentence * num_codes + code``.
+    """
+    hyp_keys, hyp_counts = np.unique(hyp, return_counts=True)
+    ref_keys, ref_counts = np.unique(ref, return_counts=True)
+    # A key past every reference key lands on this sentinel and matches nothing.
+    ref_keys, ref_counts = np.append(ref_keys, -1), np.append(ref_counts, 0)
+    at = np.searchsorted(ref_keys[:-1], hyp_keys)
+    clipped = np.where(ref_keys[at] == hyp_keys, np.minimum(hyp_counts, ref_counts[at]), 0)
+    return np.bincount(hyp_keys // num_codes, clipped, minlength=num_sentences)
 
 
 def bleu_corpus(hypotheses: list[str], references: list[str]) -> BleuScore:

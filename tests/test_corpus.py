@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -74,6 +75,18 @@ class TestSentencePair:
     def test_rejects_embedded_newline(self):
         with pytest.raises(ValidationError, match="line break"):
             SentencePair(id="p", source="two\nlines", target="y", domain="d")
+
+    def test_slotted_frozen_and_hashed_by_its_fields(self):
+        # Every loaded TM, index and test set holds one pair per line, so no __dict__.
+        pair = SentencePair(id="p", source="x", target="y", domain="d")
+        assert not hasattr(pair, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.source = "z"
+        assert pair.source == "x"
+        assert pair == SentencePair(id="p", source="x", target="y", domain="d")
+        assert pair != SentencePair(id="p", source="x", target="y", domain="e")
+        assert hash(pair) == hash(("p", "x", "y", "d"))
+        assert len({pair, SentencePair(id="p", source="x", target="y", domain="d")}) == 1
 
 
 class TestTranslationMemory:

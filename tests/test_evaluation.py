@@ -21,6 +21,7 @@ from ratkit import (
     paired_bootstrap,
     suggestion_overlap,
 )
+from ratkit import evaluation
 from ratkit.augmentation import AugmentedExample
 from ratkit.corpus import _tokens_13a
 from ratkit.evaluation import (
@@ -29,6 +30,7 @@ from ratkit.evaluation import (
     _choices,
     _count_wins,
     _resample_sums,
+    _stats_matrix,
     CellResult,
     SignificanceResult,
     aggregate_report,
@@ -95,6 +97,28 @@ def slice_counter_stats(hypothesis: str, reference: str) -> list[int]:
 _sentence = st.lists(st.sampled_from(["a", "b", "c", "a.", "é", "5-3"]), max_size=9).map(" ".join)
 
 
+# Up to 20 types, a few of which 13a splits, drawn so that some occur on
+# one side only.
+_TYPES = ["a", "b", "c", "a.", "é", "5-3"] + [f"w{i}" for i in range(18)]
+
+
+@st.composite
+def _corpus(draw) -> tuple[list[str], list[str]]:
+    """1-6 line-aligned sentence pairs, each from empty to past the top
+    order, with few types so n-grams repeat, and trailing blanks."""
+    types = draw(st.lists(st.sampled_from(_TYPES), min_size=1, max_size=20, unique=True))
+    hyp_types = types[: draw(st.integers(1, len(types)))]
+    ref_types = types[draw(st.integers(0, len(types) - 1)) :]
+    size = draw(st.integers(1, 6))
+
+    def lines(side_types):
+        words = st.lists(st.sampled_from(side_types), max_size=9).map(" ".join)
+        line = st.tuples(words, st.sampled_from(["", " ", " \t", "  "])).map("".join)
+        return st.lists(line, min_size=size, max_size=size)
+
+    return draw(lines(hyp_types)), draw(lines(ref_types))
+
+
 class TestSentenceStats:
     @settings(max_examples=400, deadline=None)
     @given(_sentence, _sentence)
@@ -108,6 +132,33 @@ class TestSentenceStats:
         for pair in FIXTURE["pairs"] + FIXTURE["smoothing_pairs"]:
             hyp, ref = pair["hyp"], pair["ref"]
             assert sentence_stats(hyp, ref) == slice_counter_stats(hyp, ref)
+
+
+class TestStatsMatrix:
+    @settings(max_examples=400, deadline=None)
+    @given(_corpus())
+    @example((["a a a a a"], ["a a"]))
+    @example((["", "a b c d"], ["", " "]))
+    @example((["a b c", "d e"], ["a b c d", "d e "]))
+    @example((["w1 w1 w2  ", "w3"], ["w1 w2 w1 w2\t", "w4 w3"]))
+    def test_stacks_the_slice_counter_rows(self, corpus):
+        hyps, refs = corpus
+        stats = _stats_matrix(hyps, refs)
+        assert stats.dtype == np.int64
+        assert stats.tolist() == [slice_counter_stats(h, r) for h, r in zip(hyps, refs)]
+
+    def test_no_sentences_give_no_rows(self):
+        stats = _stats_matrix([], [])
+        assert stats.dtype == np.int64
+        assert stats.shape == (0, 10)
+
+    def test_corpus_too_large_for_int64_keys_rejected(self, monkeypatch):
+        # 9 tokens in 1 sentence: max(T, N)**2 is 81, past a bound of 64, within one of 82.
+        monkeypatch.setattr(evaluation, "_INT64_KEYS", 64)
+        with pytest.raises(ValidationError, match="too many tokens"):
+            bleu_corpus(["a b c d"], ["a b c d e"])
+        monkeypatch.setattr(evaluation, "_INT64_KEYS", 82)
+        assert bleu_corpus(["a b c d"], ["a b c d e"]).hyp_length == 4
 
 
 class TestBleuCorpus:

@@ -503,20 +503,20 @@ class TestRunExperiment:
         # 20 test sentences in each of 2 domains, for each of 2 scenarios.
         assert len(queries) == 20 * 2 * 2
 
-    def test_one_sentence_stats_call_per_test_sentence_per_cell(self, tmp_path, monkeypatch):
-        pairs = []
-        sentence_stats = evaluation.sentence_stats
+    def test_one_stats_matrix_call_per_cell_and_none_per_bootstrap(self, tmp_path, monkeypatch):
+        rows = []
+        stats_matrix = evaluation._stats_matrix
 
-        def counting(hypothesis, reference):
-            pairs.append((hypothesis, reference))
-            return sentence_stats(hypothesis, reference)
+        def counting(hyps, refs):
+            rows.append(len(refs))
+            return stats_matrix(hyps, refs)
 
-        monkeypatch.setattr("ratkit.evaluation.sentence_stats", counting)
+        monkeypatch.setattr("ratkit.evaluation._stats_matrix", counting)
         report = self.run(tmp_path)
         assert len(report.cells) == 8
         assert len(report.significance) == 4
-        # 20 test sentences in each of 8 cells; the bootstraps score none again.
-        assert len(pairs) == 20 * 8
+        # One call per cell over its 20 test sentences; the bootstraps score none again.
+        assert rows == [20] * 8
 
     def test_each_cell_scored_once_and_each_pair_of_cells_bootstrapped_once(self, tmp_path, monkeypatch):
         calls = Counter()
