@@ -6,7 +6,9 @@ Two distinct analyzers live here and must not be confused:
   deterministic approximation of a search engine's default text analyzer
   (lowercase, whitespace split, edge punctuation stripped).
 * :func:`tokenize_13a` implements the language-independent mteval-v13a rules
-  used for BLEU scoring. Case is preserved.
+  used for BLEU scoring. Case is preserved. Each rule is one regex split,
+  not one template expansion per match as with ``re.sub``; the tokens are
+  the same as those of the rules written with ``re.sub``.
 
 Every file the toolkit writes goes through :func:`atomic_write`, so a crash
 mid-write leaves the previous file, not a truncated one. Every file it reads
@@ -301,13 +303,13 @@ def analyze_for_index(text: str) -> list[str]:
 
 
 # mteval-v13a text normalization, language-independent rules plus the Western-
-# language punctuation treatment. The regexes are kept byte-for-byte compatible
-# with the standard scorers so that token sequences (and therefore BLEU) agree.
+# language punctuation treatment. The rules are those of the standard scorers,
+# so that token sequences (and therefore BLEU) agree. Each pattern's one group
+# is its whole match, so Pattern.split returns every match at the odd indexes.
 _13A_SYMBOLS = re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])")
-_13A_PERIOD_BEFORE = re.compile(r"([^0-9])([\.,])")
-_13A_PERIOD_AFTER = re.compile(r"([\.,])([^0-9])")
-_13A_DIGIT_DASH = re.compile(r"([0-9])(-)")
-_13A_SPACES = re.compile(r"\s+")
+_13A_PERIOD_BEFORE = re.compile(r"([^0-9][\.,])")
+_13A_PERIOD_AFTER = re.compile(r"([\.,][^0-9])")
+_13A_DIGIT_DASH = re.compile(r"([0-9]-)")
 
 
 def tokenize_13a(text: str) -> list[str]:
@@ -318,24 +320,37 @@ def tokenize_13a(text: str) -> list[str]:
 # Scoring tokenizes each reference and TM target many times over a grid. A
 # fixed bound, as for _is_punctuation, keeps one-off texts from growing the
 # memo without limit; tokenize_13a copies the tuple so callers cannot edit it.
+# Each rule is one split whose matches are rebuilt as strings, where re.sub
+# with a template would expand it in Python once per match (rule 1 matches
+# every space); a rule or replacement runs only if its character occurs. The
+# final str.split() splits on exactly the characters re's \s matches, so the
+# tokens are those of the rules applied with re.sub and a \s+ pass.
 @functools.lru_cache(maxsize=4096)
 def _tokens_13a(text: str) -> tuple[str, ...]:
-    norm = text
-    norm = norm.replace("<skipped>", "")
-    norm = norm.replace("-\n", "")
-    norm = norm.replace("\n", " ")
-    norm = norm.replace("&quot;", '"')
-    norm = norm.replace("&amp;", "&")
-    norm = norm.replace("&lt;", "<")
-    norm = norm.replace("&gt;", ">")
+    if "<" in text:
+        text = text.replace("<skipped>", "")
+    if "\n" in text:
+        text = text.replace("-\n", "").replace("\n", " ")
+    if "&" in text:
+        text = text.replace("&quot;", '"').replace("&amp;", "&")
+        text = text.replace("&lt;", "<").replace("&gt;", ">")
 
-    norm = f" {norm} "
-    norm = _13A_SYMBOLS.sub(r" \1 ", norm)
-    norm = _13A_PERIOD_BEFORE.sub(r"\1 \2 ", norm)
-    norm = _13A_PERIOD_AFTER.sub(r" \1 \2", norm)
-    norm = _13A_DIGIT_DASH.sub(r"\1 \2 ", norm)
-    norm = _13A_SPACES.sub(" ", norm)
-    return tuple(map(sys.intern, norm.strip().split()))
+    # Rule 1: a space on each side of every symbol, the space included.
+    norm = " ".join(_13A_SYMBOLS.split(f" {text} "))
+    if "." in norm or "," in norm:
+        # Rule 2: a period or comma after a non-digit gets a space on each side.
+        parts = _13A_PERIOD_BEFORE.split(norm)
+        parts[1::2] = [f"{m[0]} {m[1]} " for m in parts[1::2]]
+        # Rule 3: a period or comma before a non-digit, likewise.
+        parts = _13A_PERIOD_AFTER.split("".join(parts))
+        parts[1::2] = [f" {m[0]} {m[1]}" for m in parts[1::2]]
+        norm = "".join(parts)
+    if "-" in norm:
+        # Rule 4: a dash after a digit gets a space on each side.
+        parts = _13A_DIGIT_DASH.split(norm)
+        parts[1::2] = [f"{m[0]} - " for m in parts[1::2]]
+        norm = "".join(parts)
+    return tuple(map(sys.intern, norm.split()))
 
 
 def read_lines(path: str | Path) -> list[str]:

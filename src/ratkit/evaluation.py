@@ -42,7 +42,7 @@ from itertools import chain
 import numpy as np
 
 from .augmentation import AugmentedExample
-from .corpus import _tokens_13a, tokenize_13a
+from .corpus import _tokens_13a
 from .errors import AggregationError, ValidationError
 from .seeding import derived_rng
 
@@ -286,14 +286,13 @@ def suggestion_overlap(
     for example, output in zip(examples, outputs):
         # The tokens of the joined targets: no 13a rule matches across the
         # joining space, and each target alone is a tokenizer memo hit.
-        suggestion_tokens = [t for m in example.suggestions for t in tokenize_13a(m.target)]
+        suggestion_tokens = [t for m in example.suggestions for t in _tokens_13a(m.target)]
         if not suggestion_tokens:
             fractions.append(None)
             continue
-        output_tokens = tokenize_13a(output)
+        output_tokens = _tokens_13a(output)
         if counting == "type":
-            output_types = set(output_tokens)
-            hits = sum(1 for token in suggestion_tokens if token in output_types)
+            hits = sum(map(set(output_tokens).__contains__, suggestion_tokens))
         else:
             output_counts = Counter(output_tokens)
             hits = sum(

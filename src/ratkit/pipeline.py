@@ -29,7 +29,7 @@ from pathlib import Path
 from .augmentation import AugmentationConfig, AugmentedExample, augment_corpus, write_augmented
 from .augmentation import _select, read_augmented
 from .corpus import TranslationMemory, atomic_write, load_corpus, parse_json, read_lines, text_lines
-from .corpus import make_dirs, tokenize_13a, write_lines
+from .corpus import _tokens_13a, make_dirs, write_lines
 from .errors import ConfigurationError, CorpusFormatError, RatkitError, TranslatorError, ValidationError
 from .evaluation import (
     BootstrapConfig,
@@ -89,13 +89,13 @@ class TranslatorSpec:
 
 
 def _oracle_pick(example: AugmentedExample) -> str:
-    reference_types = set(tokenize_13a(example.reference))
+    reference_types = set(_tokens_13a(example.reference))
 
     def containment(match) -> float:
-        tokens = tokenize_13a(match.target)
+        tokens = _tokens_13a(match.target)
         if not tokens:
             return 0.0
-        return sum(1 for token in tokens if token in reference_types) / len(tokens)
+        return sum(map(reference_types.__contains__, tokens)) / len(tokens)
 
     best = max(example.suggestions, key=lambda m: (containment(m), -m.rank))
     return best.target

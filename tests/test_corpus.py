@@ -23,6 +23,7 @@ from ratkit.corpus import (
     TranslationMemory,
     _jsonl_line,
     _strip_edge_punctuation,
+    _tokens_13a,
     analyze_for_index,
     atomic_write,
     make_dirs,
@@ -36,11 +37,33 @@ from ratkit.retrieval import load_index
 FIXTURE = Path(__file__).parent / "data" / "bleu_fixture.json"
 
 # Pieces of text that the 13a rules treat specially: edge periods, commas
-# and dashes, digits, entities and their halves, <skipped>, line breaks.
+# and dashes, digits, entities and their halves, <skipped>, line breaks and
+# the other whitespace that str.split() and re's \s both match.
 _13A_FRAGMENTS = [
     "a", "Z", "7", ".", ",", "-", " ", "\n", "\t", "&quot;", "&quot", "quot;", "&amp;",
-    "&lt;", "&", ";", "<skipped>", "<", ">", "skipped", "é", "!", "'", "$",
+    "&lt;", "&gt;", "&", ";", "<skipped>", "<", ">", "skipped", "é", "!", "'", "$",
+    "\x1c", "\x85", "\xa0", "\u2028", "\u3000",
 ]
+
+
+def regex_13a(text: str) -> tuple[str, ...]:
+    """The 13a rules as the standard scorers write them: re.sub passes, then \\s+."""
+    norm = text
+    norm = norm.replace("<skipped>", "")
+    norm = norm.replace("-\n", "")
+    norm = norm.replace("\n", " ")
+    norm = norm.replace("&quot;", '"')
+    norm = norm.replace("&amp;", "&")
+    norm = norm.replace("&lt;", "<")
+    norm = norm.replace("&gt;", ">")
+
+    norm = f" {norm} "
+    norm = re.sub(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])", r" \1 ", norm)
+    norm = re.sub(r"([^0-9])([\.,])", r"\1 \2 ", norm)
+    norm = re.sub(r"([\.,])([^0-9])", r" \1 \2", norm)
+    norm = re.sub(r"([0-9])(-)", r"\1 \2 ", norm)
+    norm = re.sub(r"\s+", " ", norm)
+    return tuple(norm.strip().split())
 
 
 def _write(path: Path, text: str) -> Path:
@@ -491,6 +514,44 @@ class TestTokenize13a:
         ):
             assert tokenize_13a(entry["hyp"].rstrip()) == hyp_tokens
             assert tokenize_13a(entry["ref"].rstrip()) == ref_tokens
+
+    # The memo's function is held to the re.sub rules, bypassing the memo.
+    @given(st.one_of(st.lists(st.sampled_from(_13A_FRAGMENTS)).map("".join), st.text()))
+    @example(".,")
+    @example(",,")
+    @example("1,000")
+    @example("a.b")
+    @example("a.5")
+    @example(".5")
+    @example("3-4-5")
+    @example("-\n")
+    @example("x-\ny")
+    @example("&quot")
+    @example("quot;")
+    @example("&amp")
+    @example("&amp;lt;")
+    @example("gt;")
+    @example("<skipped>")
+    @example("a<skipped>b")
+    @example("\x1ca\x1cb")
+    @example("a\x85b")
+    @example("a\xa0b")
+    @example("a\u2028b")
+    @example("a\u3000b")
+    def test_equals_the_regex_rules(self, text):
+        assert _tokens_13a.__wrapped__(text) == regex_13a(text)
+
+    def test_random_fragment_joins_equal_the_regex_rules(self):
+        rng = random.Random(20)
+        for _ in range(20000):
+            text = "".join(rng.choices(_13A_FRAGMENTS, k=rng.randint(0, 12)))
+            assert _tokens_13a.__wrapped__(text) == regex_13a(text), repr(text)
+
+    def test_str_split_and_regex_agree_on_whitespace(self):
+        # _tokens_13a has no \s+ pass: str.split() must drop exactly the
+        # characters that re's \s matches, on this interpreter's Unicode.
+        every_char = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert "".join(every_char.split()) == re.sub(r"\s", "", every_char)
 
     def test_callers_cannot_edit_the_memo(self):
         first = tokenize_13a("der Hund, bellt.")
