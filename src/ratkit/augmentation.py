@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -73,36 +72,6 @@ class AugmentedExample:
     flat_input: str = field(default="")
 
 
-def flatten_input(source: str, suggestions: Iterable[FuzzyMatch], separator: str) -> str:
-    """``source SEP target1 SEP target2 ...`` joined by single spaces."""
-    parts = [source]
-    for match in suggestions:
-        parts.append(separator)
-        parts.append(match.target)
-    return " ".join(parts)
-
-
-def sample_suggestions(
-    matches: Sequence[FuzzyMatch],
-    k: int,
-    pool_size: int,
-    rng: random.Random,
-) -> list[FuzzyMatch]:
-    """Uniform without-replacement sample of k suggestions from the top pool,
-    returned in rank order.
-
-    The pool is the first min(pool_size, len(matches)) items; when it holds
-    fewer than k candidates, all of them are returned.
-    """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    pool = matches[:pool_size]
-    take = min(k, len(pool))
-    picked = rng.sample(pool, take)
-    picked.sort(key=lambda match: match.rank)
-    return picked
-
-
 def _validate_separator(separator: str, tm: TranslationMemory, index: TmIndex) -> None:
     # Suggestion targets end up inside flat inputs too, so the reserved token
     # must be absent from the index side as well as the corpus being augmented.
@@ -144,21 +113,31 @@ def _select(
 ) -> AugmentedExample:
     """The example ``cfg`` makes of one pair from its retrieved ``matches``.
 
+    topk keeps the first k matches. shuffle draws k of the first
+    ``pool_size`` uniformly without replacement (all of them when the pool
+    holds fewer), from ``derived_rng(cfg.seed, pair_id)``, and returns them
+    in rank order. The flat input is ``source SEP target1 SEP target2 ...`` joined
+    by single spaces.
+
     ``matches`` is a query's result at ``n = pool_size`` (shuffle) or at any
     ``n >= k`` (topk): a query at a larger n returns a longer list with the
     same prefix, so one query at the widest setting serves every k.
     """
     if cfg.mode == "shuffle":
-        rng = derived_rng(cfg.seed, pair_id)
-        suggestions = sample_suggestions(matches, cfg.k, cfg.pool_size, rng)
+        pool = matches[: cfg.pool_size]
+        suggestions = derived_rng(cfg.seed, pair_id).sample(pool, min(cfg.k, len(pool)))
+        suggestions.sort(key=lambda match: match.rank)
     else:
         suggestions = matches[: cfg.k]
+    parts = [source]
+    for match in suggestions:
+        parts += (cfg.separator, match.target)
     return AugmentedExample(
         pair_id=pair_id,
         source=source,
         reference=reference,
         suggestions=tuple(suggestions),
-        flat_input=flatten_input(source, suggestions, cfg.separator),
+        flat_input=" ".join(parts),
     )
 
 

@@ -130,7 +130,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return _summary(run_experiment(manifest, workers=args.workers), manifest.out_dir)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ratkit",
         description="Retrieval-augmented translation toolkit: fuzzy-match "
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)

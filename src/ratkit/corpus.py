@@ -5,7 +5,7 @@ Two distinct analyzers live here and must not be confused:
 * :func:`analyze_for_index` feeds the BM25 retrieval index. It is a simple
   deterministic approximation of a search engine's default text analyzer
   (lowercase, whitespace split, edge punctuation stripped).
-* :func:`tokenize_13a` implements the language-independent mteval-v13a rules
+* :func:`_tokens_13a` implements the language-independent mteval-v13a rules
   used for BLEU scoring. Case is preserved. Each rule is one regex split,
   not one template expansion per match as with ``re.sub``; the tokens are
   the same as those of the rules written with ``re.sub``.
@@ -35,8 +35,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from .errors import CorpusFormatError, ValidationError
-
-CORPUS_FORMATS = ("jsonl", "tsv")
 
 # TSV column order is fixed; files carry no header.
 _TSV_COLUMNS = ("id", "domain", "source", "target")
@@ -107,25 +105,25 @@ class TranslationMemory:
 
 
 def _detect_format(path: Path) -> str:
-    suffix = path.suffix.lower().lstrip(".")
-    if suffix in CORPUS_FORMATS:
-        return suffix
+    suffix = path.suffix.lower()
+    if suffix in (".jsonl", ".tsv"):
+        return suffix[1:]
     raise ValidationError(
-        f"cannot infer corpus format from {path.name!r}; pass format='jsonl' or 'tsv'"
+        f"cannot infer corpus format from {path.name!r}; use a .jsonl or .tsv suffix"
     )
 
 
-def load_corpus(path: str | Path, format: str | None = None, name: str | None = None) -> TranslationMemory:
+def load_corpus(path: str | Path, name: str | None = None) -> TranslationMemory:
     """Load a translation memory from a JSONL or TSV file.
 
-    JSONL records look like ``{"id": ..., "domain": ..., "src": ..., "tgt": ...}``,
-    one object per line. TSV rows carry four tab-separated columns in the order
+    The suffix, ``.jsonl`` or ``.tsv`` in any case, decides the format; any
+    other suffix raises a ValidationError. JSONL records look like
+    ``{"id": ..., "domain": ..., "src": ..., "tgt": ...}``, one object per
+    line. TSV rows carry four tab-separated columns in the order
     (id, domain, source, target), no header. Record order is preserved.
     """
     path = Path(path)
-    fmt = format or _detect_format(path)
-    if fmt not in CORPUS_FORMATS:
-        raise ValidationError(f"unknown corpus format {fmt!r}")
+    fmt = _detect_format(path)
     return _read_records(path, text_lines(path, "corpus file"), fmt, name or path.stem)
 
 
@@ -253,10 +251,10 @@ def _jsonl_line(pair: SentencePair) -> str:
     )
 
 
-def save_corpus(tm: TranslationMemory, path: str | Path, format: str | None = None) -> None:
+def save_corpus(tm: TranslationMemory, path: str | Path) -> None:
     """Write a translation memory back to disk. Inverse of :func:`load_corpus`."""
     path = Path(path)
-    fmt = format or _detect_format(path)
+    fmt = _detect_format(path)
     with atomic_write(path) as fh:
         for pair in tm.pairs:
             if fmt == "jsonl":
@@ -312,14 +310,9 @@ _13A_PERIOD_AFTER = re.compile(r"([\.,][^0-9])")
 _13A_DIGIT_DASH = re.compile(r"([0-9]-)")
 
 
-def tokenize_13a(text: str) -> list[str]:
-    """Tokenize for BLEU with the mteval-v13a rules; case is preserved."""
-    return list(_tokens_13a(text))
-
-
 # Scoring tokenizes each reference and TM target many times over a grid. A
 # fixed bound, as for _is_punctuation, keeps one-off texts from growing the
-# memo without limit; tokenize_13a copies the tuple so callers cannot edit it.
+# memo without limit; the memo hands out tuples, which callers cannot edit.
 # Each rule is one split whose matches are rebuilt as strings, where re.sub
 # with a template would expand it in Python once per match (rule 1 matches
 # every space); a rule or replacement runs only if its character occurs. The
@@ -327,6 +320,7 @@ def tokenize_13a(text: str) -> list[str]:
 # tokens are those of the rules applied with re.sub and a \s+ pass.
 @functools.lru_cache(maxsize=4096)
 def _tokens_13a(text: str) -> tuple[str, ...]:
+    """Tokenize for BLEU with the mteval-v13a rules; case is preserved."""
     if "<" in text:
         text = text.replace("<skipped>", "")
     if "\n" in text:

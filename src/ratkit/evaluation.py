@@ -46,7 +46,7 @@ from .corpus import _tokens_13a
 from .errors import AggregationError, ValidationError
 from .seeding import derived_rng
 
-NGRAM_ORDER = 4
+_NGRAM_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class BleuScore:
     brevity penalty is 1 when the hypothesis side is at least as long as the
     reference side, else exp(1 - ref/hyp) (0 for an empty hypothesis corpus).
     ``sentence_stats`` is the read-only (N, 10) matrix of per-sentence
-    :func:`sentence_stats` rows the score was summed from, kept by
+    :func:`_stats_matrix` rows the score was summed from, kept by
     :func:`bleu_corpus` so that :func:`paired_bootstrap` can resample it. It
     takes no part in equality and is not serialized.
     """
@@ -115,18 +115,7 @@ class OverlapResult:
     mean_pct: float | None
 
 
-def sentence_stats(hypothesis: str, reference: str) -> list[int]:
-    """Clipped-match sufficient statistics for one sentence pair.
-
-    Returns [correct1..4, total1..4, hyp_len, ref_len]; summing these over
-    sentences and feeding :func:`score_from_stats` gives corpus BLEU. It is
-    the one-row case of :func:`_stats_matrix`: correct_n counts each n-gram
-    of the hypothesis at most as often as it occurs in the reference.
-    """
-    return _stats_matrix([hypothesis], [reference])[0].tolist()
-
-
-def score_from_stats(stats) -> BleuScore:
+def _score_from_stats(stats) -> BleuScore:
     """Combine summed sufficient statistics into a BleuScore.
 
     Exponential smoothing: for each order whose match count is zero (but with
@@ -134,14 +123,14 @@ def score_from_stats(stats) -> BleuScore:
     becomes 1 / (s * total). Orders with no n-grams at all leave a zero
     precision, which collapses the geometric mean (and the score) to zero.
     """
-    correct = [int(x) for x in stats[0:NGRAM_ORDER]]
-    total = [int(x) for x in stats[NGRAM_ORDER : 2 * NGRAM_ORDER]]
-    hyp_len = int(stats[2 * NGRAM_ORDER])
-    ref_len = int(stats[2 * NGRAM_ORDER + 1])
+    correct = [int(x) for x in stats[0:_NGRAM_ORDER]]
+    total = [int(x) for x in stats[_NGRAM_ORDER : 2 * _NGRAM_ORDER]]
+    hyp_len = int(stats[2 * _NGRAM_ORDER])
+    ref_len = int(stats[2 * _NGRAM_ORDER + 1])
 
-    precisions = [0.0] * NGRAM_ORDER
+    precisions = [0.0] * _NGRAM_ORDER
     smooth = 1.0
-    for n in range(NGRAM_ORDER):
+    for n in range(_NGRAM_ORDER):
         if total[n] == 0:
             break
         if correct[n] == 0:
@@ -161,7 +150,7 @@ def score_from_stats(stats) -> BleuScore:
         score = 0.0
     else:
         score = brevity_penalty * math.exp(
-            sum(math.log(p) for p in precisions) / NGRAM_ORDER
+            sum(math.log(p) for p in precisions) / _NGRAM_ORDER
         ) * 100.0
     return BleuScore(
         score=score,
@@ -197,10 +186,10 @@ def _stats_matrix(hyps: list[str], refs: list[str]) -> np.ndarray:
     token_lines = [_tokens_13a(line.rstrip()) for line in chain(hyps, refs)]
     lengths = np.fromiter(map(len, token_lines), dtype=np.int64, count=2 * num_sentences)
     hyp_len, ref_len = lengths[:num_sentences], lengths[num_sentences:]
-    stats = np.zeros((num_sentences, 2 * NGRAM_ORDER + 2), dtype=np.int64)
-    for n in range(NGRAM_ORDER):
-        np.maximum(hyp_len - n, 0, out=stats[:, NGRAM_ORDER + n])
-    stats[:, 2 * NGRAM_ORDER], stats[:, 2 * NGRAM_ORDER + 1] = hyp_len, ref_len
+    stats = np.zeros((num_sentences, 2 * _NGRAM_ORDER + 2), dtype=np.int64)
+    for n in range(_NGRAM_ORDER):
+        np.maximum(hyp_len - n, 0, out=stats[:, _NGRAM_ORDER + n])
+    stats[:, 2 * _NGRAM_ORDER], stats[:, 2 * _NGRAM_ORDER + 1] = hyp_len, ref_len
 
     num_tokens = int(lengths.sum())
     if max(num_tokens, num_sentences) ** 2 >= _INT64_KEYS:
@@ -218,7 +207,7 @@ def _stats_matrix(hyps: list[str], refs: list[str]) -> np.ndarray:
     room = np.repeat(np.cumsum(lengths), lengths) - np.arange(num_tokens)
     split = int(hyp_len.sum())  # positions below are hypothesis tokens
     starts, codes, num_codes = np.arange(num_tokens), ids, num_types
-    for n in range(NGRAM_ORDER):
+    for n in range(_NGRAM_ORDER):
         if n:
             keep = room[starts] > n
             starts, codes = starts[keep], codes[keep]
@@ -254,7 +243,7 @@ def bleu_corpus(hypotheses: list[str], references: list[str]) -> BleuScore:
         raise ValidationError("cannot score an empty corpus")
     stats = _stats_matrix(hypotheses, references)
     stats.flags.writeable = False
-    return replace(score_from_stats(stats.sum(axis=0)), sentence_stats=stats)
+    return replace(_score_from_stats(stats.sum(axis=0)), sentence_stats=stats)
 
 
 def suggestion_overlap(
@@ -334,15 +323,15 @@ def _choices(rng: random.Random, n: int, k: int) -> np.ndarray:
 
 
 def _scores(sums: np.ndarray) -> np.ndarray:
-    """:func:`score_from_stats` over the rows of ``sums``, in float64.
+    """:func:`_score_from_stats` over the rows of ``sums``, in float64.
 
     Rows whose score is zero may come out as zero, NaN or inf here. numpy's
     log and exp may also differ from ``math``'s in the last bits, so these
     scores only decide the comparisons that :func:`_count_wins` trusts.
     """
     stats = sums.astype(np.float64)
-    correct, total = stats[:, :NGRAM_ORDER], stats[:, NGRAM_ORDER : 2 * NGRAM_ORDER]
-    hyp_len, ref_len = stats[:, 2 * NGRAM_ORDER], stats[:, 2 * NGRAM_ORDER + 1]
+    correct, total = stats[:, :_NGRAM_ORDER], stats[:, _NGRAM_ORDER : 2 * _NGRAM_ORDER]
+    hyp_len, ref_len = stats[:, 2 * _NGRAM_ORDER], stats[:, 2 * _NGRAM_ORDER + 1]
     zero = correct == 0.0
     smoothed = np.exp2(np.cumsum(zero, axis=1))
     smoothed *= total
@@ -352,8 +341,8 @@ def _scores(sums: np.ndarray) -> np.ndarray:
         np.log(logs, out=logs)
         log_sum = ((logs[:, 0] + logs[:, 1]) + logs[:, 2]) + logs[:, 3]
         brevity_penalty = np.where(hyp_len >= ref_len, 1.0, np.exp(1.0 - ref_len / hyp_len))
-        brevity_penalty[hyp_len == 0] = 0.0  # as score_from_stats: no hypothesis, no score
-        return brevity_penalty * np.exp(log_sum / NGRAM_ORDER) * 100.0
+        brevity_penalty[hyp_len == 0] = 0.0  # as _score_from_stats: no hypothesis, no score
+        return brevity_penalty * np.exp(log_sum / _NGRAM_ORDER) * 100.0
 
 
 # Two vectorized scores further apart than this (relative) order the same
@@ -364,10 +353,10 @@ _TINY, _HUGE = float(np.finfo(np.float64).tiny), float(np.finfo(np.float64).max)
 
 def _count_wins(sums_a: np.ndarray, sums_b: np.ndarray) -> tuple[int, int]:
     """(wins of A, wins of B) over paired rows of summed statistics, as a
-    loop comparing ``score_from_stats(row).score`` row by row counts them.
+    loop comparing ``_score_from_stats(row).score`` row by row counts them.
 
     Rows with equal sums tie without scoring. The rest are scored in numpy;
-    a row is rescored with :func:`score_from_stats` when its two scores are
+    a row is rescored with :func:`_score_from_stats` when its two scores are
     within ``_NEAR_TIE`` of each other or either is not a normal positive
     float (zero scores and degenerate statistics land there).
     """
@@ -380,8 +369,8 @@ def _count_wins(sums_a: np.ndarray, sums_b: np.ndarray) -> tuple[int, int]:
     wins_b = int(np.count_nonzero(trusted & (score_b > score_a)))
     differ = (sums_a != sums_b).any(axis=1)
     for i in np.flatnonzero(differ & ~trusted).tolist():
-        exact_a = score_from_stats(sums_a[i].tolist()).score
-        exact_b = score_from_stats(sums_b[i].tolist()).score
+        exact_a = _score_from_stats(sums_a[i].tolist()).score
+        exact_b = _score_from_stats(sums_b[i].tolist()).score
         wins_a += exact_a > exact_b
         wins_b += exact_b > exact_a
     return wins_a, wins_b
@@ -421,7 +410,7 @@ def _system_stats(system: list[str] | BleuScore, refs: list[str], name: str) -> 
         raise ValidationError(f"alignment mismatch: {name}={len(stats)} refs={len(refs)}")
     # The reference-length column must be these references' (13a tokens are memoized).
     ref_lengths = [len(_tokens_13a(ref.rstrip())) for ref in refs]
-    if stats[:, 2 * NGRAM_ORDER + 1].tolist() != ref_lengths:
+    if stats[:, 2 * _NGRAM_ORDER + 1].tolist() != ref_lengths:
         raise ValidationError(f"system {name}: BleuScore was not scored against these references")
     return stats
 
@@ -480,7 +469,7 @@ def paired_bootstrap(
     are exact float64 products (a ValidationError if a count is too large
     for that), and the resamples are scored as :func:`_count_wins` does, so
     the wins, ties and p-value equal a loop over ``choices`` and
-    ``score_from_stats``. The p-value counts the resamples in which the
+    ``_score_from_stats``. The p-value counts the resamples in which the
     full-set winner did not win strictly. A zero observed delta is never significant.
     """
     stats = np.hstack((_system_stats(hyps_a, refs, "a"), _system_stats(hyps_b, refs, "b")))
@@ -489,7 +478,7 @@ def paired_bootstrap(
     BootstrapConfig(n_samples, threshold, seed)  # checks the settings' ranges
 
     sums_a, sums_b = np.hsplit(stats.sum(axis=0), 2)
-    observed_delta = score_from_stats(sums_a).score - score_from_stats(sums_b).score
+    observed_delta = _score_from_stats(sums_a).score - _score_from_stats(sums_b).score
 
     # Row i holds resample i's summed statistics: system A's, then system B's.
     sums = _resample_sums(stats, n_samples, derived_rng(seed))

@@ -47,7 +47,7 @@ from .scenarios import RELEVANCES, ScenarioSpec, build_pool, build_scenario, val
 from .scenarios import write_scenario_sidecar
 from .seeding import derive_seed
 
-TRANSLATOR_KINDS = (
+_TRANSLATOR_KINDS = (
     "external_command",
     "baseline_passthrough",
     "baseline_copy_first",
@@ -73,9 +73,9 @@ class TranslatorSpec:
     timeout: float = 300.0
 
     def __post_init__(self) -> None:
-        if self.kind not in TRANSLATOR_KINDS:
+        if self.kind not in _TRANSLATOR_KINDS:
             raise ConfigurationError(
-                f"unknown translator kind {self.kind!r}; expected one of {TRANSLATOR_KINDS}"
+                f"unknown translator kind {self.kind!r}; expected one of {_TRANSLATOR_KINDS}"
             )
         if self.kind == "external_command":
             if not self.command or not self.command.strip():
@@ -317,8 +317,7 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
     """
     path = Path(path)
     try:
-        text = "".join(line for _, line in text_lines(path, "manifest"))
-        data = parse_json(text, path, object_pairs_hook=_object_with_unique_keys)
+        data = _read_json(path, "manifest", object_pairs_hook=_object_with_unique_keys)
     except CorpusFormatError as exc:  # not UTF-8, or not JSON
         raise ConfigurationError(f"manifest {exc}") from exc
     except ValidationError as exc:  # cannot be opened
@@ -403,9 +402,10 @@ def _run_cell(
     return cell
 
 
-def _read_json(path: Path, what: str):
-    """The JSON value of a whole file; a fault raises a ValidationError naming the path."""
-    return parse_json("".join(line for _, line in text_lines(path, what)), path)
+def _read_json(path: Path, what: str, **kwargs):
+    """The JSON value of a whole file, parsed with ``kwargs`` by :func:`parse_json`;
+    a fault raises a ValidationError naming the path."""
+    return parse_json("".join(line for _, line in text_lines(path, what)), path, **kwargs)
 
 
 def _read_outcome(cell_dir: Path, labels: dict) -> str | None:

@@ -59,17 +59,13 @@ def build_pool(tms: list[TranslationMemory], params: Bm25Params = Bm25Params()) 
     for tm in tms:
         for pair in tm.pairs:
             if pair.id in seen_ids:
-                raise _repeated_id(pair.id, seen_ids[pair.id], tm.name)
+                raise ValidationError(
+                    f"pair id {pair.id!r} occurs in both {seen_ids[pair.id]!r} and {tm.name!r}; "
+                    "scenario merging requires globally unique ids"
+                )
             seen_ids[pair.id] = tm.name
     pairs = tuple(pair for tm in tms for pair in tm.pairs)
     return build_index(TranslationMemory(name="pool", pairs=pairs), params)
-
-
-def _repeated_id(pair_id: str, first: str, second: str) -> ValidationError:
-    return ValidationError(
-        f"pair id {pair_id!r} occurs in both {first!r} and {second!r}; "
-        "scenario merging requires globally unique ids"
-    )
 
 
 def build_scenario(
@@ -94,19 +90,14 @@ def build_scenario(
     keep: list[bool] = []
     selected: list[SentencePair] = []
     sources: list[str] = []
-    seen_ids: dict[str, str] = {}
     for tm in tms:
         contributed = False
         for pair in tm.pairs:
             kept = (pair.domain == test_domain) == relevant
             keep.append(kept)
-            if not kept:
-                continue
-            if pair.id in seen_ids:
-                raise _repeated_id(pair.id, seen_ids[pair.id], tm.name)
-            seen_ids[pair.id] = tm.name
-            selected.append(pair)
-            contributed = True
+            if kept:
+                selected.append(pair)
+                contributed = True
         if contributed:
             sources.append(tm.name)
 

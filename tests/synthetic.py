@@ -12,7 +12,7 @@ import random
 from collections import Counter
 
 from ratkit import Bm25Params
-from ratkit.corpus import SentencePair, TranslationMemory, analyze_for_index, tokenize_13a
+from ratkit.corpus import SentencePair, TranslationMemory, _tokens_13a, analyze_for_index
 
 VOCAB = [f"w{i:03d}" for i in range(200)]
 _VOCAB_WEIGHTS = [1.0 / (i + 1) for i in range(len(VOCAB))]
@@ -223,12 +223,12 @@ def ngram_type_share(references: list[str], targets: list[str]) -> float:
     """
     pool = set()
     for text in targets:
-        tokens = tokenize_13a(text)
+        tokens = list(_tokens_13a(text))
         for n in range(1, 5):
             pool.update(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
     hits = total = 0
     for reference in references:
-        tokens = tokenize_13a(reference)
+        tokens = list(_tokens_13a(reference))
         for n in range(1, 5):
             for i in range(len(tokens) - n + 1):
                 total += 1

@@ -32,7 +32,6 @@ from ratkit.corpus import save_corpus
 from ratkit.pipeline import TranslatorSpec, load_manifest, run_experiment, translate
 from ratkit.retrieval import FuzzyMatch, load_index, save_index
 from ratkit.scenarios import validate_scenario
-from ratkit.seeding import derived_rng
 
 from synthetic import (
     brute_force_top_n,
@@ -125,18 +124,20 @@ def test_03_shuffled_sampling_is_uniform():
     ):
         from scipy.stats import chi2
 
-        from ratkit.augmentation import sample_suggestions
+        from ratkit.augmentation import _select
 
         pool = [
             FuzzyMatch(pair_id=f"c{i}", score=10.0 - i, rank=i + 1,
                        source=f"s{i}", target=f"t{i}", domain="d")
             for i in range(10)
         ]
+        # derive_seed hashes str(part), so pair id str(i) draws as derived_rng(0, i).
+        config = AugmentationConfig(k=3, pool_size=10, mode="shuffle", seed=0)
         draws = 100_000
         counts = {match.pair_id: 0 for match in pool}
         started = time.perf_counter()
         for i in range(draws):
-            picked = sample_suggestions(pool, 3, 10, derived_rng(0, i))
+            picked = _select(str(i), "src", "ref", pool, config).suggestions
             assert len({m.pair_id for m in picked}) == 3
             for match in picked:
                 counts[match.pair_id] += 1

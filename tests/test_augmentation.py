@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +19,8 @@ from ratkit import (
 from ratkit.augmentation import (
     AugmentedExample,
     _augmented_line,
-    flatten_input,
+    _select,
     read_augmented,
-    sample_suggestions,
     write_augmented,
 )
 from ratkit.corpus import SentencePair, TranslationMemory
@@ -68,29 +66,27 @@ class TestConfig:
             AugmentationConfig(k=1, separator=sep)
 
 
+def shuffled(matches, k, pool_size, seed=0, pair_id="p"):
+    """The suggestions ``_select`` samples for one pair in shuffle mode."""
+    cfg = AugmentationConfig(k=k, pool_size=pool_size, mode="shuffle", seed=seed)
+    return _select(pair_id, "src", "ref", matches, cfg).suggestions
+
+
 class TestSampleSuggestions:
     def test_sample_is_distinct_and_from_pool(self):
-        matches = make_matches(15)
-        picked = sample_suggestions(matches, k=3, pool_size=10, rng=random.Random(0))
+        picked = shuffled(make_matches(15), k=3, pool_size=10)
         assert len(picked) == 3
         assert len({m.pair_id for m in picked}) == 3
         assert all(m.rank <= 10 for m in picked)
 
     def test_pool_smaller_than_k_returns_everything(self):
-        matches = make_matches(2)
-        picked = sample_suggestions(matches, k=3, pool_size=10, rng=random.Random(0))
+        picked = shuffled(make_matches(2), k=3, pool_size=10)
         assert {m.pair_id for m in picked} == {"m00", "m01"}
 
     def test_returned_in_ascending_rank_order(self):
         for seed in range(20):
-            picked = sample_suggestions(
-                make_matches(10), k=4, pool_size=10, rng=random.Random(seed)
-            )
+            picked = shuffled(make_matches(10), k=4, pool_size=10, seed=seed)
             assert [m.rank for m in picked] == sorted(m.rank for m in picked)
-
-    def test_rejects_k_below_one(self):
-        with pytest.raises(ValidationError):
-            sample_suggestions(make_matches(5), k=0, pool_size=5, rng=random.Random(0))
 
     def test_inclusion_frequency_matches_uniform_draw(self):
         # smaller sibling of the acceptance check: k/N = 2/5
@@ -98,7 +94,7 @@ class TestSampleSuggestions:
         counts = {m.pair_id: 0 for m in matches}
         draws = 20000
         for i in range(draws):
-            for m in sample_suggestions(matches, 2, 5, derived_rng(99, i)):
+            for m in shuffled(matches, 2, 5, seed=99, pair_id=str(i)):
                 counts[m.pair_id] += 1
         for count in counts.values():
             assert 0.37 <= count / draws <= 0.43
@@ -106,12 +102,12 @@ class TestSampleSuggestions:
 
 class TestFlattenInput:
     def test_single_space_joined_with_separator(self):
-        matches = make_matches(2)
-        flat = flatten_input("die Quelle", matches, "@@SEP@@")
-        assert flat == "die Quelle @@SEP@@ tgt 0 @@SEP@@ tgt 1"
+        example = _select("p", "die Quelle", "ref", make_matches(2), AugmentationConfig(k=2))
+        assert example.flat_input == "die Quelle @@SEP@@ tgt 0 @@SEP@@ tgt 1"
 
     def test_no_suggestions_is_just_the_source(self):
-        assert flatten_input("nur Quelle", [], "@@SEP@@") == "nur Quelle"
+        example = _select("p", "nur Quelle", "ref", [], AugmentationConfig(k=1))
+        assert example.flat_input == "nur Quelle"
 
 
 class TestAugmentCorpus:

@@ -29,7 +29,6 @@ from ratkit.corpus import (
     make_dirs,
     read_lines,
     save_corpus,
-    tokenize_13a,
     write_lines,
 )
 from ratkit.retrieval import load_index
@@ -220,15 +219,14 @@ class TestLoadCorpus:
         )
         assert len(load_corpus(path)) == 1
 
-    def test_unknown_suffix_needs_explicit_format(self, tmp_path):
+    def test_unknown_suffix_is_rejected(self, tmp_path):
         path = _write(tmp_path / "tm.data", "t1\td\tsrc\ttgt\n")
         with pytest.raises(ValidationError, match="cannot infer"):
             load_corpus(path)
-        assert len(load_corpus(path, format="tsv")) == 1
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+    @pytest.mark.parametrize("fmt", ["jsonl", "tsv", "JSONL", "Tsv"])
     def test_save_load_round_trip(self, tmp_path, fmt):
         tm = make_tm()
         path = tmp_path / f"out.{fmt}"
@@ -493,27 +491,27 @@ class TestAnalyzeForIndexFastPath:
 
 class TestTokenize13a:
     def test_pads_punctuation(self):
-        assert tokenize_13a("Hello, world!") == ["Hello", ",", "world", "!"]
+        assert list(_tokens_13a("Hello, world!")) == ["Hello", ",", "world", "!"]
 
     def test_decimal_number_kept_whole(self):
-        assert tokenize_13a("1.5 percent") == ["1.5", "percent"]
+        assert list(_tokens_13a("1.5 percent")) == ["1.5", "percent"]
 
     def test_case_preserved(self):
-        assert tokenize_13a("MiXeD Case") == ["MiXeD", "Case"]
+        assert list(_tokens_13a("MiXeD Case")) == ["MiXeD", "Case"]
 
     def test_entity_unescaping(self):
-        assert tokenize_13a("&quot;ja&quot; &amp; nein") == ['"', "ja", '"', "&", "nein"]
+        assert list(_tokens_13a("&quot;ja&quot; &amp; nein")) == ['"', "ja", '"', "&", "nein"]
 
     def test_digit_dash_split(self):
-        assert tokenize_13a("pages 3-5") == ["pages", "3", "-", "5"]
+        assert list(_tokens_13a("pages 3-5")) == ["pages", "3", "-", "5"]
 
     def test_matches_frozen_oracle_token_for_token(self):
         fixture = json.loads(FIXTURE.read_text(encoding="utf-8"))
         for entry, hyp_tokens, ref_tokens in zip(
             fixture["pairs"], fixture["hyp_tokens"], fixture["ref_tokens"]
         ):
-            assert tokenize_13a(entry["hyp"].rstrip()) == hyp_tokens
-            assert tokenize_13a(entry["ref"].rstrip()) == ref_tokens
+            assert list(_tokens_13a(entry["hyp"].rstrip())) == hyp_tokens
+            assert list(_tokens_13a(entry["ref"].rstrip())) == ref_tokens
 
     # The memo's function is held to the re.sub rules, bypassing the memo.
     @given(st.one_of(st.lists(st.sampled_from(_13A_FRAGMENTS)).map("".join), st.text()))
@@ -554,10 +552,12 @@ class TestTokenize13a:
         assert "".join(every_char.split()) == re.sub(r"\s", "", every_char)
 
     def test_callers_cannot_edit_the_memo(self):
-        first = tokenize_13a("der Hund, bellt.")
-        first.append("Katze")
-        first[0] = "die"
-        assert tokenize_13a("der Hund, bellt.") == ["der", "Hund", ",", "bellt", "."]
+        first = _tokens_13a("der Hund, bellt.")
+        with pytest.raises(AttributeError):  # the memo hands out tuples
+            first.append("Katze")
+        with pytest.raises(TypeError):
+            first[0] = "die"
+        assert list(_tokens_13a("der Hund, bellt.")) == ["der", "Hund", ",", "bellt", "."]
 
     # suggestion_overlap tokenizes each suggestion target on its own and
     # concatenates; that must equal tokenizing the space-joined targets.
@@ -565,8 +565,8 @@ class TestTokenize13a:
     @example(["end.", ".start", "a,", ",b", "x-", "-y", "3-", "-4", "&quot;", "quot;", "&", "1.", "5"])
     @example(["&quot", ";", "<skip", "ped>", "a-", "\nb", "- ", "\n"])
     def test_per_target_tokens_equal_joined_tokens(self, targets):
-        per_target = [token for target in targets for token in tokenize_13a(target)]
-        assert per_target == tokenize_13a(" ".join(targets))
+        per_target = [token for target in targets for token in _tokens_13a(target)]
+        assert per_target == list(_tokens_13a(" ".join(targets)))
 
 
 class TestLineIo:

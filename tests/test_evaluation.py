@@ -30,13 +30,12 @@ from ratkit.evaluation import (
     _choices,
     _count_wins,
     _resample_sums,
+    _score_from_stats,
     _stats_matrix,
     CellResult,
     SignificanceResult,
     aggregate_report,
     report_to_markdown,
-    score_from_stats,
-    sentence_stats,
 )
 from ratkit.retrieval import FuzzyMatch
 from ratkit.seeding import derived_rng
@@ -126,12 +125,13 @@ class TestSentenceStats:
     @example("a a a a a", "a a")
     @example("a b c", "a b c")
     def test_equal_the_slice_counter_construction(self, hypothesis, reference):
-        assert sentence_stats(hypothesis, reference) == slice_counter_stats(hypothesis, reference)
+        row = _stats_matrix([hypothesis], [reference])[0].tolist()
+        assert row == slice_counter_stats(hypothesis, reference)
 
     def test_equal_it_on_the_fixture(self):
         for pair in FIXTURE["pairs"] + FIXTURE["smoothing_pairs"]:
             hyp, ref = pair["hyp"], pair["ref"]
-            assert sentence_stats(hyp, ref) == slice_counter_stats(hyp, ref)
+            assert _stats_matrix([hyp], [ref])[0].tolist() == slice_counter_stats(hyp, ref)
 
 
 class TestStatsMatrix:
@@ -320,16 +320,16 @@ def per_resample_bootstrap_p(hyps_a, hyps_b, refs, n_samples, seed) -> float:
     comparison: resample i reseeds with derived_rng(seed, i) and draws each
     sentence index with its own randrange. Kept only as a reference here.
     """
-    stats_a = np.asarray([sentence_stats(h, r) for h, r in zip(hyps_a, refs)], dtype=np.int64)
-    stats_b = np.asarray([sentence_stats(h, r) for h, r in zip(hyps_b, refs)], dtype=np.int64)
-    delta = score_from_stats(stats_a.sum(axis=0)).score - score_from_stats(stats_b.sum(axis=0)).score
+    stats_a = np.vstack([_stats_matrix([h], [r]) for h, r in zip(hyps_a, refs)])
+    stats_b = np.vstack([_stats_matrix([h], [r]) for h, r in zip(hyps_b, refs)])
+    delta = _score_from_stats(stats_a.sum(axis=0)).score - _score_from_stats(stats_b.sum(axis=0)).score
     wins_a = wins_b = ties = 0
     for i in range(n_samples):
         rng = derived_rng(seed, i)
         idx = [rng.randrange(len(refs)) for _ in range(len(refs))]
         weights = np.bincount(idx, minlength=len(refs))
-        score_a = score_from_stats(weights @ stats_a).score
-        score_b = score_from_stats(weights @ stats_b).score
+        score_a = _score_from_stats(weights @ stats_a).score
+        score_b = _score_from_stats(weights @ stats_b).score
         if score_a > score_b:
             wins_a += 1
         elif score_b > score_a:
@@ -347,16 +347,16 @@ def choices_loop_bootstrap(hyps_a, hyps_b, refs, n_samples, seed):
     """(wins_a, wins_b, ties, p_value) as ratkit drew them with one
     ``Random.choices`` call per resample. Kept only as a reference here.
     """
-    stats_a = np.asarray([sentence_stats(h, r) for h, r in zip(hyps_a, refs)], dtype=np.int64)
-    stats_b = np.asarray([sentence_stats(h, r) for h, r in zip(hyps_b, refs)], dtype=np.int64)
-    delta = score_from_stats(stats_a.sum(axis=0)).score - score_from_stats(stats_b.sum(axis=0)).score
+    stats_a = np.vstack([_stats_matrix([h], [r]) for h, r in zip(hyps_a, refs)])
+    stats_b = np.vstack([_stats_matrix([h], [r]) for h, r in zip(hyps_b, refs)])
+    delta = _score_from_stats(stats_a.sum(axis=0)).score - _score_from_stats(stats_b.sum(axis=0)).score
     sentences = range(len(refs))
     rng = derived_rng(seed)
     wins_a = wins_b = 0
     for _ in range(n_samples):
         weights = np.bincount(rng.choices(sentences, k=len(refs)), minlength=len(refs))
-        score_a = score_from_stats(weights @ stats_a).score
-        score_b = score_from_stats(weights @ stats_b).score
+        score_a = _score_from_stats(weights @ stats_a).score
+        score_b = _score_from_stats(weights @ stats_b).score
         wins_a += score_a > score_b
         wins_b += score_b > score_a
     ties = n_samples - wins_a - wins_b
@@ -476,7 +476,7 @@ class TestPairedBootstrap:
 
     def test_bleu_score_without_statistics_rejected(self):
         hyps_a, hyps_b, refs = make_bootstrap_systems(n_sentences=20, a_wins=12)
-        summed = score_from_stats(bleu_corpus(hyps_a, refs).sentence_stats.sum(axis=0))
+        summed = _score_from_stats(bleu_corpus(hyps_a, refs).sentence_stats.sum(axis=0))
         assert summed.sentence_stats is None
         with pytest.raises(ValidationError, match="no per-sentence statistics"):
             paired_bootstrap(summed, hyps_b, refs)
@@ -603,9 +603,9 @@ class TestVectorizedScoring:
 
         def counting(stats):
             calls.append(stats)
-            return score_from_stats(stats)
+            return _score_from_stats(stats)
 
-        monkeypatch.setattr("ratkit.evaluation.score_from_stats", counting)
+        monkeypatch.setattr("ratkit.evaluation._score_from_stats", counting)
         hyps_a, hyps_b, refs = systems()
         result = paired_bootstrap(hyps_a, hyps_b, refs, n_samples=500, seed=3)
         if scalar_scores is not None:
@@ -617,14 +617,14 @@ class TestVectorizedScoring:
     def test_equal_scores_from_different_statistics_are_rescored_to_a_tie(self, monkeypatch):
         # Precisions (1, 1/2, 1, 1) and (1/2, 1, 1, 1): the same score exactly.
         row_a, row_b = [4, 1, 2, 1, 4, 2, 2, 1, 4, 4], [2, 2, 2, 1, 4, 2, 2, 1, 4, 4]
-        assert score_from_stats(row_a).score == score_from_stats(row_b).score
+        assert _score_from_stats(row_a).score == _score_from_stats(row_b).score
         rescored = []
 
         def counting(stats):
             rescored.append(list(stats))
-            return score_from_stats(stats)
+            return _score_from_stats(stats)
 
-        monkeypatch.setattr("ratkit.evaluation.score_from_stats", counting)
+        monkeypatch.setattr("ratkit.evaluation._score_from_stats", counting)
         assert _count_wins(np.array([row_a]), np.array([row_b])) == (0, 0)
         assert rescored == [row_a, row_b]
 
@@ -639,7 +639,7 @@ class TestVectorizedScoring:
             max_size=30,
         )
     )
-    # n-grams counted with a zero hypothesis length: score_from_stats gives 0.
+    # n-grams counted with a zero hypothesis length: _score_from_stats gives 0.
     @example(rows=[([0, 0, 0, 0, 1, 1, 1, 1, 0, 0], [0] * 10, 2)])
     @settings(max_examples=150, deadline=None)
     def test_count_wins_equals_scalar_comparisons(self, rows):
@@ -649,7 +649,7 @@ class TestVectorizedScoring:
         b = [row_b if scale == 3 else [x * scale for x in row_a] for row_a, row_b, scale in rows]
         wins_a = wins_b = 0
         for row_a, row_b in zip(a, b):
-            score_a, score_b = score_from_stats(row_a).score, score_from_stats(row_b).score
+            score_a, score_b = _score_from_stats(row_a).score, _score_from_stats(row_b).score
             wins_a += score_a > score_b
             wins_b += score_b > score_a
         sums_a, sums_b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
