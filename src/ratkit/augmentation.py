@@ -95,11 +95,13 @@ def augment_corpus(
     """Yield one augmented example per pair of ``tm``, in corpus order."""
     _validate_separator(cfg.separator, tm, index)
     n = cfg.pool_size if cfg.mode == "shuffle" else cfg.k
+    # exclude_self keeps out a pair's own id and every indexed pair with its source.
+    ids_by_source: dict[str, list[str]] = {}
+    if cfg.exclude_self:
+        for indexed in index.pairs:
+            ids_by_source.setdefault(indexed.source, []).append(indexed.id)
     for pair in tm.pairs:
-        exclusions: set[str] = set()
-        if cfg.exclude_self:
-            exclusions.add(pair.id)
-            exclusions.update(index.pairs_with_source(pair.source))
+        exclusions = {pair.id, *ids_by_source.get(pair.source, ())} if cfg.exclude_self else set()
         matches = query_top_n(index, pair.source, n, exclusions)
         yield _select(pair.id, pair.source, pair.target, matches, cfg)
 
@@ -162,9 +164,9 @@ def _json_scalar(value) -> str:
     """``json.dumps(value, ensure_ascii=False)`` for a str, int or float field.
 
     A str goes through the encoder json.dumps uses, and an int or a finite
-    float is its repr, as json.dumps writes them. Anything else, such as NaN,
-    a bool or a field of another type read back by :func:`read_augmented`, is
-    left to json.dumps, which also raises for what JSON cannot encode.
+    float is its repr, as json.dumps writes them. Anything else, such as NaN
+    or a bool, is left to json.dumps, which also raises for what JSON cannot
+    encode.
     """
     kind = type(value)
     if kind is str:
@@ -189,25 +191,36 @@ def _augmented_line(example: AugmentedExample) -> str:
     )
 
 
-def _example_from_record(record: dict) -> AugmentedExample:
-    suggestions = tuple(
-        FuzzyMatch(
-            pair_id=s["id"],
-            score=s["score"],
-            rank=s["rank"],
-            source="",
-            target=s["tgt"],
-            domain="",
+_JSON_TYPES = {
+    str: "a string", int: "an integer", float: "a finite number", list: "a list", dict: "an object"
+}
+
+
+def _checked(value, kind: type, name: str):
+    """``value`` if it has the JSON type ``kind``, else a TypeError naming it.
+
+    A bool is not an integer, and a finite number may be an int or a float.
+    """
+    kinds = (int, float) if kind is float else (kind,)
+    if type(value) not in kinds or (type(value) is float and not math.isfinite(value)):
+        raise TypeError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _example_from_record(record) -> AugmentedExample:
+    """The example of a record, each field of the type :func:`_augmented_line` writes."""
+    record = _checked(record, dict, "the record")
+    texts = [_checked(record[key], str, f"field {key!r}") for key in ("id", "src", "ref")]
+    suggestions = []
+    for i, s in enumerate(_checked(record["suggestions"], list, "field 'suggestions'")):
+        s = _checked(s, dict, f"field 'suggestions[{i}]'")
+        pair_id, score, rank, target = (
+            _checked(s[key], kind, f"field 'suggestions[{i}].{key}'")
+            for key, kind in (("id", str), ("score", float), ("rank", int), ("tgt", str))
         )
-        for s in record["suggestions"]
-    )
-    return AugmentedExample(
-        pair_id=record["id"],
-        source=record["src"],
-        reference=record["ref"],
-        suggestions=suggestions,
-        flat_input=record["flat"],
-    )
+        suggestions.append(FuzzyMatch(pair_id, score, rank, source="", target=target, domain=""))
+    flat_input = _checked(record["flat"], str, "field 'flat'")
+    return AugmentedExample(*texts, suggestions=tuple(suggestions), flat_input=flat_input)
 
 
 def read_augmented(path: str | Path) -> list[AugmentedExample]:
@@ -215,7 +228,8 @@ def read_augmented(path: str | Path) -> list[AugmentedExample]:
 
     The record format stores only (id, rank, score, tgt) per suggestion, so
     reconstructed matches carry empty source and domain fields. A line that
-    is not a complete record raises a ValidationError naming path and line.
+    is not a complete record, or holds a field of another JSON type than
+    :func:`_augmented_line` writes, raises a ValidationError naming path and line.
     """
     examples = []
     for lineno, line in text_lines(path, "augmented file"):

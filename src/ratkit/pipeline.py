@@ -17,9 +17,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import shlex
-import signal
-import subprocess
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -102,6 +99,11 @@ def _oracle_pick(example: AugmentedExample) -> str:
 
 
 def _run_external(command: str, inputs: list[str], timeout: float) -> list[str]:
+    # Imported here, so a run with a built-in translator never loads them.
+    import shlex
+    import signal
+    import subprocess
+
     # Errors name the template and hide the temp directory, so a failed cell's
     # error text is the same in every run.
     with tempfile.TemporaryDirectory(prefix="ratkit-translate-") as tmp:
@@ -463,79 +465,70 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
     make_dirs(out_dir / "cells")
     make_dirs(out_dir / "indexes")
 
-    tm_error: str | None = None
-    tms: list[TranslationMemory] = []
+    # What became of each (domain, scenario) group: the retrieved examples its
+    # cells select from, or the error text each of its cells records. A TM load
+    # or pool fault comes first, then a test-set fault, then the group's own.
+    groups = list(product(manifest.domains, manifest.scenarios))
+    outcome: dict[tuple[str, str], list[AugmentedExample] | str] = {}
+    pool_index = None
     try:
         tms = [load_corpus(p) for p in manifest.tms]
     except Exception as exc:
-        tm_error = _error_text(exc)
+        outcome = dict.fromkeys(groups, _error_text(exc))
+    else:
+        # Every scenario index is cut from one index over all TMs, so a TM set
+        # that cannot be indexed together fails every cell, as a TM load fault does.
+        try:
+            pool_index = build_pool(tms, manifest.retrieval)
+        except RatkitError as exc:
+            outcome = dict.fromkeys(groups, _error_text(exc))
 
     test_corpora: dict[str, TranslationMemory] = {}
-    test_errors: dict[str, str] = {}
     for domain in manifest.domains:
         try:
             test_corpora[domain] = load_corpus(manifest.test_sets[domain], name=f"test[{domain}]")
         except Exception as exc:
-            test_errors[domain] = _error_text(exc)
-
-    # Every scenario index is cut from one index over all TMs, so a TM set
-    # that cannot be indexed together fails every cell, as a TM load fault does.
-    if tm_error is None:
-        try:
-            pool_index = build_pool(tms, manifest.retrieval)
-        except RatkitError as exc:
-            tm_error = _error_text(exc)
-
-    retrieved: dict[tuple[str, str], list[AugmentedExample]] = {}
-    group_errors: dict[tuple[str, str], str] = {}
-    if tm_error is None:
-        widest = manifest.widest_config()
-        for domain in manifest.domains:
             for scenario in manifest.scenarios:
-                try:
-                    spec, index = build_scenario(domain, tms, scenario, manifest.retrieval, pool_index)
-                    index_path = out_dir / "indexes" / f"{domain}__{scenario}.idx"
-                    save_index(index, index_path)
-                    write_scenario_sidecar(spec, index_path)
-                    if domain not in test_errors:
-                        examples = list(augment_corpus(test_corpora[domain], index, widest))
-                        _check_domains(spec, examples)
-                        retrieved[(domain, scenario)] = examples
-                except Exception as exc:
-                    group_errors[(domain, scenario)] = _error_text(exc)
+                outcome.setdefault((domain, scenario), _error_text(exc))
 
-    cells: list[CellResult] = []
-    failed: dict[tuple[str, int, str, str], str] = {}
-    system = manifest.translator.kind
+    # A domain whose test set failed still gets its scenario indexes.
+    if pool_index is not None:
+        widest = manifest.widest_config()
+        for domain, scenario in groups:
+            try:
+                spec, index = build_scenario(domain, tms, scenario, manifest.retrieval, pool_index)
+                index_path = out_dir / "indexes" / f"{domain}__{scenario}.idx"
+                save_index(index, index_path)
+                write_scenario_sidecar(spec, index_path)
+                if (domain, scenario) not in outcome:
+                    examples = list(augment_corpus(test_corpora[domain], index, widest))
+                    _check_domains(spec, examples)
+                    outcome[(domain, scenario)] = examples
+            except Exception as exc:
+                outcome.setdefault((domain, scenario), _error_text(exc))
 
-    jobs = []
-    for domain, k, scenario in product(manifest.domains, manifest.k_values, manifest.scenarios):
-        key = (domain, k, scenario, system)
-        if tm_error is not None:
-            failed[key] = tm_error
-        elif domain in test_errors:
-            failed[key] = test_errors[domain]
-        elif (domain, scenario) in group_errors:
-            failed[key] = group_errors[(domain, scenario)]
-        else:
-            jobs.append((domain, k, scenario))
-
-    def run_one(job: tuple[str, int, str]) -> CellResult | str:
-        domain, k, scenario = job
-        cell_dir = _cell_dir(out_dir, domain, k, scenario)
+    def run_one(cell: tuple[str, int, str]) -> CellResult | str:
+        domain, k, scenario = cell
+        group = outcome[(domain, scenario)]
+        if isinstance(group, str):
+            return group
         try:
-            return _run_cell(manifest, domain, k, scenario, retrieved[(domain, scenario)], cell_dir)
+            cell_dir = _cell_dir(out_dir, domain, k, scenario)
+            return _run_cell(manifest, domain, k, scenario, group, cell_dir)
         except Exception as exc:
             return _error_text(exc)
 
+    cells: list[CellResult] = []
+    failed: dict[tuple[str, int, str, str], str] = {}
+    grid = list(product(manifest.domains, manifest.k_values, manifest.scenarios))
     # One loop for every worker count. Threads pay off only when an external
     # translator spends its time waiting on a subprocess; the built-in
     # baselines are CPU-bound, and two threads run them slower than one.
     threads = workers if manifest.translator.kind == "external_command" else 1
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for (domain, k, scenario), result in zip(jobs, pool.map(run_one, jobs)):
+        for (domain, k, scenario), result in zip(grid, pool.map(run_one, grid)):
             if isinstance(result, str):
-                failed[(domain, k, scenario, system)] = result
+                failed[(domain, k, scenario, manifest.translator.kind)] = result
             else:
                 cells.append(result)
     for (domain, k, scenario, _), error in failed.items():

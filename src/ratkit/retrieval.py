@@ -158,9 +158,6 @@ class TmIndex:
         # the scalar expression.
         self.weights = np.repeat(idf, df) * tfs * (k1 + 1.0) / (tfs + self.norms[self.docs])
         self.id_rank = id_rank
-        self._pairs_by_source: dict[str, list[str]] = {}
-        for pair in pairs:
-            self._pairs_by_source.setdefault(pair.source, []).append(pair.id)
 
     def subset(self, keep: np.ndarray) -> TmIndex:
         """The index of the docs where the bool array ``keep`` is true, in doc order.
@@ -188,10 +185,6 @@ class TmIndex:
         id_rank = np.argsort(np.argsort(self.id_rank[kept]))
         sub._set_docs(pairs, self.params, doc_lengths, id_rank)
         return sub
-
-    def pairs_with_source(self, source: str) -> list[str]:
-        """Pair ids of indexed documents whose raw source text equals ``source``."""
-        return self._pairs_by_source.get(source, [])
 
 
 def build_index(tm: TranslationMemory, params: Bm25Params = Bm25Params()) -> TmIndex:

@@ -197,6 +197,28 @@ class TestAugmentCorpus:
             assert ex.pair_id not in {m.pair_id for m in ex.suggestions}
             assert all(m.source != ex.source for m in ex.suggestions)
 
+    def test_exclude_self_drops_every_pair_with_the_same_source(self):
+        tm = TranslationMemory(
+            name="dups",
+            pairs=(
+                SentencePair(id="a", source="open the file", target="ta", domain="d"),
+                SentencePair(id="b", source="open the file", target="tb", domain="d"),
+                SentencePair(id="c", source="open the door", target="tc", domain="d"),
+            ),
+        )
+        index = build_index(tm)
+
+        def suggested(corpus, exclude_self):
+            cfg = AugmentationConfig(k=3, exclude_self=exclude_self)
+            return {ex.pair_id: [m.pair_id for m in ex.suggestions]
+                    for ex in augment_corpus(corpus, index, cfg)}
+
+        assert suggested(tm, True) == {"a": ["c"], "b": ["c"], "c": ["a", "b"]}
+        assert suggested(tm, False)["a"] == ["a", "b", "c"]
+        # A query from outside the index loses the indexed pairs with its source too.
+        query = SentencePair(id="q", source="open the file", target="tq", domain="d")
+        assert suggested(TranslationMemory("q", (query,)), True) == {"q": ["c"]}
+
     def test_separator_collision_detected_before_output(self):
         tm = TranslationMemory(
             name="collide",

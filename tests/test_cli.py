@@ -254,6 +254,59 @@ class TestOverlapCommand:
         assert code == 2
         assert f"{path}:3: invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("tgt", 5, "field 'suggestions[0].tgt' must be a string, got 5"),
+            ("id", None, "field 'suggestions[0].id' must be a string, got None"),
+            ("rank", True, "field 'suggestions[0].rank' must be an integer, got True"),
+            ("rank", 1.0, "field 'suggestions[0].rank' must be an integer, got 1.0"),
+            ("score", "9.5", "field 'suggestions[0].score' must be a finite number, got '9.5'"),
+            ("score", float("nan"), "field 'suggestions[0].score' must be a finite number, got nan"),
+            ("score", False, "field 'suggestions[0].score' must be a finite number, got False"),
+        ],
+    )
+    def test_wrongly_typed_suggestion_field_exits_2_naming_the_line(
+        self, corpus_files, capsys, field, value, error
+    ):
+        self.prepare(corpus_files)
+        path = corpus_files / "aug.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        record["suggestions"][0][field] = value
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(["x"] * len(lines), corpus_files / "hyp.txt")
+        capsys.readouterr()
+        code = run_cli("overlap", "--augmented", path, "--hyp", corpus_files / "hyp.txt")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}:2: malformed augmented record (TypeError: {error})" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("[]", "the record must be an object, got []"),
+            ('{"id": "p", "src": 5}', "field 'src' must be a string, got 5"),
+            ('{"id": "p", "src": "s", "ref": "r", "suggestions": {}}',
+             "field 'suggestions' must be a list, got {}"),
+            ('{"id": "p", "src": "s", "ref": "r", "suggestions": ["x"]}',
+             "field 'suggestions[0]' must be an object, got 'x'"),
+            ('{"id": "p", "src": "s", "ref": "r", "suggestions": [], "flat": 0}',
+             "field 'flat' must be a string, got 0"),
+        ],
+    )
+    def test_wrongly_typed_record_exits_2_naming_the_line(self, tmp_path, capsys, line, error):
+        path = tmp_path / "aug.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        write_lines(["x"], tmp_path / "hyp.txt")
+        code = run_cli("overlap", "--augmented", path, "--hyp", tmp_path / "hyp.txt")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}:1: malformed augmented record (TypeError: {error})" in err
+        assert "Traceback" not in err
+
 
 class TestCompareCommand:
     def test_clear_winner_reported_significant(self, tmp_path, capsys):
@@ -445,6 +498,18 @@ class TestReportCommand:
         assert f"{augmented}:2: malformed augmented record (KeyError: 'ref')" in (
             capsys.readouterr().err
         )
+
+    def test_wrongly_typed_augmented_field_exits_2_naming_the_line(self, tmp_path, capsys):
+        path = run_grid(tmp_path)
+        augmented = tmp_path / "out" / "cells" / "it__k1__relevant" / "augmented.jsonl"
+        lines = augmented.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = json.dumps({**json.loads(lines[1]), "ref": ["x"]}) + "\n"
+        augmented.write_text("".join(lines), encoding="utf-8")
+        code = run_cli("report", "--manifest", path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{augmented}:2: malformed augmented record (TypeError: field 'ref' must be a string" in err
+        assert "Traceback" not in err
 
     def test_missing_hypotheses_exit_2_naming_the_file(self, tmp_path, capsys):
         path = run_grid(tmp_path)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ratkit import AugmentationConfig, Bm25Params, ConfigurationError, TranslatorError
+from ratkit import AugmentationConfig, Bm25Params, ConfigurationError, TranslatorError, ValidationError
 from ratkit import augmentation, evaluation, pipeline
 from ratkit.augmentation import AugmentedExample, augment_corpus, write_augmented
 from ratkit.cli import main
@@ -597,6 +597,47 @@ class TestRunExperiment:
             "pair id 'it-tm-0000' occurs in both 'tm' and 'tm_law'; "
             "scenario merging requires globally unique ids",
         )
+
+    @pytest.mark.parametrize("fault", ["load", "pool"])
+    def test_tm_fault_comes_before_a_missing_test_set(self, tmp_path, fault):
+        tm, test_sets = make_three_domain(tm_per_domain=30, test_per_domain=20)
+        bad = SentencePair(id="med-tm-bad", source="!!!", target="t", domain="med")
+        materialize(tmp_path, TranslationMemory(tm.name, tm.pairs + (bad,)), test_sets)
+        if fault == "load":
+            (tmp_path / "tm.jsonl").write_text("{bad\n", encoding="utf-8")
+        (tmp_path / "test_med.jsonl").unlink()
+        path = write_manifest(tmp_path / "exp.json")
+        text = "tm.jsonl:1: invalid JSON" if fault == "load" else "pair 'med-tm-bad' has no postings"
+        self.assert_every_cell_fails_with(tmp_path, path, text)
+        assert list((tmp_path / "out" / "indexes").iterdir()) == []
+
+    def test_missing_test_set_comes_before_a_scenario_fault(self, tmp_path, monkeypatch):
+        def faulty(domain, tms, relevance, *args):
+            if (domain, relevance) == ("med", "relevant"):
+                raise ValidationError("no scenario today")
+            return build_scenario(domain, tms, relevance, *args)
+
+        monkeypatch.setattr("ratkit.pipeline.build_scenario", faulty)
+        tm, test_sets = make_three_domain(tm_per_domain=30, test_per_domain=20)
+        materialize(tmp_path, tm, test_sets)
+        (tmp_path / "test_med.jsonl").unlink()
+        path = write_manifest(tmp_path / "exp.json")
+        report = run_experiment(load_manifest(path))
+        assert {key[0] for key in report.cells} == {"it"}
+        assert len(report.cells) == 4
+        assert {key[0] for key in report.failed} == {"med"}
+        assert len(report.failed) == 4
+        for error in report.failed.values():
+            assert "test_med.jsonl" in error and "no scenario today" not in error
+        # The test set's fault leaves the domain's scenario indexes to be written.
+        indexes = tmp_path / "out" / "indexes"
+        assert (indexes / "med__less_relevant.idx").is_file()
+        assert (indexes / "med__less_relevant.idx.scenario.json").is_file()
+        assert not (indexes / "med__relevant.idx").exists()
+        written = {name: (tmp_path / "out" / name).read_bytes() for name in ("report.json", "report.md")}
+        assert report_experiment(load_manifest(path)) == report
+        for name, data in written.items():
+            assert (tmp_path / "out" / name).read_bytes() == data, name
 
     def test_suggestion_from_an_excluded_domain_fails_its_group(self, tmp_path, monkeypatch):
         def leaky(domain, tms, relevance, *args):

@@ -120,8 +120,6 @@ class TestPoolSubset:
                 assert cut.norms.tobytes() == fresh.norms.tobytes()
                 assert cut.id_rank.dtype == fresh.id_rank.dtype
                 assert cut.id_rank.tobytes() == fresh.id_rank.tobytes()
-                for source in {p.source for p in selected} | {"absent source"}:
-                    assert cut.pairs_with_source(source) == fresh.pairs_with_source(source)
                 for query in queries:
                     got = [(m.pair_id, m.score.hex(), m.rank) for m in query_top_n(cut, query, 10)]
                     want = [(m.pair_id, m.score.hex(), m.rank) for m in query_top_n(fresh, query, 10)]
