@@ -95,13 +95,17 @@ def augment_corpus(
     """Yield one augmented example per pair of ``tm``, in corpus order."""
     _validate_separator(cfg.separator, tm, index)
     n = cfg.pool_size if cfg.mode == "shuffle" else cfg.k
-    # exclude_self keeps out a pair's own id and every indexed pair with its source.
+    # exclude_self keeps out a pair's own id and every indexed pair with its
+    # source; only the sources of ``tm`` are looked up in the index.
     ids_by_source: dict[str, list[str]] = {}
     if cfg.exclude_self:
+        ids_by_source = {pair.source: [] for pair in tm.pairs}
         for indexed in index.pairs:
-            ids_by_source.setdefault(indexed.source, []).append(indexed.id)
+            ids = ids_by_source.get(indexed.source)
+            if ids is not None:
+                ids.append(indexed.id)
     for pair in tm.pairs:
-        exclusions = {pair.id, *ids_by_source.get(pair.source, ())} if cfg.exclude_self else set()
+        exclusions = {pair.id, *ids_by_source[pair.source]} if cfg.exclude_self else set()
         matches = query_top_n(index, pair.source, n, exclusions)
         yield _select(pair.id, pair.source, pair.target, matches, cfg)
 

@@ -483,16 +483,17 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
         except RatkitError as exc:
             outcome = dict.fromkeys(groups, _error_text(exc))
 
+    # Without a pool index every group already holds the TM's error, so no
+    # test set is read. A domain whose test set failed still gets its
+    # scenario indexes.
     test_corpora: dict[str, TranslationMemory] = {}
-    for domain in manifest.domains:
-        try:
-            test_corpora[domain] = load_corpus(manifest.test_sets[domain], name=f"test[{domain}]")
-        except Exception as exc:
-            for scenario in manifest.scenarios:
-                outcome.setdefault((domain, scenario), _error_text(exc))
-
-    # A domain whose test set failed still gets its scenario indexes.
     if pool_index is not None:
+        for domain in manifest.domains:
+            try:
+                test_corpora[domain] = load_corpus(manifest.test_sets[domain], name=f"test[{domain}]")
+            except Exception as exc:
+                for scenario in manifest.scenarios:
+                    outcome[(domain, scenario)] = _error_text(exc)
         widest = manifest.widest_config()
         for domain, scenario in groups:
             try:

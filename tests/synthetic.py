@@ -107,6 +107,15 @@ def postings(index) -> dict[str, list[tuple[int, int]]]:
     return result
 
 
+def dense_rows(index) -> dict[str, tuple[str, bytes]]:
+    """An index's dense rows as term -> (dtype, the row's bytes)."""
+    return {
+        term: (str(index.dense_rows[row].dtype), index.dense_rows[row].tobytes())
+        for term, row in index.term_rows.items()
+        if row in index.dense_rows
+    }
+
+
 def tiny_tm() -> TranslationMemory:
     """Three-pair TM whose BM25 statistics are small enough to verify by hand."""
     return TranslationMemory(

@@ -611,6 +611,34 @@ class TestRunExperiment:
         self.assert_every_cell_fails_with(tmp_path, path, text)
         assert list((tmp_path / "out" / "indexes").iterdir()) == []
 
+    @pytest.mark.parametrize("fault", ["load", "pool"])
+    def test_tm_fault_leaves_the_test_sets_unread(self, tmp_path, monkeypatch, fault):
+        tm, test_sets = make_three_domain(tm_per_domain=30, test_per_domain=20)
+        bad = SentencePair(id="med-tm-bad", source="!!!", target="t", domain="med")
+        materialize(tmp_path, TranslationMemory(tm.name, tm.pairs + (bad,)), test_sets)
+        if fault == "load":
+            (tmp_path / "tm.jsonl").write_text("{bad\n", encoding="utf-8")
+        path = write_manifest(tmp_path / "exp.json")
+        out = tmp_path / "out"
+
+        def outcome_files():
+            return {p: p.read_bytes() for p in [out / "report.json", *out.glob("cells/*/failed.json")]}
+
+        assert main(["run", "--manifest", str(path)]) == 1
+        written = outcome_files()
+        assert len(written) == 9
+        opened = []
+
+        def spy(corpus_path, *args, **kwargs):
+            opened.append(Path(corpus_path).name)
+            return load_corpus(corpus_path, *args, **kwargs)
+
+        monkeypatch.setattr("ratkit.pipeline.load_corpus", spy)
+        (tmp_path / "test_med.jsonl").write_bytes(b"\xff\xfe not UTF-8\n")
+        assert main(["run", "--manifest", str(path)]) == 1
+        assert opened == ["tm.jsonl"]
+        assert outcome_files() == written
+
     def test_missing_test_set_comes_before_a_scenario_fault(self, tmp_path, monkeypatch):
         def faulty(domain, tms, relevance, *args):
             if (domain, relevance) == ("med", "relevant"):

@@ -25,6 +25,7 @@ from ratkit.retrieval import TmIndex, load_index, save_index
 
 from synthetic import (
     brute_force_top_n,
+    dense_rows,
     make_directional,
     make_queries,
     make_random_tm,
@@ -212,7 +213,12 @@ class TestQueryTopN:
         tm = make_random_tm(n_pairs=300, seed=4)
         for params in PARAMS:
             index = build_index(tm, params)
-            for query in make_queries(tm, n_queries=25, seed=6):
+            queries = make_queries(tm, n_queries=25, seed=6)
+            # Both scoring paths are taken: a dense row and a sparse gather-add.
+            rows = {index.term_rows[t] for q in queries for t in analyze_for_index(q) if t in index.term_rows}
+            assert rows & index.dense_rows.keys()
+            assert rows - index.dense_rows.keys()
+            for query in queries:
                 # Without exclusions, then excluding the top hits and one id that
                 # matches nothing, so the walk must skip before it stops at n.
                 top = {pid for pid, _ in brute_force_top_n(tm, query, 3, params)}
@@ -222,6 +228,27 @@ class TestQueryTopN:
                     assert [(m.pair_id, m.score.hex()) for m in got] == [
                         (pid, score.hex()) for pid, score in want
                     ]
+
+    @pytest.mark.parametrize("params", PARAMS, ids=repr)
+    def test_dense_row_at_its_df_bound_matches_the_oracle(self, params):
+        # N = 8: "alpha" (df 2, df * 4 == N) has a dense row, "beta" (df 1) has none.
+        sources = ["alpha beta", "alpha alpha gamma", "gamma"] + [f"gamma filler{i}" for i in range(5)]
+        tm = TranslationMemory(
+            name="bound",
+            pairs=tuple(
+                SentencePair(id=f"d{i}", source=source, target="t", domain="a")
+                for i, source in enumerate(sources)
+            ),
+        )
+        index = build_index(tm, params)
+        assert index.term_rows["alpha"] in index.dense_rows
+        assert index.term_rows["beta"] not in index.dense_rows
+        for query in ("alpha beta", "beta alpha gamma", "alpha", "beta"):
+            got = query_top_n(index, query, 8)
+            want = brute_force_top_n(tm, query, 8, params)
+            assert [(m.pair_id, m.score.hex()) for m in got] == [
+                (pid, score.hex()) for pid, score in want
+            ]
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
@@ -561,6 +588,8 @@ class TestPersistence:
             assert loaded.doc_lengths == index.doc_lengths
             assert loaded.norms.tolist() == index.norms.tolist()
             assert postings(loaded) == postings(index)
+            assert dense_rows(index)
+            assert dense_rows(loaded) == dense_rows(index)
             assert loaded.pairs == index.pairs
             assert loaded.params.k1.hex() == k1.hex()
             assert loaded.params.b.hex() == b.hex()

@@ -22,7 +22,7 @@ from ratkit.corpus import SentencePair, TranslationMemory
 from ratkit.retrieval import FuzzyMatch, TmIndex, query_top_n, save_index
 from ratkit.scenarios import build_pool, validate_scenario, write_scenario_sidecar
 
-from synthetic import make_queries, make_random_tm, make_three_domain, postings
+from synthetic import dense_rows, make_queries, make_random_tm, make_three_domain, postings
 
 
 def three_tms() -> list[TranslationMemory]:
@@ -120,6 +120,8 @@ class TestPoolSubset:
                 assert cut.norms.tobytes() == fresh.norms.tobytes()
                 assert cut.id_rank.dtype == fresh.id_rank.dtype
                 assert cut.id_rank.tobytes() == fresh.id_rank.tobytes()
+                assert dense_rows(fresh)
+                assert dense_rows(cut) == dense_rows(fresh)
                 for query in queries:
                     got = [(m.pair_id, m.score.hex(), m.rank) for m in query_top_n(cut, query, 10)]
                     want = [(m.pair_id, m.score.hex(), m.rank) for m in query_top_n(fresh, query, 10)]
