@@ -15,7 +15,6 @@ from __future__ import annotations
 from .augmentation import AugmentationConfig, augment_corpus
 from .corpus import load_corpus
 from .errors import (
-    AggregationError,
     ConfigurationError,
     CorpusFormatError,
     RatkitError,
@@ -29,7 +28,6 @@ from .scenarios import build_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregationError",
     "AugmentationConfig",
     "Bm25Params",
     "ConfigurationError",

@@ -26,7 +26,3 @@ class ConfigurationError(RatkitError):
 
 class TranslatorError(RatkitError):
     """An external translator process failed or produced misaligned output."""
-
-
-class AggregationError(RatkitError):
-    """Report aggregation over an incomplete or inconsistent result grid."""

@@ -1,4 +1,4 @@
-"""Corpus BLEU, suggestion-usage overlap, paired bootstrap, report aggregation.
+"""Corpus BLEU, suggestion-usage overlap, paired bootstrap, and the grid report.
 
 BLEU follows the mteval conventions: 13a tokenization, mixed case, a single
 reference, clipped 1..4-gram precisions pooled corpus-wide, exponential
@@ -43,7 +43,7 @@ import numpy as np
 
 from .augmentation import AugmentedExample
 from .corpus import _tokens_13a
-from .errors import AggregationError, ValidationError
+from .errors import ValidationError
 from .seeding import derived_rng
 
 _NGRAM_ORDER = 4
@@ -538,7 +538,11 @@ class GroupAverage:
 
 @dataclass
 class EvalReport:
-    """Per-cell results with cross-domain/cross-k averages and significance."""
+    """A grid's report: its cells' results, its failed cells' errors, the
+    significance of each compared pair, and one average per (system,
+    scenario) whose every cell succeeded. The pipeline builds it from the
+    manifest's grid.
+    """
 
     cells: dict[tuple[str, int, str, str], CellResult]
     averages: dict[tuple[str, str], GroupAverage]
@@ -575,61 +579,6 @@ class EvalReport:
                 for (d, k, s, sys), error in sorted(self.failed.items())
             ],
         }
-
-
-def aggregate_report(
-    cells: list[CellResult],
-    significance: dict[tuple[str, int, str, str, str], SignificanceResult] | None = None,
-    failed: dict[tuple[str, int, str, str], str] | None = None,
-) -> EvalReport:
-    """Assemble cells into a report with one average per (system, scenario).
-
-    A group's grid is the cross product of the domains and k values among its
-    cells. A group with a cell listed in ``failed`` is left out of the
-    averages, even when every cell of a domain failed; a hole not listed there
-    raises an AggregationError naming it. With no cells at all, failures alone
-    give an empty report.
-    """
-    failed = dict(failed or {})
-    if not cells and not failed:
-        raise AggregationError("no cells to aggregate")
-    by_key: dict[tuple[str, int, str, str], CellResult] = {}
-    for cell in cells:
-        if cell.key in by_key:
-            raise AggregationError(f"duplicate cell {cell.key}")
-        by_key[cell.key] = cell
-
-    groups: dict[tuple[str, str], list[CellResult]] = {}
-    for cell in by_key.values():
-        groups.setdefault((cell.system, cell.scenario), []).append(cell)
-
-    failed_groups = {(system, scenario) for _, _, scenario, system in failed}
-    averages: dict[tuple[str, str], GroupAverage] = {}
-    for (system, scenario), group in groups.items():
-        domains = sorted({c.domain for c in group})
-        ks = sorted({c.k for c in group})
-        present = {(c.domain, c.k) for c in group}
-        holes = [(d, k) for d in domains for k in ks if (d, k) not in present]
-        for domain, k in holes:
-            if (domain, k, scenario, system) not in failed:
-                raise AggregationError(
-                    f"missing cell: domain={domain!r} k={k} scenario={scenario!r} "
-                    f"system={system!r}"
-                )
-        if (system, scenario) in failed_groups:
-            continue
-        overlaps = [c.overlap_pct for c in group if c.overlap_pct is not None]
-        averages[(system, scenario)] = GroupAverage(
-            bleu=sum(c.bleu.score for c in group) / len(group),
-            overlap_pct=sum(overlaps) / len(overlaps) if overlaps else None,
-        )
-
-    return EvalReport(
-        cells=by_key,
-        averages=averages,
-        significance=dict(significance or {}),
-        failed=failed,
-    )
 
 
 def report_to_markdown(report: EvalReport) -> str:

@@ -32,8 +32,8 @@ from .evaluation import (
     BootstrapConfig,
     CellResult,
     EvalReport,
+    GroupAverage,
     SignificanceResult,
-    aggregate_report,
     bleu_corpus,
     paired_bootstrap,
     report_to_markdown,
@@ -209,7 +209,7 @@ class ExperimentManifest:
         for domain in self.domains:
             if domain not in self.test_sets:
                 raise ConfigurationError(f"domain {domain!r} has no test set in the manifest")
-            if not domain or any(c in domain for c in "/\\\n\t"):
+            if not domain or any(c in domain for c in "/\\\n\t\0"):
                 raise ConfigurationError(f"domain name {domain!r} is not filesystem-safe")
         if len(set(self.domains)) != len(self.domains):
             raise ConfigurationError(f"duplicate domains: {self.domains}")
@@ -240,11 +240,15 @@ _KINDS = {
 
 def _typed(value, kind: type, name: str):
     """``value`` as ``kind`` if it has that JSON type; a float may be written
-    as an integer, and a bool is only a bool.
+    as an integer, a bool is only a bool, and a string holds no NUL or lone
+    surrogate.
     """
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigurationError(f"manifest field {name!r} must be {_KINDS[kind]}, got {value!r}")
+    # A NUL cannot be in a file name, and a lone surrogate cannot be written as UTF-8.
+    if kind is str and any(c == "\0" or "\ud800" <= c <= "\udfff" for c in value):
+        raise ConfigurationError(f"manifest field {name!r} holds a NUL or a lone surrogate, got {value!r}")
     try:
         return kind(value)
     except OverflowError:  # an integer beyond the float range
@@ -456,8 +460,9 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
     Per cell: augmented files (its k's suggestions, selected from those
     matches), hypothesis file, and one outcome record, cell.json or
     failed.json; a failure never aborts the rest of the grid. The report is
-    built from the in-memory scores as :func:`report_experiment` builds it
-    from the cell directories; report.json is byte-stable for fixed seeds.
+    built from each cell's in-memory result or error text as
+    :func:`report_experiment` builds it from the cell directories;
+    report.json is byte-stable for fixed seeds.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -519,28 +524,23 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
         except Exception as exc:
             return _error_text(exc)
 
-    cells: list[CellResult] = []
-    failed: dict[tuple[str, int, str, str], str] = {}
     grid = list(product(manifest.domains, manifest.k_values, manifest.scenarios))
     # One loop for every worker count. Threads pay off only when an external
     # translator spends its time waiting on a subprocess; the built-in
     # baselines are CPU-bound, and two threads run them slower than one.
     threads = workers if manifest.translator.kind == "external_command" else 1
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for (domain, k, scenario), result in zip(grid, pool.map(run_one, grid)):
-            if isinstance(result, str):
-                failed[(domain, k, scenario, manifest.translator.kind)] = result
-            else:
-                cells.append(result)
-    for (domain, k, scenario, _), error in failed.items():
-        cell_dir = _cell_dir(out_dir, domain, k, scenario)
-        make_dirs(cell_dir)
-        for stale in ("cell.json", "hyp.txt"):  # an earlier run's outcome
-            (cell_dir / stale).unlink(missing_ok=True)
-        _write_json(cell_dir / "failed.json", {"error": error})
+        results = dict(zip(grid, pool.map(run_one, grid)))
+    for cell, result in results.items():
+        if isinstance(result, str):
+            cell_dir = _cell_dir(out_dir, *cell)
+            make_dirs(cell_dir)
+            for stale in ("cell.json", "hyp.txt"):  # an earlier run's outcome
+                (cell_dir / stale).unlink(missing_ok=True)
+            _write_json(cell_dir / "failed.json", {"error": result})
 
     references = {domain: [pair.target for pair in test] for domain, test in test_corpora.items()}
-    return _write_report(manifest, cells, failed, references)
+    return _write_report(manifest, results, references)
 
 
 def report_experiment(manifest: ExperimentManifest) -> EvalReport:
@@ -552,38 +552,44 @@ def report_experiment(manifest: ExperimentManifest) -> EvalReport:
     scenario or system is not the manifest's, raises a ValidationError naming it.
     """
     system = manifest.translator.kind
-    cells, failed, references = [], {}, {}
-    for domain, k, scenario in product(manifest.domains, manifest.k_values, manifest.scenarios):
+    results, references = {}, {}
+    for cell in product(manifest.domains, manifest.k_values, manifest.scenarios):
+        domain, k, scenario = cell
         cell_dir = _cell_dir(manifest.out_dir, domain, k, scenario)
         labels = {"domain": domain, "k": k, "scenario": scenario, "system": system}
         error = _read_outcome(cell_dir, labels)
         if error is not None:
-            failed[(domain, k, scenario, system)] = error
+            results[cell] = error
             continue
         examples = read_augmented(cell_dir / "augmented.jsonl")
         hypotheses = read_lines(cell_dir / "hyp.txt")
         try:
-            cells.append(_score_cell(manifest, domain, k, scenario, examples, hypotheses))
+            results[cell] = _score_cell(manifest, domain, k, scenario, examples, hypotheses)
         except ValidationError as exc:  # say, a hyp.txt shorter than the test set
             raise ValidationError(f"cell directory {cell_dir}: {exc}") from exc
         references[domain] = [ex.reference for ex in examples]
-    return _write_report(manifest, cells, failed, references)
+    return _write_report(manifest, results, references)
 
 
 def _write_report(
-    manifest: ExperimentManifest, cells: list[CellResult], failed: dict, references: dict
+    manifest: ExperimentManifest, results: dict[tuple[str, int, str], CellResult | str],
+    references: dict[str, list[str]],
 ) -> EvalReport:
     """The grid's report, written as report.json and report.md under out_dir.
 
-    Per (domain, k) whose relevant and less_relevant cells both succeeded, a paired
-    bootstrap resamples the cells' BLEU statistics against ``references[domain]``.
+    ``results`` holds each grid cell's CellResult or error text. Per (domain, k)
+    whose relevant and less_relevant cells both succeeded, a paired bootstrap
+    resamples their BLEU statistics against ``references[domain]``. A scenario's
+    average is the mean of its cells over domains x k, summed in grid order, and
+    is given only when every one of its cells succeeded.
     """
     system = manifest.translator.kind
-    by_key = {cell.key: cell for cell in cells}
+    cells = {r.key: r for r in results.values() if isinstance(r, CellResult)}
+    failed = {(*cell, system): r for cell, r in results.items() if isinstance(r, str)}
     significance: dict[tuple[str, int, str, str, str], SignificanceResult] = {}
     for domain, k in product(manifest.domains, manifest.k_values):
-        side_a = by_key.get((domain, k, "relevant", system))
-        side_b = by_key.get((domain, k, "less_relevant", system))
+        side_a = cells.get((domain, k, "relevant", system))
+        side_b = cells.get((domain, k, "less_relevant", system))
         if side_a is None or side_b is None:
             continue
         significance[(domain, k, system, "relevant", "less_relevant")] = paired_bootstrap(
@@ -592,7 +598,17 @@ def _write_report(
             threshold=manifest.bootstrap.threshold,
             seed=derive_seed(manifest.bootstrap.seed, domain, k, system),
         )
-    report = aggregate_report(cells, significance, failed)
+    averages: dict[tuple[str, str], GroupAverage] = {}
+    for scenario in manifest.scenarios:
+        group = [results[(d, k, scenario)] for d, k in product(manifest.domains, manifest.k_values)]
+        if any(isinstance(r, str) for r in group):
+            continue
+        overlaps = [r.overlap_pct for r in group if r.overlap_pct is not None]
+        averages[(system, scenario)] = GroupAverage(
+            bleu=sum(r.bleu.score for r in group) / len(group),
+            overlap_pct=sum(overlaps) / len(overlaps) if overlaps else None,
+        )
+    report = EvalReport(cells=cells, averages=averages, significance=significance, failed=failed)
     _write_json(manifest.out_dir / "report.json", report.to_dict())
     with atomic_write(manifest.out_dir / "report.md") as fh:
         fh.write(report_to_markdown(report))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +44,9 @@ from synthetic import (
     ngram_type_share,
 )
 
-from test_evaluation import FIXTURE
+FIXTURE = json.loads(
+    (Path(__file__).parent / "data" / "bleu_fixture.json").read_text(encoding="utf-8")
+)
 
 
 @contextmanager

@@ -24,7 +24,6 @@ README = (ROOT / "README.md").read_text(encoding="utf-8")
 ALLOWED = {
     "evaluation.BleuScore": "the return type of bleu_corpus, which paired_bootstrap also takes",
     "evaluation.OverlapResult": "the return type of suggestion_overlap",
-    "evaluation.GroupAverage": "the type of EvalReport.averages' values",
     "scenarios.ScenarioValidation": "the return type of validate_scenario",
     "pipeline.TranslatorSpec": "the type of ExperimentManifest.translator",
     "pipeline.ExperimentManifest": "what load_manifest returns",
@@ -34,7 +33,6 @@ ALLOWED = {
 
 ERROR_TYPES = {
     "RatkitError",
-    "AggregationError",
     "ConfigurationError",
     "CorpusFormatError",
     "TranslatorError",

@@ -572,13 +572,17 @@ class TestRunCommand:
             '"bootstrap": {"n": 5, "n": 7}',
             {"translator": {"kind": "baseline_copy_first", "timeout": 10**400}},
             {"retrieval": {"k1": 10**400}},
+            {"domains": ["a\0b"], "test_sets": {"a\0b": "test_it.jsonl"}},
+            {"domains": ["\ud800"], "test_sets": {"\ud800": "test_it.jsonl"}},
+            {"out_dir": "g\0rid"},
         ],
         ids=["bootstrap-int", "retrieval-list", "pool-str", "k-str", "k-float", "n-float",
              "timeout-str", "separator-int", "separator-space", "exclude-self-str",
              "mode-int", "mode-unknown", "shuffle-pool-below-k", "timeout-nan",
              "unknown-top-level-key", "unknown-translator-key", "unknown-augmentation-key",
              "unknown-bootstrap-key", "unknown-retrieval-key", "duplicate-key",
-             "timeout-huge-int", "k1-huge-int"],
+             "timeout-huge-int", "k1-huge-int", "domain-nul", "domain-lone-surrogate",
+             "out-dir-nul"],
     )
     def test_malformed_manifest_field_exits_2(self, corpus_files, capsys, override):
         path = write_manifest(corpus_files)

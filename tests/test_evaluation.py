@@ -1,4 +1,4 @@
-"""Corpus BLEU, overlap metric, paired bootstrap, and report aggregation."""
+"""Corpus BLEU, overlap metric, paired bootstrap, and the report's markdown."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratkit import (
-    AggregationError,
     ValidationError,
     bleu_corpus,
     paired_bootstrap,
@@ -33,8 +32,8 @@ from ratkit.evaluation import (
     _score_from_stats,
     _stats_matrix,
     CellResult,
-    SignificanceResult,
-    aggregate_report,
+    EvalReport,
+    GroupAverage,
     report_to_markdown,
 )
 from ratkit.retrieval import FuzzyMatch
@@ -656,123 +655,7 @@ class TestVectorizedScoring:
         assert _count_wins(sums_a, sums_b) == (wins_a, wins_b)
 
 
-class TestAggregateReport:
-    def test_single_cell_average_is_that_cell(self):
-        report = aggregate_report([make_cell("it", 1, score=37.5)])
-        assert report.averages[("sys", "relevant")].bleu == pytest.approx(37.5)
-
-    def test_two_domains_average_forty_fifty(self):
-        cells = [make_cell("d1", 1, score=40.0), make_cell("d2", 1, score=50.0)]
-        report = aggregate_report(cells)
-        assert report.averages[("sys", "relevant")].bleu == pytest.approx(45.0)
-
-    def test_five_by_five_grid_mean_matches_independent_recomputation(self):
-        scores = {}
-        cells = []
-        for i, domain in enumerate(["d1", "d2", "d3", "d4", "d5"]):
-            for k in range(1, 6):
-                score = 20.0 + 3.0 * i + 1.7 * k
-                scores[(domain, k)] = score
-                cells.append(make_cell(domain, k, score=score))
-        report = aggregate_report(cells)
-        assert report.averages[("sys", "relevant")].bleu == pytest.approx(
-            sum(scores.values()) / 25
-        )
-
-    def test_missing_grid_cell_names_the_hole(self):
-        cells = [
-            make_cell("d1", 1),
-            make_cell("d1", 2),
-            make_cell("d2", 1),
-        ]
-        with pytest.raises(AggregationError, match="missing cell.*d2.*k=2"):
-            aggregate_report(cells)
-
-    def test_hole_listed_as_failed_skips_the_group(self):
-        cells = [
-            make_cell("d1", 1),
-            make_cell("d1", 2),
-            make_cell("d2", 1),
-            make_cell("d1", 1, scenario="less_relevant"),
-        ]
-        failed = {("d2", 2, "relevant", "sys"): "TranslatorError: boom"}
-        report = aggregate_report(cells, failed=failed)
-        assert set(report.averages) == {("sys", "less_relevant")}
-        assert len(report.cells) == 4
-        assert report.failed == failed
-
-    def test_group_whose_every_cell_of_a_domain_failed_is_left_out(self):
-        cells = [make_cell("d1", 1), make_cell("d1", 2), make_cell("d1", 1, scenario="other")]
-        failed = {("d2", k, "relevant", "sys"): "ValidationError: bad test set" for k in (1, 2)}
-        report = aggregate_report(cells, failed=failed)
-        assert set(report.averages) == {("sys", "other")}
-
-    def test_hole_not_listed_as_failed_raises(self):
-        cells = [make_cell("d1", 1), make_cell("d1", 2), make_cell("d2", 1)]
-        failed = {("d2", 1, "less_relevant", "sys"): "TranslatorError: boom"}
-        with pytest.raises(AggregationError, match="missing cell.*d2.*k=2"):
-            aggregate_report(cells, failed=failed)
-
-    def test_failures_only_give_an_empty_report(self):
-        failed = {("d1", 1, "relevant", "sys"): "TranslatorError: boom"}
-        report = aggregate_report([], failed=failed)
-        assert report.cells == {} and report.averages == {} and report.significance == {}
-        assert report.to_dict()["failed_cells"] == [
-            {"domain": "d1", "k": 1, "scenario": "relevant", "system": "sys",
-             "error": "TranslatorError: boom"}
-        ]
-
-    def test_duplicate_cell_rejected(self):
-        with pytest.raises(AggregationError, match="duplicate"):
-            aggregate_report([make_cell("d1", 1), make_cell("d1", 1)])
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(AggregationError, match="no cells"):
-            aggregate_report([])
-
-    def test_overlap_average_skips_absent_values(self):
-        cells = [
-            make_cell("d1", 1, overlap=60.0),
-            make_cell("d2", 1, overlap=None),
-        ]
-        report = aggregate_report(cells)
-        assert report.averages[("sys", "relevant")].overlap_pct == pytest.approx(60.0)
-
-    def test_averages_recomputable_from_cells(self):
-        cells = [
-            make_cell(d, k, scenario=s, score=10.0 * k + len(d))
-            for d in ("alpha", "beta")
-            for k in (1, 2)
-            for s in ("relevant", "less_relevant")
-        ]
-        report = aggregate_report(cells)
-        for (system, scenario), average in report.averages.items():
-            group = [
-                c
-                for c in report.cells.values()
-                if c.system == system and c.scenario == scenario
-            ]
-            assert average.bleu == pytest.approx(sum(c.bleu.score for c in group) / len(group))
-
-    def test_to_dict_is_json_serializable_and_sorted(self):
-        cells = [make_cell("d2", 1), make_cell("d1", 1)]
-        sig = {
-            ("d1", 1, "sys", "relevant", "less_relevant"): SignificanceResult(
-                p_value=0.2,
-                wins_a=700,
-                wins_b=200,
-                ties=100,
-                observed_delta=1.5,
-                n_samples=1000,
-                significant=False,
-            )
-        }
-        report = aggregate_report(cells, significance=sig)
-        payload = report.to_dict()
-        assert [c["domain"] for c in payload["cells"]] == ["d1", "d2"]
-        assert payload["significance"][0]["a"] == "relevant"
-        json.dumps(payload)
-
+class TestCellResult:
     def test_cell_dict_leaves_the_statistics_out(self):
         hyps, refs = _fixture_systems()
         bleu = bleu_corpus(hyps, refs)
@@ -796,9 +679,14 @@ class TestMarkdownReport:
             for k in (1, 2)
             for s in ("relevant", "less_relevant")
         ]
-        report = aggregate_report(cells)
+        average = GroupAverage(bleu=31.5, overlap_pct=71.5)
+        averages = {("sys", s): average for s in ("relevant", "less_relevant")}
+        report = EvalReport(
+            cells={cell.key: cell for cell in cells}, averages=averages, significance={}, failed={}
+        )
         text = report_to_markdown(report)
         assert "## Average BLEU across domains and k values" in text
+        assert "| sys | relevant | 31.50 |" in text
         assert "## BLEU per domain" in text
         assert "## Suggestion token overlap (%) per domain" in text
         assert "| it | med | AVER |" in text

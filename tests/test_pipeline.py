@@ -7,6 +7,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,9 @@ from ratkit import augmentation, evaluation, pipeline
 from ratkit.augmentation import AugmentedExample, augment_corpus, write_augmented
 from ratkit.cli import main
 from ratkit.corpus import SentencePair, TranslationMemory, load_corpus, read_lines, save_corpus
-from ratkit.evaluation import BootstrapConfig, paired_bootstrap
-from ratkit.pipeline import _SECTIONS, TranslatorSpec, load_manifest, report_experiment
+from ratkit.evaluation import BootstrapConfig, CellResult, bleu_corpus, paired_bootstrap
+from ratkit.pipeline import _SECTIONS, ExperimentManifest, TranslatorSpec, load_manifest
+from ratkit.pipeline import report_experiment
 from ratkit.pipeline import run_experiment, translate
 from ratkit.retrieval import FuzzyMatch
 from ratkit.scenarios import build_scenario
@@ -52,6 +54,20 @@ def write_manifest(path: Path, **overrides) -> Path:
     data.update(overrides)
     path.write_text(json.dumps(data), encoding="utf-8")
     return path
+
+
+# The report.json and report.md that the grids of
+# test_report_bytes_equal_the_golden_files gave before the report was built
+# straight from the manifest's grid. They pin the report's bytes across commits.
+GOLDEN = Path(__file__).parent / "data"
+
+
+def leak_into_it_relevant(domain, tms, relevance, *args):
+    """build_scenario, but the (it, relevant) group gets the less_relevant index."""
+    spec, index = build_scenario(domain, tms, relevance, *args)
+    if (domain, relevance) == ("it", "relevant"):
+        _, index = build_scenario(domain, tms, "less_relevant", *args)
+    return spec, index
 
 
 def materialize(tmp_path: Path, tm, test_sets) -> None:
@@ -234,12 +250,19 @@ class TestLoadManifest:
             load_manifest(path)
 
     def test_unsafe_domain_name_rejected(self, tmp_path):
-        path = write_manifest(
-            tmp_path / "exp.json",
-            domains=["a/b"],
-            test_sets={"a/b": "t.jsonl"},
-        )
+        for domain, error in [
+            ("a/b", "filesystem-safe"),
+            ("a\0b", "'domains' holds a NUL or a lone surrogate"),
+            ("\ud800", "'domains' holds a NUL or a lone surrogate"),
+        ]:
+            path = write_manifest(tmp_path / "exp.json", domains=[domain], test_sets={domain: "t.jsonl"})
+            with pytest.raises(ConfigurationError, match=error):
+                load_manifest(path)
+        manifest = load_manifest(write_manifest(tmp_path / "exp.json"))
         with pytest.raises(ConfigurationError, match="filesystem-safe"):
+            replace(manifest, domains=("a\0b",), test_sets={"a\0b": tmp_path / "t.jsonl"})
+        path = write_manifest(tmp_path / "exp.json", out_dir="g\0rid")
+        with pytest.raises(ConfigurationError, match="'out_dir' holds a NUL or a lone surrogate"):
             load_manifest(path)
 
     def test_duplicate_k_values_rejected(self, tmp_path):
@@ -305,6 +328,122 @@ class TestLoadManifest:
             load_manifest(tmp_path / "absent.json")
 
 
+class TestWriteReport:
+    """The report built from a grid's outcomes, without running the grid."""
+
+    SYSTEM = "baseline_copy_first"
+    HYPS = ["the cat sat on the mat", "a dog ran in the park"]
+    REFS = ["the cat sat on a mat", "a dog ran in the park today"]
+
+    def cell(self, domain, k, scenario="relevant", score=50.0, overlap=80.0) -> CellResult:
+        # Real sentence statistics, so that a relevant/less_relevant pair can be bootstrapped.
+        bleu = replace(bleu_corpus(self.HYPS, self.REFS), score=score)
+        return CellResult(domain=domain, k=k, scenario=scenario, system=self.SYSTEM, bleu=bleu,
+                          overlap_pct=overlap)
+
+    def write(self, tmp_path, outcomes, domains, k_values=(1,), scenarios=("relevant",)):
+        """_write_report on a grid whose cell (domain, k, scenario) has ``outcomes``' value,
+        or a default CellResult when ``outcomes`` leaves it out."""
+        manifest = ExperimentManifest(
+            tms=(tmp_path / "tm.jsonl",),
+            test_sets={d: tmp_path / f"test_{d}.jsonl" for d in domains},
+            domains=tuple(domains), k_values=tuple(k_values), scenarios=tuple(scenarios),
+            translator=TranslatorSpec(kind=self.SYSTEM), out_dir=tmp_path,
+            bootstrap=BootstrapConfig(n_samples=20),
+        )
+        results = {
+            cell: outcomes[cell] if cell in outcomes else self.cell(*cell)
+            for cell in product(domains, k_values, scenarios)
+        }
+        report = pipeline._write_report(manifest, results, {d: self.REFS for d in domains})
+        assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8")) == report.to_dict()
+        return report
+
+    def test_single_cell_average_is_that_cell(self, tmp_path):
+        report = self.write(tmp_path, {("it", 1, "relevant"): self.cell("it", 1, score=37.5)}, ["it"])
+        assert report.averages[(self.SYSTEM, "relevant")].bleu == 37.5
+
+    def test_two_domains_average_forty_fifty(self, tmp_path):
+        outcomes = {("d1", 1, "relevant"): self.cell("d1", 1, score=40.0),
+                    ("d2", 1, "relevant"): self.cell("d2", 1, score=50.0)}
+        report = self.write(tmp_path, outcomes, ["d1", "d2"])
+        assert report.averages[(self.SYSTEM, "relevant")].bleu == 45.0
+
+    def test_five_by_five_grid_mean_is_the_grid_order_sum(self, tmp_path):
+        domains = ["d1", "d2", "d3", "d4", "d5"]
+        outcomes = {
+            (d, k, "relevant"): self.cell(d, k, score=20.0 + 3.0 * i + 1.7 * k)
+            for i, d in enumerate(domains) for k in range(1, 6)
+        }
+        report = self.write(tmp_path, outcomes, domains, k_values=range(1, 6))
+        assert report.averages[(self.SYSTEM, "relevant")].bleu == (
+            sum(cell.bleu.score for cell in outcomes.values()) / 25
+        )
+
+    def test_failed_cell_skips_only_its_scenarios_average(self, tmp_path):
+        failed = {("d2", 2, "relevant"): "TranslatorError: boom"}
+        report = self.write(tmp_path, failed, ["d1", "d2"], k_values=(1, 2),
+                            scenarios=("relevant", "less_relevant"))
+        assert set(report.averages) == {(self.SYSTEM, "less_relevant")}
+        assert len(report.cells) == 7
+        assert report.failed == {("d2", 2, "relevant", self.SYSTEM): "TranslatorError: boom"}
+        assert {key[:2] for key in report.significance} == {("d1", 1), ("d1", 2), ("d2", 1)}
+
+    def test_group_whose_every_cell_of_a_domain_failed_is_left_out(self, tmp_path):
+        failed = {("d2", k, "relevant"): "ValidationError: bad test set" for k in (1, 2)}
+        report = self.write(tmp_path, failed, ["d1", "d2"], k_values=(1, 2),
+                            scenarios=("relevant", "less_relevant"))
+        assert set(report.averages) == {(self.SYSTEM, "less_relevant")}
+        assert {key[0] for key in report.significance} == {"d1"}
+
+    def test_failures_only_give_an_empty_report(self, tmp_path):
+        failed = {("d2", 1, "relevant"): "TranslatorError: boom",
+                  ("d1", 1, "relevant"): "TranslatorError: bang"}
+        report = self.write(tmp_path, failed, ["d2", "d1"])
+        assert report.cells == {} and report.averages == {} and report.significance == {}
+        assert report.to_dict()["failed_cells"] == [
+            {"domain": d, "k": 1, "scenario": "relevant", "system": self.SYSTEM, "error": error}
+            for d, error in (("d1", "TranslatorError: bang"), ("d2", "TranslatorError: boom"))
+        ]
+
+    def test_overlap_average_skips_absent_values(self, tmp_path):
+        outcomes = {("d1", 1, "relevant"): self.cell("d1", 1, overlap=60.0),
+                    ("d2", 1, "relevant"): self.cell("d2", 1, overlap=None),
+                    ("d1", 1, "less_relevant"): self.cell("d1", 1, "less_relevant", overlap=None),
+                    ("d2", 1, "less_relevant"): self.cell("d2", 1, "less_relevant", overlap=None)}
+        report = self.write(tmp_path, outcomes, ["d1", "d2"], scenarios=("relevant", "less_relevant"))
+        assert report.averages[(self.SYSTEM, "relevant")].overlap_pct == 60.0
+        assert report.averages[(self.SYSTEM, "less_relevant")].overlap_pct is None
+
+    def test_averages_recomputable_from_cells(self, tmp_path):
+        outcomes = {
+            (d, k, s): self.cell(d, k, s, score=10.0 * k + len(d) + 0.1, overlap=k / 3)
+            for d in ("alpha", "beta") for k in (1, 2) for s in ("relevant", "less_relevant")
+        }
+        report = self.write(tmp_path, outcomes, ["alpha", "beta"], k_values=(1, 2),
+                            scenarios=("relevant", "less_relevant"))
+        for (system, scenario), average in report.averages.items():
+            group = [c for c in report.cells.values() if c.system == system and c.scenario == scenario]
+            assert average.bleu == sum(c.bleu.score for c in group) / len(group)
+            assert average.overlap_pct == sum(c.overlap_pct for c in group) / len(group)
+
+    def test_to_dict_is_json_serializable_and_sorted(self, tmp_path):
+        failed = {("d1", 2, "less_relevant"): "TranslatorError: boom"}
+        report = self.write(tmp_path, failed, ["d2", "d1"], k_values=(2, 1),
+                            scenarios=("relevant", "less_relevant"))
+        payload = report.to_dict()
+        assert [(c["domain"], c["k"], c["scenario"]) for c in payload["cells"]] == [
+            ("d1", 1, "less_relevant"), ("d1", 1, "relevant"), ("d1", 2, "relevant"),
+            ("d2", 1, "less_relevant"), ("d2", 1, "relevant"),
+            ("d2", 2, "less_relevant"), ("d2", 2, "relevant"),
+        ]
+        assert [a["scenario"] for a in payload["averages"]] == ["relevant"]
+        assert [(s["domain"], s["k"], s["a"]) for s in payload["significance"]] == [
+            ("d1", 1, "relevant"), ("d2", 1, "relevant"), ("d2", 2, "relevant")
+        ]
+        assert [(f["domain"], f["k"]) for f in payload["failed_cells"]] == [("d1", 2)]
+
+
 class TestRunExperiment:
     def run(self, tmp_path, out_name="out", workers=1, **overrides):
         tm, test_sets = make_three_domain(tm_per_domain=30, test_per_domain=20)
@@ -323,6 +462,19 @@ class TestRunExperiment:
         assert len(report.significance) == 4
         for key in report.significance:
             assert key[2:] == ("baseline_copy_first", "relevant", "less_relevant")
+        # Each average is the mean of its scenario's cells, summed in grid order.
+        for (system, scenario), average in report.averages.items():
+            cells = [report.cells[(d, k, scenario, system)] for d in ("it", "med") for k in (1, 2)]
+            assert average.bleu == sum(cell.bleu.score for cell in cells) / 4
+            assert average.overlap_pct == sum(cell.overlap_pct for cell in cells) / 4
+        payload = report.to_dict()
+        assert [(c["domain"], c["k"], c["scenario"]) for c in payload["cells"]] == sorted(
+            key[:3] for key in report.cells
+        )
+        assert [a["scenario"] for a in payload["averages"]] == ["less_relevant", "relevant"]
+        assert [(s["domain"], s["k"]) for s in payload["significance"]] == sorted(
+            key[:2] for key in report.significance
+        )
 
     def test_artifacts_written_per_cell(self, tmp_path):
         self.run(tmp_path)
@@ -370,6 +522,9 @@ class TestRunExperiment:
         assert {key[0] for key in report.significance} == {"it"}
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         assert len(payload["failed_cells"]) == 4
+        assert [(c["k"], c["scenario"]) for c in payload["failed_cells"]] == sorted(
+            key[1:3] for key in report.failed
+        )
 
     def test_broken_translator_fails_cells_not_run(self, tmp_path):
         report = self.run(
@@ -380,6 +535,7 @@ class TestRunExperiment:
         assert len(report.failed) == 8
         assert all("code 7" in error for error in report.failed.values())
         assert not report.significance
+        assert report.averages == {}
         assert (tmp_path / "out" / "report.json").is_file()
 
     def test_failed_translator_report_identical_across_workers(self, tmp_path):
@@ -455,6 +611,19 @@ class TestRunExperiment:
         assert report.averages == {}
         assert {key[0] for key in report.significance} == {"it"}
         assert report_experiment(load_manifest(tmp_path / "exp.json")) == report
+
+    def test_average_overlap_skips_cells_without_one(self, tmp_path, monkeypatch):
+        def none_for_med(examples, hypotheses):
+            result = evaluation.suggestion_overlap(examples, hypotheses)
+            return replace(result, mean_pct=None) if examples[0].pair_id.startswith("med") else result
+
+        monkeypatch.setattr("ratkit.pipeline.suggestion_overlap", none_for_med)
+        report = self.run(tmp_path)
+        for (system, scenario), average in report.averages.items():
+            cells = [report.cells[(d, k, scenario, system)] for d in ("it", "med") for k in (1, 2)]
+            assert [cell.overlap_pct is None for cell in cells] == [False, False, True, True]
+            assert average.overlap_pct == (cells[0].overlap_pct + cells[1].overlap_pct) / 2
+            assert average.bleu == sum(cell.bleu.score for cell in cells) / 4
 
     def test_builtin_translator_cells_run_on_one_thread(self, tmp_path, monkeypatch):
         threads = []
@@ -668,19 +837,37 @@ class TestRunExperiment:
             assert (tmp_path / "out" / name).read_bytes() == data, name
 
     def test_suggestion_from_an_excluded_domain_fails_its_group(self, tmp_path, monkeypatch):
-        def leaky(domain, tms, relevance, *args):
-            spec, index = build_scenario(domain, tms, relevance, *args)
-            if (domain, relevance) == ("it", "relevant"):
-                _, index = build_scenario(domain, tms, "less_relevant", *args)
-            return spec, index
-
-        monkeypatch.setattr("ratkit.pipeline.build_scenario", leaky)
+        monkeypatch.setattr("ratkit.pipeline.build_scenario", leak_into_it_relevant)
         report = self.run(tmp_path)
         assert set(report.failed) == {("it", k, "relevant", "baseline_copy_first") for k in (1, 2)}
         for error in report.failed.values():
             assert error.startswith("ValidationError: relevant scenario for 'it' suggested ")
             assert "from excluded domain" in error and "for pair 'it-test-" in error
         assert len(report.cells) == 6
+        # The failed cells take out their own scenario's average only.
+        assert set(report.averages) == {("baseline_copy_first", "less_relevant")}
+
+    @pytest.mark.parametrize("grid", ["failed", "clean"])
+    def test_report_bytes_equal_the_golden_files(self, tmp_path, monkeypatch, grid):
+        # Relative paths keep tmp_path out of the error texts.
+        monkeypatch.chdir(tmp_path)
+        tm, test_sets = make_three_domain(tm_per_domain=30, test_per_domain=20)
+        materialize(tmp_path, tm, {domain: test_sets[domain] for domain in ("it", "med")})
+        # The failed grid's law domain has no test set, and its (it, relevant)
+        # group is handed less_relevant suggestions, which fail that group only.
+        domains = ["it", "med", "law"] if grid == "failed" else ["it", "med"]
+        test_set_files = {domain: f"test_{domain}.jsonl" for domain in domains}
+        write_manifest(tmp_path / "exp.json", domains=domains, test_sets=test_set_files)
+        if grid == "failed":
+            monkeypatch.setattr("ratkit.pipeline.build_scenario", leak_into_it_relevant)
+        manifest = load_manifest("exp.json")
+        for build in (run_experiment, report_experiment):
+            for name in ("report.json", "report.md"):
+                (tmp_path / "out" / name).unlink(missing_ok=True)
+            build(manifest)
+            for name in ("report.json", "report.md"):
+                golden = (GOLDEN / f"{grid}_grid_{name}").read_bytes()
+                assert (tmp_path / "out" / name).read_bytes() == golden, (build.__name__, name)
 
     def test_worker_count_validated(self, tmp_path):
         tm, test_sets = make_three_domain(tm_per_domain=30, test_per_domain=20)
