@@ -96,10 +96,10 @@ def _cmd_overlap(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    refs = read_lines(args.ref)
     result = paired_bootstrap(
-        read_lines(args.hyp_a),
-        read_lines(args.hyp_b),
-        read_lines(args.ref),
+        bleu_corpus(read_lines(args.hyp_a), refs),
+        bleu_corpus(read_lines(args.hyp_b), refs),
         n_samples=args.bootstrap,
         threshold=args.p_thresh,
         seed=args.seed,

@@ -12,22 +12,21 @@ code, both sides' (sentence, code) keys are counted by sorting, and each
 hypothesis n-gram's count is clipped by its count in the same sentence's
 reference. The counts are the integers a per-sentence ``Counter`` of
 n-gram tuples gives.
-``bleu_corpus`` keeps them on the BleuScore it returns, and the
-paired bootstrap resamples the statistics of the two BleuScores it is given
-(or computes them from hypothesis lines). It draws every resample of a
-comparison from one seeded stream of sentence indices and scores both
-systems on each. The indices are drawn in numpy, blocks of resamples at a
-time, from the same Mersenne Twister words that ``Random.choices`` would
-use, so they, and every p-value, are the ones a ``Random.choices`` loop
-gives. Each resample's sums are a float64 (BLAS) product of sentence counts
-and statistics, exact because every partial sum is an integer below 2**53
-(checked: the sentence count times the largest statistic). Both systems'
-scores on every resample are computed in one numpy pass; resamples whose
-two scores are too close for numpy's last bits to decide are rescored with
-the scalar scorer, so wins and ties are those of a scalar loop. Ties count
-against significance: the p-value is the fraction of resamples in which
-the observed winner failed to win strictly, so identical systems come out
-at p = 1.0.
+``bleu_corpus`` keeps them on the BleuScore it returns, and the paired
+bootstrap resamples the statistics of the two BleuScores it is given. It
+draws every resample of a comparison from one seeded stream of sentence
+indices and scores both systems on each. The indices are drawn in numpy,
+blocks of resamples at a time, from the same Mersenne Twister words that
+``Random.choices`` would use, so they, and every p-value, are the ones a
+``Random.choices`` loop gives. Each resample's sums are a float64 (BLAS)
+product of sentence counts and statistics, exact because every partial sum
+is an integer below 2**53 (checked: the sentence count times the largest
+statistic). Both systems' scores on every resample are computed in one
+numpy pass; resamples whose two scores are too close for numpy's last bits
+to decide are rescored with the scalar scorer, so wins and ties are those
+of a scalar loop. Ties count against significance: the p-value is the
+fraction of resamples in which the observed winner failed to win strictly,
+so identical systems come out at p = 1.0.
 """
 
 from __future__ import annotations
@@ -391,30 +390,6 @@ class BootstrapConfig:
             raise ValidationError(f"threshold must be in (0, 1), got {self.threshold}")
 
 
-def _system_stats(system: list[str] | BleuScore, refs: list[str], name: str) -> np.ndarray:
-    """System ``name``'s (N, 10) statistics against ``refs``: computed from its
-    hypothesis lines, or taken from the BleuScore :func:`bleu_corpus` returned
-    for those lines against ``refs``.
-    """
-    if not isinstance(system, BleuScore):
-        if len(system) != len(refs):
-            raise ValidationError(f"alignment mismatch: {name}={len(system)} refs={len(refs)}")
-        return _stats_matrix(system, refs)
-    stats = system.sentence_stats
-    if stats is None:
-        raise ValidationError(
-            f"system {name}: BleuScore carries no per-sentence statistics "
-            "(one not made by bleu_corpus); pass bleu_corpus's result or the hypothesis lines"
-        )
-    if len(stats) != len(refs):
-        raise ValidationError(f"alignment mismatch: {name}={len(stats)} refs={len(refs)}")
-    # The reference-length column must be these references' (13a tokens are memoized).
-    ref_lengths = [len(_tokens_13a(ref.rstrip())) for ref in refs]
-    if stats[:, 2 * _NGRAM_ORDER + 1].tolist() != ref_lengths:
-        raise ValidationError(f"system {name}: BleuScore was not scored against these references")
-    return stats
-
-
 # Resample sums are taken as a float64 matrix product, which numpy hands to
 # BLAS (an int64 product runs as a plain loop). They are exact while every
 # partial sum is an integer below 2**53: the weights of a resample sum to N, so
@@ -449,21 +424,20 @@ def _resample_sums(stats: np.ndarray, n_samples: int, rng: random.Random) -> np.
 
 
 def paired_bootstrap(
-    hyps_a: list[str] | BleuScore,
-    hyps_b: list[str] | BleuScore,
-    refs: list[str],
+    bleu_a: BleuScore,
+    bleu_b: BleuScore,
+    *,
     n_samples: int = BootstrapConfig.n_samples,
     threshold: float = BootstrapConfig.threshold,
     seed: int = BootstrapConfig.seed,
 ) -> SignificanceResult:
     """Paired bootstrap resampling over sentences, comparing systems A and B.
 
-    Each system is given as its hypothesis lines, or as the BleuScore that
-    :func:`bleu_corpus` returned for those lines against ``refs``; its
-    per-sentence statistics are then resampled as they are, not recomputed,
-    and the result is the same bit for bit. Resample i is the i-th block of
-    len(refs) sentence indices drawn with replacement from one stream seeded
-    by ``seed``, so the first m resamples of an n-sample run are those of an
+    Each system is given as the BleuScore that :func:`bleu_corpus` returned
+    for its hypothesis lines against the same references; its per-sentence
+    statistics are resampled as they are. Resample i is the i-th block of N
+    sentence indices drawn with replacement from one stream seeded by
+    ``seed``, so the first m resamples of an n-sample run are those of an
     m-sample run. The indices are those ``Random.choices`` draws from that
     stream, taken in numpy several resamples at a time; the resampled sums
     are exact float64 products (a ValidationError if a count is too large
@@ -472,16 +446,21 @@ def paired_bootstrap(
     ``_score_from_stats``. The p-value counts the resamples in which the
     full-set winner did not win strictly. A zero observed delta is never significant.
     """
-    stats = np.hstack((_system_stats(hyps_a, refs, "a"), _system_stats(hyps_b, refs, "b")))
-    if not refs:
-        raise ValidationError("cannot bootstrap an empty test set")
+    for name, bleu in (("a", bleu_a), ("b", bleu_b)):
+        if bleu.sentence_stats is None:
+            raise ValidationError(
+                f"system {name}: BleuScore carries no per-sentence statistics "
+                "(one not made by bleu_corpus); pass bleu_corpus's result"
+            )
+    stats_a, stats_b = bleu_a.sentence_stats, bleu_b.sentence_stats
+    ref_len = 2 * _NGRAM_ORDER + 1  # the reference-length column
+    if stats_a.shape != stats_b.shape or (stats_a[:, ref_len] != stats_b[:, ref_len]).any():
+        raise ValidationError("systems a and b were not scored against the same references")
     BootstrapConfig(n_samples, threshold, seed)  # checks the settings' ranges
-
-    sums_a, sums_b = np.hsplit(stats.sum(axis=0), 2)
-    observed_delta = _score_from_stats(sums_a).score - _score_from_stats(sums_b).score
+    observed_delta = bleu_a.score - bleu_b.score
 
     # Row i holds resample i's summed statistics: system A's, then system B's.
-    sums = _resample_sums(stats, n_samples, derived_rng(seed))
+    sums = _resample_sums(np.hstack((stats_a, stats_b)), n_samples, derived_rng(seed))
     wins_a, wins_b = _count_wins(*np.hsplit(sums, 2))
     ties = n_samples - wins_a - wins_b
 

@@ -394,7 +394,6 @@ def _run_cell(
     retrieved: list[AugmentedExample],
     cell_dir: Path,
 ) -> CellResult:
-    make_dirs(cell_dir)
     cfg = manifest.cell_config(k)
     examples = [
         _select(ex.pair_id, ex.source, ex.reference, ex.suggestions, cfg) for ex in retrieved
@@ -469,6 +468,11 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
     out_dir = manifest.out_dir
     make_dirs(out_dir / "cells")
     make_dirs(out_dir / "indexes")
+    grid = list(product(manifest.domains, manifest.k_values, manifest.scenarios))
+    # Every cell directory is made before any TM is read, so a name that the
+    # file system refuses ends the run before it does the grid's work.
+    for cell in grid:
+        make_dirs(_cell_dir(out_dir, *cell))
 
     # What became of each (domain, scenario) group: the retrieved examples its
     # cells select from, or the error text each of its cells records. A TM load
@@ -519,12 +523,10 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
         if isinstance(group, str):
             return group
         try:
-            cell_dir = _cell_dir(out_dir, domain, k, scenario)
-            return _run_cell(manifest, domain, k, scenario, group, cell_dir)
+            return _run_cell(manifest, domain, k, scenario, group, _cell_dir(out_dir, *cell))
         except Exception as exc:
             return _error_text(exc)
 
-    grid = list(product(manifest.domains, manifest.k_values, manifest.scenarios))
     # One loop for every worker count. Threads pay off only when an external
     # translator spends its time waiting on a subprocess; the built-in
     # baselines are CPU-bound, and two threads run them slower than one.
@@ -534,13 +536,11 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
     for cell, result in results.items():
         if isinstance(result, str):
             cell_dir = _cell_dir(out_dir, *cell)
-            make_dirs(cell_dir)
             for stale in ("cell.json", "hyp.txt"):  # an earlier run's outcome
                 (cell_dir / stale).unlink(missing_ok=True)
             _write_json(cell_dir / "failed.json", {"error": result})
 
-    references = {domain: [pair.target for pair in test] for domain, test in test_corpora.items()}
-    return _write_report(manifest, results, references)
+    return _write_report(manifest, results)
 
 
 def report_experiment(manifest: ExperimentManifest) -> EvalReport:
@@ -552,7 +552,7 @@ def report_experiment(manifest: ExperimentManifest) -> EvalReport:
     scenario or system is not the manifest's, raises a ValidationError naming it.
     """
     system = manifest.translator.kind
-    results, references = {}, {}
+    results = {}
     for cell in product(manifest.domains, manifest.k_values, manifest.scenarios):
         domain, k, scenario = cell
         cell_dir = _cell_dir(manifest.out_dir, domain, k, scenario)
@@ -567,21 +567,19 @@ def report_experiment(manifest: ExperimentManifest) -> EvalReport:
             results[cell] = _score_cell(manifest, domain, k, scenario, examples, hypotheses)
         except ValidationError as exc:  # say, a hyp.txt shorter than the test set
             raise ValidationError(f"cell directory {cell_dir}: {exc}") from exc
-        references[domain] = [ex.reference for ex in examples]
-    return _write_report(manifest, results, references)
+    return _write_report(manifest, results)
 
 
 def _write_report(
-    manifest: ExperimentManifest, results: dict[tuple[str, int, str], CellResult | str],
-    references: dict[str, list[str]],
+    manifest: ExperimentManifest, results: dict[tuple[str, int, str], CellResult | str]
 ) -> EvalReport:
     """The grid's report, written as report.json and report.md under out_dir.
 
     ``results`` holds each grid cell's CellResult or error text. Per (domain, k)
     whose relevant and less_relevant cells both succeeded, a paired bootstrap
-    resamples their BLEU statistics against ``references[domain]``. A scenario's
-    average is the mean of its cells over domains x k, summed in grid order, and
-    is given only when every one of its cells succeeded.
+    resamples their BLEU statistics. A scenario's average is the mean of its
+    cells over domains x k, summed in grid order, and is given only when every
+    one of its cells succeeded.
     """
     system = manifest.translator.kind
     cells = {r.key: r for r in results.values() if isinstance(r, CellResult)}
@@ -593,7 +591,7 @@ def _write_report(
         if side_a is None or side_b is None:
             continue
         significance[(domain, k, system, "relevant", "less_relevant")] = paired_bootstrap(
-            side_a.bleu, side_b.bleu, references[domain],
+            side_a.bleu, side_b.bleu,
             n_samples=manifest.bootstrap.n_samples,
             threshold=manifest.bootstrap.threshold,
             seed=derive_seed(manifest.bootstrap.seed, domain, k, system),

@@ -217,18 +217,17 @@ def test_07_bootstrap_significance_behaviour():
         "seed-deterministic"
     ):
         hyps_a, hyps_b, refs = make_bootstrap_systems(n_sentences=200, a_wins=180)
-        same = paired_bootstrap(hyps_a, hyps_a, refs, n_samples=1000, seed=7)
+        bleu_a, bleu_b = bleu_corpus(hyps_a, refs), bleu_corpus(hyps_b, refs)
+        same = paired_bootstrap(bleu_a, bleu_a, n_samples=1000, seed=7)
         assert same.p_value == 1.0
         assert not same.significant
         assert same.ties == 1000
 
-        verdict = paired_bootstrap(hyps_a, hyps_b, refs, n_samples=1000,
-                                   threshold=0.05, seed=7)
+        verdict = paired_bootstrap(bleu_a, bleu_b, n_samples=1000, threshold=0.05, seed=7)
         assert verdict.observed_delta > 0
         assert verdict.significant
         assert verdict.p_value < 0.05
-        assert verdict == paired_bootstrap(hyps_a, hyps_b, refs, n_samples=1000,
-                                           threshold=0.05, seed=7)
+        assert verdict == paired_bootstrap(bleu_a, bleu_b, n_samples=1000, threshold=0.05, seed=7)
 
 
 def test_08_pipeline_reports_are_byte_stable(tmp_path):

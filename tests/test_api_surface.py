@@ -22,7 +22,7 @@ README = (ROOT / "README.md").read_text(encoding="utf-8")
 # "module.name" -> why the name stays public although no other module uses it
 # and README does not name it.
 ALLOWED = {
-    "evaluation.BleuScore": "the return type of bleu_corpus, which paired_bootstrap also takes",
+    "evaluation.BleuScore": "what bleu_corpus returns and paired_bootstrap takes, two at a time",
     "evaluation.OverlapResult": "the return type of suggestion_overlap",
     "scenarios.ScenarioValidation": "the return type of validate_scenario",
     "pipeline.TranslatorSpec": "the type of ExperimentManifest.translator",

@@ -9,9 +9,10 @@ import sys
 
 import pytest
 
+from ratkit import pipeline
 from ratkit.augmentation import read_augmented
 from ratkit.cli import main
-from ratkit.corpus import read_lines, save_corpus, write_lines
+from ratkit.corpus import load_corpus, read_lines, save_corpus, write_lines
 from ratkit.retrieval import build_index, load_index, save_index
 
 from synthetic import make_three_domain, tiny_tm
@@ -345,6 +346,18 @@ class TestCompareCommand:
         assert captured.out == ""
         assert "threshold must be in (0, 1)" in captured.err
 
+    def test_hypothesis_file_one_line_short_exits_2(self, tmp_path, capsys):
+        refs = [f"zeile nummer {i}" for i in range(20)]
+        write_lines(refs, tmp_path / "a.txt")
+        write_lines(refs[:-1], tmp_path / "b.txt")
+        write_lines(refs, tmp_path / "ref.txt")
+        code = run_cli("compare", "--hyp-a", tmp_path / "a.txt", "--hyp-b", tmp_path / "b.txt",
+                       "--ref", tmp_path / "ref.txt")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: hypothesis/reference length mismatch: 19 vs 20\n"
+
 
 class TestReportCommand:
     """``ratkit report`` rebuilds a run's report from its cell directories."""
@@ -595,6 +608,51 @@ class TestRunCommand:
         code = run_cli("run", "--manifest", path)
         assert code == 2
         assert capsys.readouterr().err.startswith("error: manifest field")
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"tms": []}, "manifest lists no TM corpora"),
+            ({"domains": []}, "manifest lists no test domains"),
+            ({"k_values": [0]}, "k_values must be positive integers, got (0,)"),
+            ({"scenarios": []}, "manifest lists no scenarios"),
+            ({"scenarios": ["relevant", "relevant"]}, "duplicate scenarios: ('relevant', 'relevant')"),
+            ({"domains": ["it", "it"]}, "duplicate domains: ('it', 'it')"),
+            (["tm.jsonl"], "must be a JSON object"),
+            ({"translator": {}}, "manifest field 'translator' must be an object with a 'kind'"),
+        ],
+        ids=["no-tms", "no-domains", "k-zero", "no-scenarios", "duplicate-scenarios",
+             "duplicate-domains", "array", "translator-without-kind"],
+    )
+    def test_manifest_of_the_wrong_shape_exits_2(self, corpus_files, capsys, override, message):
+        path = write_manifest(corpus_files)
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        # A list is the whole manifest; an object overrides its fields.
+        manifest = override if isinstance(override, list) else {**manifest, **override}
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        code = run_cli("run", "--manifest", path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert not (corpus_files / "out").exists()
+
+    def test_cell_directory_name_too_long_exits_2_before_any_tm_is_read(
+        self, corpus_files, capsys, monkeypatch
+    ):
+        loaded = []
+
+        def recording(path, *args, **kwargs):
+            loaded.append(path)
+            return load_corpus(path, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "load_corpus", recording)
+        domain = "d" * 300
+        path = write_manifest(corpus_files, domains=[domain], test_sets={domain: "test_it.jsonl"})
+        code = run_cli("run", "--manifest", path)
+        cell = corpus_files / "out" / "cells" / f"{domain}__k1__relevant"
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot create directory {cell}: ")
+        assert loaded == []
 
     def test_non_finite_bm25_parameter_exits_2(self, corpus_files, capsys):
         path = write_manifest(corpus_files)

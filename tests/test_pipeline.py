@@ -355,7 +355,7 @@ class TestWriteReport:
             cell: outcomes[cell] if cell in outcomes else self.cell(*cell)
             for cell in product(domains, k_values, scenarios)
         }
-        report = pipeline._write_report(manifest, results, {d: self.REFS for d in domains})
+        report = pipeline._write_report(manifest, results)
         assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8")) == report.to_dict()
         return report
 
@@ -721,8 +721,9 @@ class TestRunExperiment:
             domain, k, system = entry["domain"], entry["k"], entry["system"]
             hyp_a = read_lines(cells / f"{domain}__k{k}__{entry['a']}" / "hyp.txt")
             hyp_b = read_lines(cells / f"{domain}__k{k}__{entry['b']}" / "hyp.txt")
+            refs = [pair.target for pair in test_sets[domain].pairs]
             fresh = paired_bootstrap(
-                hyp_a, hyp_b, [pair.target for pair in test_sets[domain].pairs],
+                bleu_corpus(hyp_a, refs), bleu_corpus(hyp_b, refs),
                 n_samples=manifest.bootstrap.n_samples,
                 seed=derive_seed(manifest.bootstrap.seed, domain, k, system),
             ).to_dict()
