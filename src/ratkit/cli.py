@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .augmentation import MODES, AugmentationConfig, augment_corpus, read_augmented, write_augmented
 from .corpus import load_corpus, read_lines
-from .errors import RatkitError
+from .errors import RatkitError, ValidationError
 from .evaluation import BootstrapConfig, bleu_corpus, paired_bootstrap, suggestion_overlap
 from .pipeline import load_manifest, report_experiment, run_experiment
 from .retrieval import Bm25Params, build_index, load_index, save_index
@@ -97,9 +97,14 @@ def _cmd_overlap(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     refs = read_lines(args.ref)
+    hyps = {}
+    for flag, path in (("--hyp-a", args.hyp_a), ("--hyp-b", args.hyp_b)):
+        hyps[flag] = read_lines(path)
+        if len(hyps[flag]) != len(refs):
+            raise ValidationError(f"{flag} {path} has {len(hyps[flag])} lines; --ref {args.ref} has {len(refs)}")
     result = paired_bootstrap(
-        bleu_corpus(read_lines(args.hyp_a), refs),
-        bleu_corpus(read_lines(args.hyp_b), refs),
+        bleu_corpus(hyps["--hyp-a"], refs),
+        bleu_corpus(hyps["--hyp-b"], refs),
         n_samples=args.bootstrap,
         threshold=args.p_thresh,
         seed=args.seed,
@@ -197,7 +202,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a full experiment manifest")
     p.add_argument("--manifest", required=True, type=Path)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help="run up to N (domain, scenario) groups at once, each with all of its cells, in "
+        "forked processes; outputs are byte-identical for any N (default: 1)",
+    )
     p.set_defaults(func=_cmd_run)
 
     return parser

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -39,7 +38,7 @@ from .evaluation import (
     report_to_markdown,
     suggestion_overlap,
 )
-from .retrieval import Bm25Params, save_index
+from .retrieval import Bm25Params, TmIndex, save_index
 from .scenarios import RELEVANCES, ScenarioSpec, build_pool, build_scenario, validate_scenario
 from .scenarios import write_scenario_sidecar
 from .seeding import derive_seed
@@ -450,18 +449,144 @@ def _check_domains(spec: ScenarioSpec, examples: list[AugmentedExample]) -> None
         )
 
 
+def _run_group(
+    manifest: ExperimentManifest,
+    tms: list[TranslationMemory],
+    pool_index: TmIndex,
+    test_set: TranslationMemory | str,
+    domain: str,
+    scenario: str,
+) -> dict[tuple[str, int, str], CellResult | str]:
+    """Each cell's result or error text for one (domain, scenario) group.
+
+    The group's scenario index is cut from ``pool_index``, saved, and queried
+    once per sentence of ``test_set`` at the widest setting the grid needs;
+    each of its k cells selects from those matches. A suggestion from an
+    excluded domain fails the group. ``test_set`` may instead be the error
+    text of the domain's test set, which comes before the group's own fault.
+    """
+    error = test_set if isinstance(test_set, str) else None
+    try:
+        spec, index = build_scenario(domain, tms, scenario, manifest.retrieval, pool_index)
+        index_path = manifest.out_dir / "indexes" / f"{domain}__{scenario}.idx"
+        save_index(index, index_path)
+        write_scenario_sidecar(spec, index_path)
+        if error is None:
+            examples = list(augment_corpus(test_set, index, manifest.widest_config()))
+            _check_domains(spec, examples)
+    except Exception as exc:
+        if error is None:
+            error = _error_text(exc)
+    results: dict[tuple[str, int, str], CellResult | str] = {}
+    for k in manifest.k_values:
+        cell = (domain, k, scenario)
+        if error is not None:
+            results[cell] = error
+            continue
+        try:
+            results[cell] = _run_cell(manifest, domain, k, scenario, examples, _cell_dir(manifest.out_dir, *cell))
+        except Exception as exc:
+            results[cell] = _error_text(exc)
+    return results
+
+
+def _deal(groups: list[tuple[str, str]], costs: list[int], n: int) -> list[list[tuple[str, str]]]:
+    """``groups`` dealt to ``n`` workers, costliest first, each to the least
+    loaded worker; each share keeps grid order. A tie goes to the later
+    worker, so worker 0, which also forks the others, collects their results
+    and writes the report, ends with the lighter share."""
+    loads = [0] * n
+    owner = [0] * len(groups)
+    for i in sorted(range(len(groups)), key=lambda i: -costs[i]):
+        owner[i] = min(range(n), key=lambda w: (loads[w], -w))
+        loads[owner[i]] += costs[i]
+    return [[g for g, w in zip(groups, owner) if w == worker] for worker in range(n)]
+
+
+def _serve_share(run_share, share: list, read_fd: int, write_fd: int) -> None:
+    """A forked worker's whole life, which never returns into the caller's
+    code: run its share, pickle ``{cell: result}`` to the pipe, and leave
+    through ``os._exit``, with 0 only once the results are sent."""
+    import pickle
+
+    code = 1
+    try:
+        os.close(read_fd)
+        results = run_share(share)
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(results, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_forked(run_share, shares: list[list[tuple[str, str]]], k_values: tuple[int, ...]) -> dict:
+    """``run_share`` over every share: shares[0] here, each other one in a
+    child forked for it, whose results come back through a pipe.
+
+    A child that ends before it has sent all of its results fails every
+    cell of its share, with an error text that names its exit status. Any
+    exception here, KeyboardInterrupt too, kills every child before it
+    propagates, and every child is reaped before this returns or raises.
+    """
+    import pickle
+    import signal
+
+    results: dict = {}
+    children: list[tuple[int, int, int, list]] = []  # (pid, read end, worker, share), not yet reaped
+    try:
+        for worker, share in enumerate(shares[1:], 1):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve_share(run_share, share, read_fd, write_fd)
+            children.append((pid, read_fd, worker, share))
+            os.close(write_fd)
+        results.update(run_share(shares[0]))
+        while children:
+            pid, read_fd, worker, share = children[0]
+            with open(read_fd, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            os.close(read_fd)
+            try:
+                results.update(pickle.loads(payload))
+            except Exception:  # the child ended before it sent all of its results
+                how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
+                error = f"grid worker {worker} {how}; the results of its cells were lost"
+                results.update({(d, k, s): error for d, s in share for k in k_values})
+    except BaseException:
+        for pid, *_ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read_fd, *_ in children:
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+    return results
+
+
 def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport:
     """Run the full domain x k x scenario grid and persist every artifact.
 
-    Per run: one index over all TMs. Per (domain, scenario): a scenario
-    index cut from it, queried once per test sentence at the widest setting
-    the grid needs; a suggestion from an excluded domain fails the group.
-    Per cell: augmented files (its k's suggestions, selected from those
-    matches), hypothesis file, and one outcome record, cell.json or
-    failed.json; a failure never aborts the rest of the grid. The report is
-    built from each cell's in-memory result or error text as
-    :func:`report_experiment` builds it from the cell directories;
-    report.json is byte-stable for fixed seeds.
+    Per run: one index over all TMs, and each test set loaded once. Per
+    (domain, scenario) group: a scenario index cut from it, saved, and queried
+    once per test sentence at the widest setting the grid needs; a suggestion
+    from an excluded domain fails the group. Per cell: augmented files (its
+    k's suggestions, selected from those matches), hypothesis file, and one
+    outcome record, cell.json or failed.json; a failure never aborts the rest
+    of the grid. The report is built from each cell's in-memory result or
+    error text as :func:`report_experiment` builds it from the cell
+    directories; report.json is byte-stable for fixed seeds.
+
+    A task is one (domain, scenario) group with all of its cells, so at most
+    domains x scenarios processes run at once, whatever the translator. With
+    ``workers`` N > 1 the groups are dealt, by test sentences x scenario
+    pairs, to up to N processes: this one and ``os.fork`` children, which
+    send their cells' results back through pipes. Where ``os.fork`` is
+    missing, every group runs in this process. Every output file is
+    byte-identical for any N.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -474,65 +599,53 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
     for cell in grid:
         make_dirs(_cell_dir(out_dir, *cell))
 
-    # What became of each (domain, scenario) group: the retrieved examples its
-    # cells select from, or the error text each of its cells records. A TM load
-    # or pool fault comes first, then a test-set fault, then the group's own.
-    groups = list(product(manifest.domains, manifest.scenarios))
-    outcome: dict[tuple[str, str], list[AugmentedExample] | str] = {}
-    pool_index = None
+    # A TM load or pool fault fails every cell, and then no test set is read.
+    results: dict[tuple[str, int, str], CellResult | str] | None = None
     try:
         tms = [load_corpus(p) for p in manifest.tms]
     except Exception as exc:
-        outcome = dict.fromkeys(groups, _error_text(exc))
+        results = dict.fromkeys(grid, _error_text(exc))
     else:
         # Every scenario index is cut from one index over all TMs, so a TM set
         # that cannot be indexed together fails every cell, as a TM load fault does.
         try:
             pool_index = build_pool(tms, manifest.retrieval)
         except RatkitError as exc:
-            outcome = dict.fromkeys(groups, _error_text(exc))
+            results = dict.fromkeys(grid, _error_text(exc))
 
-    # Without a pool index every group already holds the TM's error, so no
-    # test set is read. A domain whose test set failed still gets its
-    # scenario indexes.
-    test_corpora: dict[str, TranslationMemory] = {}
-    if pool_index is not None:
+    if results is None:
+        # Each domain's test set, or the error text its cells record.
+        test_sets: dict[str, TranslationMemory | str] = {}
         for domain in manifest.domains:
             try:
-                test_corpora[domain] = load_corpus(manifest.test_sets[domain], name=f"test[{domain}]")
+                test_sets[domain] = load_corpus(manifest.test_sets[domain], name=f"test[{domain}]")
             except Exception as exc:
-                for scenario in manifest.scenarios:
-                    outcome[(domain, scenario)] = _error_text(exc)
-        widest = manifest.widest_config()
-        for domain, scenario in groups:
-            try:
-                spec, index = build_scenario(domain, tms, scenario, manifest.retrieval, pool_index)
-                index_path = out_dir / "indexes" / f"{domain}__{scenario}.idx"
-                save_index(index, index_path)
-                write_scenario_sidecar(spec, index_path)
-                if (domain, scenario) not in outcome:
-                    examples = list(augment_corpus(test_corpora[domain], index, widest))
-                    _check_domains(spec, examples)
-                    outcome[(domain, scenario)] = examples
-            except Exception as exc:
-                outcome.setdefault((domain, scenario), _error_text(exc))
+                test_sets[domain] = _error_text(exc)
 
-    def run_one(cell: tuple[str, int, str]) -> CellResult | str:
-        domain, k, scenario = cell
-        group = outcome[(domain, scenario)]
-        if isinstance(group, str):
-            return group
-        try:
-            return _run_cell(manifest, domain, k, scenario, group, _cell_dir(out_dir, *cell))
-        except Exception as exc:
-            return _error_text(exc)
+        def run_share(share: list[tuple[str, str]]) -> dict:
+            done = {}
+            for domain, scenario in share:
+                done.update(_run_group(manifest, tms, pool_index, test_sets[domain], domain, scenario))
+            return done
 
-    # One loop for every worker count. Threads pay off only when an external
-    # translator spends its time waiting on a subprocess; the built-in
-    # baselines are CPU-bound, and two threads run them slower than one.
-    threads = workers if manifest.translator.kind == "external_command" else 1
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = dict(zip(grid, pool.map(run_one, grid)))
+        groups = list(product(manifest.domains, manifest.scenarios))
+        n = min(workers, len(groups)) if hasattr(os, "fork") else 1
+        if n == 1:
+            results = run_share(groups)
+        else:
+            # Retrieval, most of a group's work, grows with its queries and
+            # with the pairs of its scenario index.
+            from collections import Counter
+
+            in_domain = Counter(pair.domain for pair in pool_index.pairs)
+            queries = {d: 0 if isinstance(t, str) else len(t) for d, t in test_sets.items()}
+            costs = [
+                (1 + queries[d]) * (in_domain[d] if s == "relevant" else pool_index.doc_count - in_domain[d])
+                for d, s in groups
+            ]
+            results = _run_forked(run_share, _deal(groups, costs, n), manifest.k_values)
+        results = {cell: results[cell] for cell in grid}
+
     for cell, result in results.items():
         if isinstance(result, str):
             cell_dir = _cell_dir(out_dir, *cell)

@@ -348,15 +348,16 @@ class TestCompareCommand:
 
     def test_hypothesis_file_one_line_short_exits_2(self, tmp_path, capsys):
         refs = [f"zeile nummer {i}" for i in range(20)]
-        write_lines(refs, tmp_path / "a.txt")
-        write_lines(refs[:-1], tmp_path / "b.txt")
+        write_lines(refs, tmp_path / "full.txt")
+        write_lines(refs[:-1], tmp_path / "short.txt")
         write_lines(refs, tmp_path / "ref.txt")
-        code = run_cli("compare", "--hyp-a", tmp_path / "a.txt", "--hyp-b", tmp_path / "b.txt",
-                       "--ref", tmp_path / "ref.txt")
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == "error: hypothesis/reference length mismatch: 19 vs 20\n"
+        full, short, ref = tmp_path / "full.txt", tmp_path / "short.txt", tmp_path / "ref.txt"
+        for flag, hyp_a, hyp_b in (("--hyp-a", short, full), ("--hyp-b", full, short)):
+            code = run_cli("compare", "--hyp-a", hyp_a, "--hyp-b", hyp_b, "--ref", ref)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == f"error: {flag} {short} has 19 lines; --ref {ref} has 20\n"
 
 
 class TestReportCommand:

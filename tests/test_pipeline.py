@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-import threading
+import os
+import pickle
 import time
 from collections import Counter
 from dataclasses import replace
@@ -500,14 +501,6 @@ class TestRunExperiment:
             "score", "precisions", "brevity_penalty", "hyp_length", "ref_length"
         }
 
-    def test_report_json_identical_across_runs_and_workers(self, tmp_path):
-        self.run(tmp_path, out_name="out1")
-        self.run(tmp_path, out_name="out2")
-        self.run(tmp_path, out_name="out3", workers=4)
-        first = (tmp_path / "out1" / "report.json").read_bytes()
-        assert (tmp_path / "out2" / "report.json").read_bytes() == first
-        assert (tmp_path / "out3" / "report.json").read_bytes() == first
-
     def test_missing_test_set_fails_only_that_domain(self, tmp_path):
         tm, test_sets = make_three_domain(tm_per_domain=30, test_per_domain=20)
         materialize(tmp_path, tm, test_sets)
@@ -625,19 +618,121 @@ class TestRunExperiment:
             assert average.overlap_pct == (cells[0].overlap_pct + cells[1].overlap_pct) / 2
             assert average.bleu == sum(cell.bleu.score for cell in cells) / 4
 
-    def test_builtin_translator_cells_run_on_one_thread(self, tmp_path, monkeypatch):
-        threads = []
+    @pytest.mark.parametrize("translator", [
+        {"kind": "baseline_copy_first"},
+        {"kind": "external_command", "command": "cp {input} {output}"},
+    ])
+    def test_every_output_file_identical_across_runs_and_workers(self, tmp_path, translator):
+        trees = []
+        for run, workers in enumerate((1, 1, 2, 3)):
+            out_name = f"out{run}"
+            self.run(tmp_path, out_name=out_name, workers=workers, translator=translator)
+            out = tmp_path / out_name
+            trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+        assert len(trees[0]) == 2 + 8 * 5 + 4 * 2  # reports, cell files, indexes and sidecars
+        for tree in trees[1:]:
+            assert tree == trees[0]
+
+    def record_pids(self, tmp_path, monkeypatch):
+        """Each cell writes the PID it ran under to a file under tmp_path/pids."""
+        (tmp_path / "pids").mkdir()
         run_cell = pipeline._run_cell
 
-        def recording(*args):
-            threads.append(threading.get_ident())
-            return run_cell(*args)
+        def recording(manifest, domain, k, scenario, *args):
+            (tmp_path / "pids" / f"{domain}__k{k}__{scenario}").write_text(str(os.getpid()))
+            return run_cell(manifest, domain, k, scenario, *args)
 
         monkeypatch.setattr(pipeline, "_run_cell", recording)
+        return lambda: {p.name: int(p.read_text()) for p in (tmp_path / "pids").iterdir()}
+
+    def test_cells_run_in_two_processes_at_two_workers(self, tmp_path, monkeypatch):
+        pids = self.record_pids(tmp_path, monkeypatch)
         report = self.run(tmp_path, workers=2)
         assert len(report.cells) == 8
-        assert len(threads) == 8
-        assert len(set(threads)) == 1
+        by_cell = pids()
+        assert len(by_cell) == 8
+        assert len(set(by_cell.values())) == 2
+        assert os.getpid() in by_cell.values()
+        # A process runs every cell of each of its (domain, scenario) groups.
+        for domain, scenario in product(("it", "med"), ("relevant", "less_relevant")):
+            assert by_cell[f"{domain}__k1__{scenario}"] == by_cell[f"{domain}__k2__{scenario}"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_without_fork_every_cell_runs_in_this_process(self, tmp_path, monkeypatch):
+        pids = self.record_pids(tmp_path, monkeypatch)
+        monkeypatch.delattr(os, "fork")
+        report = self.run(tmp_path, workers=2)
+        assert len(report.cells) == 8
+        assert set(pids().values()) == {os.getpid()}
+
+    def test_forks_one_child_fewer_than_the_groups(self, tmp_path, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counting():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+        # One domain, so two (domain, scenario) groups for three workers.
+        report = self.run(tmp_path, workers=3, domains=["it"], test_sets={"it": "test_it.jsonl"})
+        assert len(report.cells) == 4
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("fault", ["exit", "short"])
+    def test_a_worker_whose_results_are_lost_fails_its_groups_cells(self, tmp_path, monkeypatch, fault):
+        parent = os.getpid()
+        run_cell = pipeline._run_cell
+        if fault == "exit":
+            def dying(*args):
+                if os.getpid() != parent:
+                    os._exit(3)
+                return run_cell(*args)
+
+            monkeypatch.setattr(pipeline, "_run_cell", dying)
+            text = "grid worker 1 exited with status 3; the results of its cells were lost"
+        else:
+            def short(obj, file, protocol):
+                file.write(pickle.dumps(obj, protocol)[:10])
+
+            monkeypatch.setattr(pickle, "dump", short)
+            text = "grid worker 1 exited with status 0; the results of its cells were lost"
+        tm, test_sets = make_three_domain(tm_per_domain=30, test_per_domain=20)
+        materialize(tmp_path, tm, test_sets)
+        path = write_manifest(tmp_path / "exp.json")
+        assert main(["run", "--manifest", str(path), "--workers", "2"]) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        failed = {(c["domain"], c["k"], c["scenario"]): c["error"] for c in report["failed_cells"]}
+        # The child's share is whole groups: both k of each of its (domain, scenario) pairs.
+        assert len(failed) == 4
+        assert set(failed.values()) == {text}
+        assert {(d, s) for d, _, s in failed} == {(d, s) for d, k, s in failed if k == 1}
+        assert len(report["cells"]) == 4
+        for cell in failed:
+            cell_dir = tmp_path / "out" / "cells" / "{}__k{}__{}".format(*cell)
+            assert json.loads((cell_dir / "failed.json").read_text()) == {"error": text}
+        assert report_experiment(load_manifest(path)).failed.keys() == {
+            (*cell, "baseline_copy_first") for cell in failed
+        }
+
+    def test_keyboard_interrupt_in_the_parent_leaves_no_child(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # the child is still at work when the parent stops
+
+        monkeypatch.setattr(pipeline, "_run_cell", interrupted)
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            self.run(tmp_path, workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert time.perf_counter() - started < 30
 
     @pytest.mark.parametrize("mode", ["topk", "shuffle"])
     def test_each_cell_equals_its_own_augment_corpus_run(self, tmp_path, mode):
