@@ -79,7 +79,7 @@ def build_scenario(
 
     The index is cut from ``pool``, the :func:`build_pool` index of the same
     TMs and parameters; without one, the pool is built here. It equals a fresh
-    index over the merged pairs.
+    index over the merged pairs, but for its rows, numbered in the pool's term order.
     """
     if relevance not in RELEVANCES:
         raise ConfigurationError(f"relevance must be one of {RELEVANCES}, got {relevance!r}")

@@ -7,9 +7,14 @@ inverted index, so it can serve as an equivalence oracle for query_top_n.
 
 from __future__ import annotations
 
+import base64
+import hashlib
+import json
 import math
 import random
 from collections import Counter
+
+import numpy as np
 
 from ratkit import Bm25Params
 from ratkit.corpus import SentencePair, TranslationMemory, _tokens_13a, analyze_for_index
@@ -114,6 +119,84 @@ def dense_rows(index) -> dict[str, tuple[str, bytes]]:
         for term, row in index.term_rows.items()
         if row in index.dense_rows
     }
+
+
+# The fields of a v5 index header that are not derived from the content.
+INDEX_HEADER = {"b": 0.75, "format": "ratkit-index", "k1": 1.2, "version": 5}
+
+
+def counter_postings(sources):
+    """Reference postings build: a Counter per document, then a stable sort by row.
+
+    Returns term_rows, offsets, docs, tfs and doc_lengths as TmIndex holds them.
+    """
+    term_rows: dict[str, int] = {}
+    rows, tfs, widths, doc_lengths = [], [], [], []
+    for source in sources:
+        terms = analyze_for_index(source)
+        counts = Counter(terms)
+        rows.extend(term_rows.setdefault(term, len(term_rows)) for term in counts)
+        tfs.extend(counts.values())
+        widths.append(len(counts))
+        doc_lengths.append(len(terms))
+    row_ids = np.array(rows, dtype=np.intp)
+    order = np.argsort(row_ids, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(row_ids))))
+    docs = np.repeat(np.arange(len(widths), dtype=np.intp), widths)[order]
+    return term_rows, offsets, docs, np.array(tfs, dtype=np.float64)[order], doc_lengths
+
+
+def index_postings(sources) -> tuple[list[str], list[int], list[int], list[int]]:
+    """The terms, df, docs and tfs lines a fresh build of these sources stores, as lists."""
+    term_rows, offsets, docs, tfs, _ = counter_postings(sources)
+    return list(term_rows), np.diff(offsets).tolist(), docs.tolist(), tfs.astype(int).tolist()
+
+
+def index_file(records, header=INDEX_HEADER, sections=None) -> bytes:
+    """Index file bytes laid out as the README says, written without
+    save_index so that the tests can store invalid content.
+
+    ``records`` are (id, domain, source, target) tuples, each written as
+    json.dumps writes it, or raw line bytes. ``header`` is a dict written as
+    JSON with sorted keys, its missing counts and widths filled in from the
+    content, or the raw bytes of the header line. ``sections`` are the terms,
+    df, docs and tfs lines, by default the postings of the tuples' sources:
+    each a list (terms space-joined, integers in base64 at the header's
+    widths), the raw bytes of its line, or None to leave the line out.
+    """
+    if sections is None:
+        sections = index_postings(r[2] if isinstance(r, tuple) else "" for r in records)
+    terms, df, docs, tfs = sections
+    if isinstance(header, dict):
+        pairs = header.get("pairs", len(records))
+        derived = {
+            "doc_bytes": 2 if pairs < 1 << 16 else 4,
+            "pairs": pairs,
+            "postings": len(docs) if isinstance(docs, list) else 0,
+            "terms": len(terms) if isinstance(terms, list) else 0,
+            "tf_bytes": 4 if isinstance(tfs, list) and max(tfs, default=0) >= 1 << 8 else 1,
+        }
+        header = {**derived, **header}
+        widths = {"df": header["doc_bytes"], "docs": header["doc_bytes"], "tfs": header["tf_bytes"]}
+        header = json.dumps(header, sort_keys=True).encode()
+    else:
+        widths = {"df": 2, "docs": 2, "tfs": 1}
+    lines = [header]
+    for record in records:
+        if isinstance(record, tuple):
+            record = dict(zip(("id", "domain", "src", "tgt"), record))
+            record = json.dumps(record, ensure_ascii=False).encode("utf-8")
+        lines.append(record)
+    if isinstance(terms, list):
+        terms = " ".join(terms).encode("utf-8")
+    tail = [terms]
+    for name, values in (("df", df), ("docs", docs), ("tfs", tfs)):
+        if isinstance(values, list):
+            values = base64.b64encode(b"".join(v.to_bytes(widths[name], "little") for v in values))
+        tail.append(values)
+    lines += [line for line in tail if line is not None]
+    body = b"".join(line + b"\n" for line in lines)
+    return body + b'{"sha256": "%s"}\n' % hashlib.sha256(body).hexdigest().encode()
 
 
 def tiny_tm() -> TranslationMemory:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import io
 import json
 import random
@@ -32,6 +31,8 @@ from ratkit.corpus import (
     write_lines,
 )
 from ratkit.retrieval import load_index
+
+from synthetic import INDEX_HEADER, index_file, index_postings
 
 FIXTURE = Path(__file__).parent / "data" / "bleu_fixture.json"
 
@@ -322,12 +323,6 @@ def _json_loads_oracle(lines, path, skip=0):
     return tuple(pairs)
 
 
-def _index_bytes(body: bytes) -> bytes:
-    """An index file holding a v4 header, ``body`` and the checksum line."""
-    header = b'{"b": 0.75, "format": "ratkit-index", "k1": 1.2, "version": 4}\n'
-    return header + body + b'{"sha256": "%s"}\n' % hashlib.sha256(header + body).hexdigest().encode()
-
-
 def _loaded(load, path):
     try:
         return load(path).pairs
@@ -345,8 +340,13 @@ def assert_loads_as_json_loads(tmp_path, text: str):
     if not text.endswith("\n"):  # the checksum line starts a line of its own
         text += "\n"
     index_path = tmp_path / "tm.idx"
-    index_path.write_bytes(_index_bytes(text.encode("utf-8")))
     expected = _json_loads_oracle(io.StringIO("header\n" + text, newline="\n"), index_path, skip=1)
+    # A v5 index: the header, ``text`` as its pair lines, and the postings of
+    # the pairs the oracle finds there (none when it finds a fault).
+    pairs = expected if isinstance(expected, tuple) else ()
+    header = {**INDEX_HEADER, "pairs": len(pairs)}
+    postings = index_postings(pair.source for pair in pairs)
+    index_path.write_bytes(index_file([text.encode("utf-8")[:-1]], header, postings))
     assert _loaded(load_index, index_path) == expected
     return expected
 

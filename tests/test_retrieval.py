@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -24,8 +25,11 @@ from ratkit import retrieval
 from ratkit.retrieval import TmIndex, load_index, save_index
 
 from synthetic import (
+    INDEX_HEADER,
     brute_force_top_n,
+    counter_postings,
     dense_rows,
+    index_file,
     make_directional,
     make_queries,
     make_random_tm,
@@ -313,27 +317,6 @@ class TestQueryTopN:
         assert outputs[0] and outputs[0] == outputs[1]
 
 
-def counter_postings(pairs):
-    """Reference postings build: a Counter per document, then a stable sort by row.
-
-    Returns term_rows, offsets, docs, tfs and doc_lengths as TmIndex holds them.
-    """
-    term_rows: dict[str, int] = {}
-    rows, tfs, widths, doc_lengths = [], [], [], []
-    for pair in pairs:
-        terms = analyze_for_index(pair.source)
-        counts = Counter(terms)
-        rows.extend(term_rows.setdefault(term, len(term_rows)) for term in counts)
-        tfs.extend(counts.values())
-        widths.append(len(counts))
-        doc_lengths.append(len(terms))
-    row_ids = np.array(rows, dtype=np.intp)
-    order = np.argsort(row_ids, kind="stable")
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(row_ids))))
-    docs = np.repeat(np.arange(len(pairs), dtype=np.intp), widths)[order]
-    return term_rows, offsets, docs, np.array(tfs, dtype=np.float64)[order], doc_lengths
-
-
 def _punctuated_tm() -> TranslationMemory:
     """Sources with repeated terms, edge punctuation, case and non-ASCII letters."""
     rng = random.Random(8)
@@ -363,7 +346,7 @@ class TestPostingsBuild:
     def test_equals_the_counter_reference(self, name):
         tm = _POSTINGS_TMS[name]()
         index = build_index(tm)
-        term_rows, offsets, docs, tfs, doc_lengths = counter_postings(tm.pairs)
+        term_rows, offsets, docs, tfs, doc_lengths = counter_postings(pair.source for pair in tm.pairs)
         assert list(index.term_rows.items()) == list(term_rows.items())
         for got, want in ((index.offsets, offsets), (index.docs, docs), (index.tfs, tfs)):
             assert got.dtype == want.dtype
@@ -381,7 +364,7 @@ class TestPostingsBuild:
         keep = np.array([rng.random() < 0.4 for _ in pairs])
         sub = pool.subset(keep)
         kept = tuple(pair for pair, k in zip(pairs, keep) if k)
-        term_rows, offsets, docs, tfs, doc_lengths = counter_postings(kept)
+        term_rows, offsets, docs, tfs, doc_lengths = counter_postings(pair.source for pair in kept)
         # A subset numbers its rows in the pool's term order, so compare term by term.
         assert set(sub.term_rows) == set(term_rows)
         for term, row in term_rows.items():
@@ -486,8 +469,7 @@ class TestTopMCut:
 
 
 # The tiny TM as stored in an index file: (pair_id, domain, source, target)
-# per doc. TINY_TERMS are the postings an index derives from it; the file
-# does not store them.
+# per doc. TINY_TERMS are its postings, which the file stores after the pairs.
 TINY_DOCS = [
     ("d1", "a", "the cat sat", "die Katze sass"),
     ("d2", "a", "the dog", "der Hund"),
@@ -499,26 +481,7 @@ TINY_TERMS = [
     ("sat", [(0, 1)]),
     ("the", [(0, 1), (1, 1)]),
 ]
-HEADER = {"b": 0.75, "format": "ratkit-index", "k1": 1.2, "version": 4}
-
-
-def index_file(docs, header=HEADER) -> bytes:
-    """Index file bytes laid out as the README says, written without
-    save_index so that the tests can store invalid content.
-
-    ``header`` is a dict written as JSON with sorted keys, or the raw bytes
-    of the header line; a doc given as bytes is written as its raw line.
-    """
-    if isinstance(header, dict):
-        header = json.dumps(header, sort_keys=True).encode()
-    lines = [header]
-    for doc in docs:
-        if not isinstance(doc, bytes):
-            record = dict(zip(("id", "domain", "src", "tgt"), doc))
-            doc = json.dumps(record, ensure_ascii=False).encode("utf-8")
-        lines.append(doc)
-    body = b"".join(line + b"\n" for line in lines)
-    return body + b'{"sha256": "%s"}\n' % hashlib.sha256(body).hexdigest().encode()
+HEADER = INDEX_HEADER
 
 
 def scalar_weights(index) -> list[float]:
@@ -571,6 +534,79 @@ class TestWeights:
         save_index(index, tmp_path / "tm.idx")
         loaded = load_index(tmp_path / "tm.idx")
         assert loaded.weights.tobytes() == index.weights.tobytes()
+
+
+def _round_trip_tm(seed: int) -> TranslationMemory:
+    """Random pairs with punctuated and non-ASCII ones, and one source repeating a term 300 times."""
+    rng = random.Random(seed)
+    pairs = list(make_random_tm(400, seed=seed).pairs + _punctuated_tm().pairs)
+    pairs.append(SentencePair(id="long", source=" ".join(["w001"] * 300 + ["über"]), target="t", domain="it"))
+    rng.shuffle(pairs)
+    return TranslationMemory(name=f"round-trip-{seed}", pairs=tuple(pairs))
+
+
+def _cut_index() -> TmIndex:
+    """A scenario-like cut, whose rows are numbered in its pool's term order."""
+    pool = build_index(_round_trip_tm(3))
+    sub = pool.subset(np.array([pair.domain in ("it", "b") for pair in pool.pairs]))
+    assert list(sub.term_rows) != list(TmIndex(sub.pairs, sub.params).term_rows)
+    return sub
+
+
+def _wide_index() -> TmIndex:
+    """65536 + 10 documents, so doc ids and df take 4 bytes each."""
+    pairs = tuple(
+        SentencePair(id=f"p{i:05d}", source=f"w{i % 7} v{i % 301} x{i}", target="t", domain="d")
+        for i in range((1 << 16) + 10)
+    )
+    return TmIndex(pairs, Bm25Params())
+
+
+_ROUND_TRIPS = {
+    **{f"fresh-{seed}": (lambda seed=seed: build_index(_round_trip_tm(seed), PARAMS[seed % 4]))
+       for seed in (0, 5, 9)},
+    "cut": _cut_index,
+    "wide": _wide_index,
+}
+
+
+class TestRoundTrip:
+    """``load_index(save_index(x))`` equals ``x`` in every field a query or a save reads."""
+
+    @pytest.mark.parametrize("name", list(_ROUND_TRIPS))
+    def test_load_of_a_save_equals_the_index(self, tmp_path, name, monkeypatch):
+        index = _ROUND_TRIPS[name]()
+        path = tmp_path / "tm.idx"
+        save_index(index, path)
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        # "long" repeats one term 300 times; "wide" has 1 << 16 documents and more.
+        assert (header["doc_bytes"], header["tf_bytes"]) == ((4, 1) if name == "wide" else (2, 4))
+
+        def no_analysis(text):
+            raise AssertionError("load_index analyzed a source")
+
+        monkeypatch.setattr(retrieval, "analyze_for_index", no_analysis)
+        loaded = load_index(path)
+        monkeypatch.undo()
+
+        assert list(loaded.term_rows.items()) == list(index.term_rows.items())
+        for field in ("offsets", "docs", "tfs", "norms", "weights", "id_rank"):
+            got, want = getattr(loaded, field), getattr(index, field)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), field
+        assert loaded.doc_lengths == index.doc_lengths
+        assert {row: v.tobytes() for row, v in loaded.dense_rows.items()} == {
+            row: v.tobytes() for row, v in index.dense_rows.items()
+        }
+        assert list(loaded.dense_rows) == list(index.dense_rows)
+        assert loaded.pairs == index.pairs
+        assert loaded.params == index.params
+        assert loaded.avg_doc_length.hex() == index.avg_doc_length.hex()
+        queries = make_queries(TranslationMemory("q", index.pairs), n_queries=40, seed=6)
+        for query in queries + ["w001 über", "¿qué? cat", "w3 v7 x65540"]:
+            assert query_top_n(loaded, query, 10) == query_top_n(index, query, 10)
+        again = tmp_path / "again.idx"
+        save_index(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestPersistence:
@@ -670,10 +706,21 @@ class TestPersistence:
         data = path.read_bytes()
         assert data == index_file(TINY_DOCS)
         lines = data.decode("utf-8").splitlines(keepends=True)
-        assert lines[0] == '{"b": 0.75, "format": "ratkit-index", "k1": 1.2, "version": 4}\n'
+        assert lines[0] == (
+            '{"b": 0.75, "doc_bytes": 2, "format": "ratkit-index", "k1": 1.2, "pairs": 3, '
+            '"postings": 6, "terms": 4, "tf_bytes": 1, "version": 5}\n'
+        )
         # The pair lines are what save_corpus writes for JSONL.
         save_corpus(tm, tmp_path / "tm.jsonl")
-        assert "".join(lines[1:-1]) == (tmp_path / "tm.jsonl").read_text(encoding="utf-8")
+        assert "".join(lines[1:4]) == (tmp_path / "tm.jsonl").read_text(encoding="utf-8")
+        # The terms in row order, then df, docs and tfs as little-endian u2, u2, u1.
+        assert lines[4] == "the cat sat dog\n"
+        arrays = [base64.b64decode(line) for line in lines[5:8]]
+        assert arrays == [
+            np.array([2, 2, 1, 1], "<u2").tobytes(),
+            np.array([0, 1, 0, 2, 0, 1], "<u2").tobytes(),
+            bytes([1] * 6),
+        ]
         body = "".join(lines[:-1]).encode("utf-8")
         assert lines[-1] == '{"sha256": "%s"}\n' % hashlib.sha256(body).hexdigest()
         assert postings(load_index(path)) == dict(TINY_TERMS)
@@ -682,7 +729,7 @@ class TestPersistence:
         "docs, header, where, reason",
         [
             (TINY_DOCS[:2] + [("d3", "a", " ", "Katze")], HEADER, ":4", "source is empty"),
-            (TINY_DOCS[:2] + [("d3", "a", "...", "Katze")], HEADER, "", "source without terms"),
+            (TINY_DOCS[:2] + [("d3", "a", "...", "Katze")], HEADER, ":7", "source without terms"),
             (TINY_DOCS[:2] + [("d3", "a", "cat", "Kat\nze")], HEADER, ":4", "line break"),
             (TINY_DOCS[:2] + [("d1", "a", "cat", "Katze")], HEADER, ":4",
              r"duplicate id 'd1' \(first seen on line 2\)"),
@@ -692,19 +739,19 @@ class TestPersistence:
             (TINY_DOCS, b"[0.75, 1.2]", ":1", "header is not a JSON object"),
             (TINY_DOCS, {**HEADER, "format": "ratkit"}, ":1", "format 'ratkit' is not"),
             (TINY_DOCS, {**HEADER, "version": 3}, ":1", "version 3 is not supported"),
-            (TINY_DOCS, {**HEADER, "version": 4.0}, ":1", "version 4.0 is not supported"),
+            (TINY_DOCS, {**HEADER, "version": 5.0}, ":1", "version 5.0 is not supported"),
             (TINY_DOCS, {**HEADER, "k1": "1.2"}, ":1", "'k1' is missing or not a number"),
             (TINY_DOCS, {**HEADER, "b": True}, ":1", "'b' is missing or not a number"),
             (TINY_DOCS, {**HEADER, "k1": 10**400}, ":1", "too large to convert to float"),
             pytest.param(
-                TINY_DOCS, b'{"b": 0.75, "format": "ratkit-index", "k1": 1%s, "version": 4}'
+                TINY_DOCS, b'{"b": 0.75, "format": "ratkit-index", "k1": 1%s, "version": 5}'
                 % (b"0" * 5000), ":1", "invalid JSON: Exceeds the limit",
                 marks=pytest.mark.skipif(
                     not hasattr(sys, "get_int_max_str_digits"),
                     reason="this Python has no int digit limit",
                 ),
             ),
-            (TINY_DOCS, {"b": 0.75, "format": "ratkit-index", "version": 4}, ":1",
+            (TINY_DOCS, {"b": 0.75, "format": "ratkit-index", "version": 5}, ":1",
              "'k1' is missing"),
             (TINY_DOCS[:2] + [b'{"id": "d3", "domain": "a", "src": "caf\xe9", "tgt": "Katze"}'],
              HEADER, ":4", "not valid UTF-8"),
@@ -739,6 +786,34 @@ class TestPersistence:
             with pytest.raises(ValidationError):
                 load_index(path)
 
+
+    def test_edited_postings_with_a_valid_checksum_raise_only_validation_errors(self, tmp_path):
+        path = tmp_path / "tm.idx"
+        index = build_index(make_random_tm(n_pairs=60, seed=25))
+        save_index(index, path)
+        lines = path.read_bytes().splitlines(keepends=True)[:-1]
+        alphabet = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/= w\xc3\xa9"
+        rng = random.Random(26)
+        outcomes = Counter()
+        for _ in range(400):
+            edited = list(lines)
+            at = rng.randrange(len(edited) - 4, len(edited))  # the terms, df, docs or tfs line
+            line = bytearray(edited[at][:-1])
+            for _ in range(rng.randint(1, 3)):
+                line[rng.randrange(len(line))] = rng.choice(alphabet)
+            edited[at] = bytes(line) + b"\n"
+            body = b"".join(edited)
+            path.write_bytes(body + b'{"sha256": "%s"}\n' % hashlib.sha256(body).hexdigest().encode())
+            try:
+                loaded = load_index(path)
+            except ValidationError as exc:
+                assert f"tm.idx:{at + 1}: " in str(exc)
+                outcomes["rejected"] += 1
+            else:
+                # An edit that keeps every invariant is a valid index.
+                assert loaded.doc_count == index.doc_count
+                outcomes["loaded"] += 1
+        assert outcomes["rejected"] > 100 and outcomes["loaded"] > 0
 
     def test_parses_the_checksummed_bytes_without_copying_them(self, tmp_path, monkeypatch):
         path = tmp_path / "tm.idx"
