@@ -74,16 +74,21 @@ def _cmd_augment(args: argparse.Namespace) -> int:
 
 
 def _cmd_bleu(args: argparse.Namespace) -> int:
-    score = bleu_corpus(read_lines(args.hyp), read_lines(args.ref))
+    hyps, refs = read_lines(args.hyp), read_lines(args.ref)
+    if len(hyps) != len(refs):
+        raise ValidationError(f"--hyp {args.hyp} has {len(hyps)} lines; --ref {args.ref} has {len(refs)}")
+    score = bleu_corpus(hyps, refs)
     print(_format_bleu(score))
     return 0
 
 
 def _cmd_overlap(args: argparse.Namespace) -> int:
-    examples = read_augmented(args.augmented)
-    result = suggestion_overlap(
-        examples, read_lines(args.hyp), counting=args.counting, average=args.average
-    )
+    examples, hyps = read_augmented(args.augmented), read_lines(args.hyp)
+    if len(examples) != len(hyps):
+        raise ValidationError(
+            f"--augmented {args.augmented} has {len(examples)} records; --hyp {args.hyp} has {len(hyps)} lines"
+        )
+    result = suggestion_overlap(examples, hyps, counting=args.counting, average=args.average)
     skipped = sum(1 for f in result.fractions if f is None)
     if result.mean_pct is None:
         print(f"overlap undefined: all {len(examples)} sentences lack suggestion tokens")

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -520,9 +521,31 @@ def _serve_share(run_share, share: list, read_fd: int, write_fd: int) -> None:
         os._exit(code)
 
 
+def _fork_share(run_share, share: list) -> tuple[int, int] | None:
+    """A child forked to serve ``share``: its pid and the read end of its
+    pipe, or None, with no fd left open, where ``os.pipe`` or ``os.fork``
+    fails (EAGAIN at the process limit, say)."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        _serve_share(run_share, share, read_fd, write_fd)
+    os.close(write_fd)
+    return pid, read_fd
+
+
 def _run_forked(run_share, shares: list[list[tuple[str, str]]], k_values: tuple[int, ...]) -> dict:
     """``run_share`` over every share: shares[0] here, each other one in a
-    child forked for it, whose results come back through a pipe.
+    child forked for it, whose results come back through a pipe. One share
+    forks nothing; where a pipe or a fork fails, that share and every later
+    one run here too.
 
     A child that ends before it has sent all of its results fails every
     cell of its share, with an error text that names its exit status. Any
@@ -530,19 +553,18 @@ def _run_forked(run_share, shares: list[list[tuple[str, str]]], k_values: tuple[
     propagates, and every child is reaped before this returns or raises.
     """
     import pickle
-    import signal
 
     results: dict = {}
     children: list[tuple[int, int, int, list]] = []  # (pid, read end, worker, share), not yet reaped
     try:
+        here = list(shares[0])
         for worker, share in enumerate(shares[1:], 1):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _serve_share(run_share, share, read_fd, write_fd)
-            children.append((pid, read_fd, worker, share))
-            os.close(write_fd)
-        results.update(run_share(shares[0]))
+            child = _fork_share(run_share, share)
+            if child is None:
+                here += [group for rest in shares[worker:] for group in rest]
+                break
+            children.append((*child, worker, share))
+        results.update(run_share(here))
         while children:
             pid, read_fd, worker, share = children[0]
             with open(read_fd, "rb", closefd=False) as pipe:
@@ -557,6 +579,8 @@ def _run_forked(run_share, shares: list[list[tuple[str, str]]], k_values: tuple[
                 error = f"grid worker {worker} {how}; the results of its cells were lost"
                 results.update({(d, k, s): error for d, s in share for k in k_values})
     except BaseException:
+        import signal
+
         for pid, *_ in children:
             os.kill(pid, signal.SIGKILL)
         raise
@@ -585,7 +609,8 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
     ``workers`` N > 1 the groups are dealt, by test sentences x scenario
     pairs, to up to N processes: this one and ``os.fork`` children, which
     send their cells' results back through pipes. Where ``os.fork`` is
-    missing, every group runs in this process. Every output file is
+    missing, every group runs in this process, and where a pipe or a fork
+    fails, the groups not yet handed to a child do. Every output file is
     byte-identical for any N.
     """
     if workers < 1:
@@ -630,20 +655,15 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
 
         groups = list(product(manifest.domains, manifest.scenarios))
         n = min(workers, len(groups)) if hasattr(os, "fork") else 1
-        if n == 1:
-            results = run_share(groups)
-        else:
-            # Retrieval, most of a group's work, grows with its queries and
-            # with the pairs of its scenario index.
-            from collections import Counter
-
-            in_domain = Counter(pair.domain for pair in pool_index.pairs)
-            queries = {d: 0 if isinstance(t, str) else len(t) for d, t in test_sets.items()}
-            costs = [
-                (1 + queries[d]) * (in_domain[d] if s == "relevant" else pool_index.doc_count - in_domain[d])
-                for d, s in groups
-            ]
-            results = _run_forked(run_share, _deal(groups, costs, n), manifest.k_values)
+        # Retrieval, most of a group's work, grows with its queries and
+        # with the pairs of its scenario index.
+        in_domain = Counter(pair.domain for pair in pool_index.pairs)
+        queries = {d: 0 if isinstance(t, str) else len(t) for d, t in test_sets.items()}
+        costs = [
+            (1 + queries[d]) * (in_domain[d] if s == "relevant" else pool_index.doc_count - in_domain[d])
+            for d, s in groups
+        ]
+        results = _run_forked(run_share, _deal(groups, costs, n), manifest.k_values)
         results = {cell: results[cell] for cell in grid}
 
     for cell, result in results.items():

@@ -13,30 +13,33 @@ whatever its ``PYTHONHASHSEED``. The idf is strictly positive for every df in
 receive a positive score; zero-score documents are never returned. Ties are
 broken by ascending pair id so result lists are fully deterministic.
 
-An index holds the TM's pairs and the BM25 parameters; everything else is
-derived from them when the index is constructed. Each source is analyzed
-once into postings kept as CSR arrays (compressed sparse rows: per term, a
-row of ascending doc ids in ``docs`` with their term frequencies in ``tfs``,
-delimited by ``offsets``), together with the document lengths, their mean and
-each document's length norm. Terms get rows in order of first occurrence.
-The postings come from one sort of an int64 key ``row * N + doc`` per
-token: each run of equal keys is one posting and its length is the tf. An
-index must be treated as immutable; queries share no mutable state and are
-safe to run concurrently.
+An index has one constructor, which takes the TM's pairs, the BM25
+parameters, the postings and each pair's id rank, and derives everything
+else from them. The postings are CSR arrays (compressed sparse rows: per
+term, a row of ascending doc ids in ``docs`` with their term frequencies in
+``tfs``, delimited by ``offsets``). A document's length is the sum of its
+tfs, so the constructor derives the lengths, their mean and each document's
+length norm from the postings alone, and refuses a pair with none.
+``build_index`` analyzes each source once and gives terms rows in order of
+first occurrence; its postings come from one sort of an int64 key
+``row * N + doc`` per token, where each run of equal keys is one posting and
+its length is the tf. ``TmIndex.subset`` cuts the postings of an index, and
+``load_index`` reads them from a file. An index must be treated as
+immutable; queries share no mutable state and are safe to run concurrently.
 
 Each posting's BM25 term weight, ``idf(t) * tf * (k1 + 1) / (tf + norm)``,
-depends on the index alone, so it is computed once, when the index is
-constructed, into ``weights``. A query adds its terms' weights into one
-score array, term by term in sorted order. A term found in at least a
-quarter of the documents also has a dense row: its weights spread over all
-N documents, 0.0 where it is absent, added as one contiguous vector. Any
-other term is one numpy gather-add over its postings. Both give the same
-bits: every weight is positive, so every score a query holds is a positive
-float or 0.0, and ``x + 0.0`` is ``x`` for each of them. Ranking
-then keeps only the hits scoring at least the m-th largest score,
-m = n + len(exclusions), ties at that score included, and sorts those by
-descending score and ascending pair id. No result of the full ranking can
-score below that cut, so the top n are the same as a sort of every hit.
+depends on the index alone, so the constructor computes it once into
+``weights``. A query adds its terms' weights into one score array, term by
+term in sorted order. A term found in at least a quarter of the documents
+also has a dense row: its weights spread over all N documents, 0.0 where it
+is absent, added as one contiguous vector. Any other term is one numpy
+gather-add over its postings. Both give the same bits: every weight is
+positive, so every score a query holds is a positive float or 0.0, and
+``x + 0.0`` is ``x`` for each of them. Ranking then keeps only the hits
+scoring at least the m-th largest score, m = n + len(exclusions), ties at
+that score included, and sorts those by descending score and ascending pair
+id. No result of the full ranking can score below that cut, so the top n are
+the same as a sort of every hit.
 
 The index file (format v5) stores the pairs and the postings, so loading
 it analyzes no source. It is UTF-8 text: a JSON header line with k1, b, the
@@ -44,13 +47,12 @@ counts of pairs, terms and postings and the byte widths of the stored
 integers; the pairs as JSONL corpus lines; a line of the terms in row
 order, space-joined; three base64 lines of little-endian unsigned integers,
 per-row df, ``docs`` and integer ``tfs``; and a last line holding the sha256
-of every byte before it, so the digest covers the header too. On load the
-document lengths are summed from the tfs, and the norms, weights, dense rows
-and id ranks are recomputed by the code a fresh build and ``subset`` run, so
-they have the same bits. The postings make the file about 30% larger than
-the pairs alone on a Zipf TM. The bytes follow the index's row numbering: a
-subset writes its terms in its pool's order, not in the order a fresh build
-of its pairs would give.
+of every byte before it, so the digest covers the header too. A load passes
+the pairs and postings to the constructor a fresh build and ``subset`` use,
+so the document lengths, norms, weights and dense rows have the same bits.
+The postings make the file about 30% larger than the pairs alone on a Zipf
+TM. The bytes follow the index's row numbering: a subset writes its terms in
+its pool's order, not in the order a fresh build of its pairs would give.
 """
 
 from __future__ import annotations
@@ -111,6 +113,11 @@ class FuzzyMatch:
 class TmIndex:
     """Immutable inverted index with BM25 statistics over a translation memory.
 
+    The constructor takes ``pairs``, ``params``, the postings (``term_rows``,
+    ``offsets``, ``docs`` and ``tfs``) and ``id_rank``, and derives the other
+    attributes from them; a pair without postings raises a ValidationError.
+    ``build_index``, ``subset`` and ``load_index`` all make an index this way.
+
     Attributes:
         pairs: the indexed sentence pairs; a doc id is a position in ``pairs``.
         params: the BM25 parameters.
@@ -132,90 +139,49 @@ class TmIndex:
         id_rank: per-doc position of its pair id in ascending ``str`` order.
     """
 
-    def __init__(self, pairs: tuple[SentencePair, ...], params: Bm25Params):
-        term_rows: dict[str, int] = {}
-        self.term_rows = term_rows
-        rows: list[int] = []  # each token's row, in doc order
-        doc_lengths: list[int] = []
-        for pair in pairs:
-            terms = analyze_for_index(pair.source)
-            if not terms:
-                raise ValidationError(
-                    f"pair {pair.id!r} has no postings; a source without terms cannot be indexed"
-                )
-            rows += [term_rows.setdefault(term, len(term_rows)) for term in terms]
-            doc_lengths.append(len(terms))
-        # One int64 key row * N + doc per token; sorted, each run of equal keys
-        # is one posting, rows in order and each row's docs ascending.
-        n = len(pairs)
-        keys = np.array(rows, dtype=np.int64)
-        del rows
-        keys *= n
-        keys += np.repeat(np.arange(n, dtype=np.int64), doc_lengths)
-        keys.sort()
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        self.tfs = np.diff(starts, append=len(keys)).astype(np.float64)
-        keys = keys[starts]
-        self.offsets = np.concatenate(([0], np.cumsum(np.bincount(keys // n))))
-        self.docs = (keys % n).astype(np.intp, copy=False)
-        del keys, starts  # free before the weights are computed, which keeps the peak down
-        self._set_docs(pairs, params, doc_lengths, _id_rank(pairs))
-
-    @classmethod
-    def _from_postings(
-        cls,
+    def __init__(
+        self,
         pairs: tuple[SentencePair, ...],
         params: Bm25Params,
         term_rows: dict[str, int],
         offsets: np.ndarray,
         docs: np.ndarray,
         tfs: np.ndarray,
-        doc_lengths: list[int],
         id_rank: np.ndarray,
-    ) -> TmIndex:
-        """The index over ``pairs`` with these postings, analyzing no source."""
-        index = cls.__new__(cls)
-        index.term_rows, index.offsets, index.docs, index.tfs = term_rows, offsets, docs, tfs
-        index._set_docs(pairs, params, doc_lengths, id_rank)
-        return index
-
-    def _set_docs(
-        self,
-        pairs: tuple[SentencePair, ...],
-        params: Bm25Params,
-        doc_lengths: list[int],
-        id_rank: np.ndarray,
-    ) -> None:
-        """Set the per-document fields and the weights; the postings are already in place."""
+    ):
         self.pairs = pairs
         self.params = params
+        self.term_rows, self.offsets, self.docs, self.tfs = term_rows, offsets, docs, tfs
+        self.id_rank = id_rank
         self.doc_count = len(pairs)
-        self.doc_lengths = doc_lengths
-        self.avg_doc_length = sum(doc_lengths) / len(doc_lengths)
+        lengths = np.bincount(docs, weights=tfs, minlength=self.doc_count)
+        if not lengths.all():
+            pair = pairs[int(np.argmin(lengths))]  # the first length of 0
+            raise ValidationError(f"pair {pair.id!r} has no postings; a source without terms cannot be indexed")
+        self.doc_lengths = lengths.astype(np.int64).tolist()
+        self.avg_doc_length = sum(self.doc_lengths) / self.doc_count
         k1, b = params.k1, params.b
-        self.norms = k1 * (1.0 - b + b * np.array(doc_lengths) / self.avg_doc_length)
-        df = np.diff(self.offsets)
+        self.norms = k1 * (1.0 - b + b * np.array(self.doc_lengths) / self.avg_doc_length)
+        df = np.diff(offsets)
         # math.log per row, not np.log, whose last bit may differ from it.
         idf_args = (1.0 + (self.doc_count - df + 0.5) / (df + 0.5)).tolist()
         idf = np.fromiter(map(math.log, idf_args), dtype=np.float64, count=len(idf_args))
-        tfs = self.tfs
         # The module formula's operand order, so each weight has the bits of
         # the scalar expression.
-        self.weights = np.repeat(idf, df) * tfs * (k1 + 1.0) / (tfs + self.norms[self.docs])
+        self.weights = np.repeat(idf, df) * tfs * (k1 + 1.0) / (tfs + self.norms[docs])
         # Each dense row is filled from its own postings slice; no array over
         # every posting is made for them.
         self.dense_rows = {}
         for row in np.flatnonzero(df * _DENSE_SHARE >= self.doc_count).tolist():
-            start, end = int(self.offsets[row]), int(self.offsets[row + 1])
+            start, end = int(offsets[row]), int(offsets[row + 1])
             dense = np.zeros(self.doc_count)
-            dense[self.docs[start:end]] = self.weights[start:end]
+            dense[docs[start:end]] = self.weights[start:end]
             self.dense_rows[row] = dense
-        self.id_rank = id_rank
 
     def subset(self, keep: np.ndarray) -> TmIndex:
         """The index of the docs where the bool array ``keep`` is true, in doc order.
 
-        It equals ``TmIndex`` over those pairs: the same doc ids, postings,
+        It equals ``build_index`` over those pairs: the same doc ids, postings,
         statistics and score bits, without analyzing a source again. Only its
         rows are numbered in this index's term order, empty ones left out.
         """
@@ -227,7 +193,7 @@ class TmIndex:
         widths = np.bincount(rows, minlength=len(self.offsets) - 1)
         live = widths > 0
         row_of = np.where(live, np.cumsum(live) - 1, -1).tolist()  # -1: the row is empty
-        return TmIndex._from_postings(
+        return TmIndex(
             tuple(self.pairs[doc] for doc in kept),
             self.params,
             {term: row_of[row] for term, row in self.term_rows.items() if row_of[row] >= 0},
@@ -235,7 +201,6 @@ class TmIndex:
             # Kept docs keep their relative order, so each row stays ascending.
             (np.cumsum(keep) - 1)[self.docs[on]],
             self.tfs[on],
-            [self.doc_lengths[doc] for doc in kept],
             np.argsort(np.argsort(self.id_rank[kept])),
         )
 
@@ -249,7 +214,30 @@ def _id_rank(pairs: tuple[SentencePair, ...]) -> np.ndarray:
 
 def build_index(tm: TranslationMemory, params: Bm25Params = Bm25Params()) -> TmIndex:
     """Index ``analyze_for_index(pair.source)`` for every pair of the TM."""
-    return TmIndex(tm.pairs, params)
+    pairs = tm.pairs
+    term_rows: dict[str, int] = {}
+    rows: list[int] = []  # each token's row, in doc order
+    doc_lengths: list[int] = []
+    for pair in pairs:
+        terms = analyze_for_index(pair.source)
+        rows += [term_rows.setdefault(term, len(term_rows)) for term in terms]
+        doc_lengths.append(len(terms))
+    # One int64 key row * N + doc per token; sorted, each run of equal keys
+    # is one posting, rows in order and each row's docs ascending. The first
+    # key starts a run, if there is one: a source without terms gives none.
+    n = len(pairs)
+    keys = np.array(rows, dtype=np.int64)
+    del rows
+    keys *= n
+    keys += np.repeat(np.arange(n, dtype=np.int64), doc_lengths)
+    keys.sort()
+    starts = np.flatnonzero(np.concatenate(([keys.size > 0], keys[1:] != keys[:-1])))
+    tfs = np.diff(starts, append=len(keys)).astype(np.float64)
+    keys = keys[starts]
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=len(term_rows)))))
+    docs = (keys % n).astype(np.intp, copy=False)
+    del keys, starts  # free before the weights are computed, which keeps the peak down
+    return TmIndex(pairs, params, term_rows, offsets, docs, tfs, _id_rank(pairs))
 
 
 def query_top_n(
@@ -359,15 +347,17 @@ def load_index(path: str | Path) -> TmIndex:
     :func:`~ratkit.corpus.load_corpus` parses a JSONL corpus, so a line that
     holds one JSON value and nothing else takes one call of the JSON scanner;
     and the terms and postings, which give ``term_rows``, ``offsets``,
-    ``docs`` and ``tfs``. The rest is computed by the code a fresh build runs.
+    ``docs`` and ``tfs``. The ``TmIndex`` constructor derives the rest, as
+    it does for a fresh build.
 
     A matching digest says the file holds what ``save_index`` wrote, and each
     invariant the index relies on is checked all the same: the header's
     counts and widths, distinct non-empty terms, df >= 1 summing to the
     postings count, doc ids below the pair count and ascending within a row,
-    tf >= 1, and at least one posting per document. A v1-v4 file, a bad
-    checksum line or digest, or any such fault raises a ValidationError
-    naming the file, and the line where there is one.
+    tf >= 1, and, in the constructor, at least one posting per document (a
+    fault named at the docs line). A v1-v4 file, a bad checksum line or
+    digest, or any such fault raises a ValidationError naming the file, and
+    the line where there is one.
     """
     path = Path(path)
     try:
@@ -398,9 +388,12 @@ def load_index(path: str | Path) -> TmIndex:
             reason = "the file ends before its terms and postings lines"
             raise CorpusFormatError(str(path), n_lines, reason)
         tm = _read_records(path, itertools.islice(lines, n_pair_lines), "jsonl", path.name)
-        postings = _read_postings(path, lines, header, tm.pairs)
+        postings = _read_postings(path, lines, header, len(tm.pairs))
     del data, checksum  # the match holds the file's bytes too; neither is needed for the weights
-    return TmIndex._from_postings(tm.pairs, params, *postings, _id_rank(tm.pairs))
+    try:
+        return TmIndex(tm.pairs, params, *postings, _id_rank(tm.pairs))
+    except ValidationError as exc:  # a pair without postings, which the docs line shows
+        raise CorpusFormatError(str(path), n_lines - 1, str(exc)) from exc
 
 
 def _read_header(path: Path, line: str) -> tuple[Bm25Params, dict]:
@@ -435,15 +428,12 @@ def _read_header(path: Path, line: str) -> tuple[Bm25Params, dict]:
         raise CorpusFormatError(str(path), 1, str(exc)) from exc
 
 
-def _read_postings(
-    path: Path, lines: Iterator[tuple[int, str]], header: dict, pairs: tuple[SentencePair, ...]
-) -> tuple:
-    """``term_rows``, ``offsets``, ``docs``, ``tfs`` and the doc lengths in the lines after the pairs.
+def _read_postings(path: Path, lines: Iterator[tuple[int, str]], header: dict, n: int) -> tuple:
+    """``term_rows``, ``offsets``, ``docs`` and ``tfs`` in the lines after the ``n`` pairs.
 
     A fault raises a CorpusFormatError naming ``path`` and the line.
     """
     where = str(path)
-    n = len(pairs)
     lineno, line = next(lines)
     if n != header["pairs"]:
         raise CorpusFormatError(
@@ -483,12 +473,6 @@ def _read_postings(
     if not ascending.all():
         term = term_at(int(np.argmin(ascending)) + 1)
         raise CorpusFormatError(where, lineno, f"the doc ids of the term {term!r} are not ascending")
-    bare = np.bincount(docs, minlength=n) == 0
-    if bare.any():
-        pair = pairs[int(np.argmax(bare))]
-        raise CorpusFormatError(
-            where, lineno, f"pair {pair.id!r} has no postings; a source without terms cannot be indexed"
-        )
 
     lineno, line = next(lines)
     tfs = _read_array(where, lineno, line, header["tf_bytes"], header["postings"], "tfs")
@@ -497,9 +481,7 @@ def _read_postings(
         raise CorpusFormatError(where, lineno, f"a tf of 0 for the term {term!r}")
     if header["tf_bytes"] == 4 and tfs.max() < 1 << 8:
         raise CorpusFormatError(where, lineno, "tf_bytes is 4, but every tf fits in 1 byte")
-    tfs = tfs.astype(np.float64)
-    doc_lengths = np.bincount(docs, weights=tfs, minlength=n).astype(np.int64).tolist()
-    return term_rows, offsets, docs, tfs, doc_lengths
+    return term_rows, offsets, docs, tfs.astype(np.float64)
 
 
 def _read_array(where: str, lineno: int, line: str, width: int, count: int, what: str) -> np.ndarray:

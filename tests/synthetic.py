@@ -16,7 +16,7 @@ from collections import Counter
 
 import numpy as np
 
-from ratkit import Bm25Params
+from ratkit import Bm25Params, build_index
 from ratkit.corpus import SentencePair, TranslationMemory, _tokens_13a, analyze_for_index
 
 VOCAB = [f"w{i:03d}" for i in range(200)]
@@ -101,6 +101,11 @@ def brute_force_top_n(
             ranked.append((pair.id, score))
     ranked.sort(key=lambda item: (-item[1], item[0]))
     return ranked[:n]
+
+
+def fresh_index(pairs, params: Bm25Params = Bm25Params()):
+    """``build_index`` over ``pairs``, as a TM of their own."""
+    return build_index(TranslationMemory(name="fresh", pairs=tuple(pairs)), params)
 
 
 def postings(index) -> dict[str, list[tuple[int, int]]]:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from ratkit import pipeline
-from ratkit.augmentation import read_augmented
+from ratkit.augmentation import AugmentedExample, read_augmented, write_augmented
 from ratkit.cli import main
 from ratkit.corpus import load_corpus, read_lines, save_corpus, write_lines
 from ratkit.retrieval import build_index, load_index, save_index
@@ -358,6 +358,33 @@ class TestCompareCommand:
             assert code == 2
             assert captured.out == ""
             assert captured.err == f"error: {flag} {short} has 19 lines; --ref {ref} has 20\n"
+
+    @pytest.mark.parametrize("short_side", ["--hyp", "--ref"])
+    def test_bleu_names_both_files_on_a_length_mismatch(self, tmp_path, capsys, short_side):
+        lines = [f"zeile nummer {i}" for i in range(20)]
+        hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+        write_lines(lines[:-1] if short_side == "--hyp" else lines, hyp)
+        write_lines(lines[:-1] if short_side == "--ref" else lines, ref)
+        code = run_cli("bleu", "--hyp", hyp, "--ref", ref)
+        captured = capsys.readouterr()
+        n_hyp, n_ref = (19, 20) if short_side == "--hyp" else (20, 19)
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --hyp {hyp} has {n_hyp} lines; --ref {ref} has {n_ref}\n"
+
+    @pytest.mark.parametrize("short_side", ["--augmented", "--hyp"])
+    def test_overlap_names_both_files_on_a_length_mismatch(self, tmp_path, capsys, short_side):
+        lines = [f"zeile nummer {i}" for i in range(3)]
+        examples = [AugmentedExample(f"p{i}", line, line, (), line) for i, line in enumerate(lines)]
+        aug, hyp = tmp_path / "aug", tmp_path / "hyp.txt"
+        write_augmented(examples[:-1] if short_side == "--augmented" else examples, aug)
+        write_lines(lines[:-1] if short_side == "--hyp" else lines, hyp)
+        code = run_cli("overlap", "--augmented", f"{aug}.jsonl", "--hyp", hyp)
+        captured = capsys.readouterr()
+        n_aug, n_hyp = (2, 3) if short_side == "--augmented" else (3, 2)
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --augmented {aug}.jsonl has {n_aug} records; --hyp {hyp} has {n_hyp} lines\n"
 
 
 class TestReportCommand:

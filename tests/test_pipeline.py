@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import pickle
@@ -679,6 +680,40 @@ class TestRunExperiment:
         report = self.run(tmp_path, workers=3, domains=["it"], test_sets={"it": "test_it.jsonl"})
         assert len(report.cells) == 4
         assert len(forks) == 1
+
+    @pytest.mark.parametrize("call", ["fork", "pipe"])
+    @pytest.mark.parametrize("workers, failing", [(2, 1), (3, 2)])
+    def test_a_failed_fork_runs_the_rest_of_the_grid_here(self, tmp_path, monkeypatch, call, workers, failing):
+        """The ``failing``-th os.fork or os.pipe call raises EAGAIN: that share
+        and every later one run in this process, and the outputs are the same
+        bytes as at one worker."""
+        tm, test_sets = make_three_domain(tm_per_domain=30, test_per_domain=20)
+        materialize(tmp_path, tm, test_sets)
+        assert main(["run", "--manifest", str(write_manifest(tmp_path / "one.json", out_dir="one"))]) == 0
+
+        calls = []
+        real = getattr(os, call)
+
+        def failing_call():
+            calls.append(1)
+            if len(calls) == failing:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real()
+
+        monkeypatch.setattr(os, call, failing_call)
+        path = write_manifest(tmp_path / "forked.json", out_dir="forked")
+        fds = sorted(os.listdir("/proc/self/fd"))
+        assert main(["run", "--manifest", str(path), "--workers", str(workers)]) == 0
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        assert len(calls) == failing
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        trees = [
+            {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            for out in (tmp_path / "one", tmp_path / "forked")
+        ]
+        assert len(trees[0]) == 2 + 8 * 5 + 4 * 2  # reports, cell files, indexes and sidecars
+        assert trees[1] == trees[0]
 
     @pytest.mark.parametrize("fault", ["exit", "short"])
     def test_a_worker_whose_results_are_lost_fails_its_groups_cells(self, tmp_path, monkeypatch, fault):

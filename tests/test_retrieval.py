@@ -29,6 +29,7 @@ from synthetic import (
     brute_force_top_n,
     counter_postings,
     dense_rows,
+    fresh_index,
     index_file,
     make_directional,
     make_queries,
@@ -111,6 +112,48 @@ class TestBuildIndex:
             "der Hund",
             "a",
         )
+
+
+class TestOneConstructor:
+    """``build_index``, ``TmIndex.subset`` and ``load_index`` each make their index through ``TmIndex.__init__``."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """The indexes ``TmIndex.__init__`` initialises, in call order."""
+        made = []
+        init = TmIndex.__init__
+
+        def counting(self, *args):
+            made.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(TmIndex, "__init__", counting)
+        return made
+
+    def test_build_index(self, made):
+        index = build_index(tiny_tm())
+        assert made == [index]
+
+    def test_subset(self, made):
+        pool = build_index(tiny_tm())
+        made.clear()
+        sub = pool.subset(np.array([True, False, True]))
+        assert made == [sub]
+
+    def test_load_index(self, tmp_path, made):
+        save_index(build_index(tiny_tm()), tmp_path / "tm.idx")
+        made.clear()
+        loaded = load_index(tmp_path / "tm.idx")
+        assert made == [loaded]
+
+    @pytest.mark.parametrize("sources", [["!!!"], ["the cat", "...", "?", "a dog"]])
+    def test_a_pair_without_terms_is_named(self, sources):
+        pairs = tuple(SentencePair(id=f"p{i}", source=s, target="t", domain="d") for i, s in enumerate(sources))
+        bare = next(pair.id for pair in pairs if not analyze_for_index(pair.source))
+        message = f"pair '{bare}' has no postings; a source without terms cannot be indexed"
+        with pytest.raises(ValidationError) as raised:
+            build_index(TranslationMemory(name="bare", pairs=pairs))
+        assert str(raised.value) == message
 
 
 # The defaults, other values, no tf saturation (k1 = 0) and no length norm (b = 0).
@@ -360,7 +403,7 @@ class TestPostingsBuild:
         rng = random.Random(seed)
         pairs = list(make_random_tm(900, seed=seed).pairs + _punctuated_tm().pairs)
         rng.shuffle(pairs)
-        pool = TmIndex(tuple(pairs), Bm25Params())
+        pool = fresh_index(pairs)
         keep = np.array([rng.random() < 0.4 for _ in pairs])
         sub = pool.subset(keep)
         kept = tuple(pair for pair, k in zip(pairs, keep) if k)
@@ -524,7 +567,7 @@ class TestWeights:
         for domain in sorted(tm.domains):
             for keep in (domains == domain, domains != domain):
                 sub = pool.subset(keep)
-                fresh = TmIndex(tuple(p for p, k in zip(tm.pairs, keep) if k), params)
+                fresh = fresh_index((p for p, k in zip(tm.pairs, keep) if k), params)
                 assert term_weights(sub) == term_weights(fresh)
                 assert sub.weights.tobytes() == np.array(scalar_weights(sub)).tobytes()
 
@@ -549,7 +592,7 @@ def _cut_index() -> TmIndex:
     """A scenario-like cut, whose rows are numbered in its pool's term order."""
     pool = build_index(_round_trip_tm(3))
     sub = pool.subset(np.array([pair.domain in ("it", "b") for pair in pool.pairs]))
-    assert list(sub.term_rows) != list(TmIndex(sub.pairs, sub.params).term_rows)
+    assert list(sub.term_rows) != list(fresh_index(sub.pairs, sub.params).term_rows)
     return sub
 
 
@@ -559,7 +602,7 @@ def _wide_index() -> TmIndex:
         SentencePair(id=f"p{i:05d}", source=f"w{i % 7} v{i % 301} x{i}", target="t", domain="d")
         for i in range((1 << 16) + 10)
     )
-    return TmIndex(pairs, Bm25Params())
+    return fresh_index(pairs)
 
 
 _ROUND_TRIPS = {

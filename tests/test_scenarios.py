@@ -19,10 +19,10 @@ from ratkit import (
 )
 from ratkit.augmentation import AugmentedExample
 from ratkit.corpus import SentencePair, TranslationMemory
-from ratkit.retrieval import FuzzyMatch, TmIndex, load_index, query_top_n, save_index
+from ratkit.retrieval import FuzzyMatch, load_index, query_top_n, save_index
 from ratkit.scenarios import build_pool, validate_scenario, write_scenario_sidecar
 
-from synthetic import dense_rows, make_queries, make_random_tm, make_three_domain, postings
+from synthetic import dense_rows, fresh_index, make_queries, make_random_tm, make_three_domain, postings
 
 
 def three_tms() -> list[TranslationMemory]:
@@ -112,7 +112,7 @@ class TestPoolSubset:
                 selected = tuple(
                     p for tm in tms for p in tm.pairs if (p.domain == domain) == (relevance == "relevant")
                 )
-                fresh = TmIndex(selected, params)
+                fresh = fresh_index(selected, params)
                 assert cut.pairs == fresh.pairs
                 assert postings(cut) == postings(fresh)
                 assert cut.doc_lengths == fresh.doc_lengths
