@@ -41,16 +41,17 @@ that score included, and sorts those by descending score and ascending pair
 id. No result of the full ranking can score below that cut, so the top n are
 the same as a sort of every hit.
 
-The index file (format v5) stores the pairs and the postings, so loading
+The index file (format v6) stores the pairs and the postings, so loading
 it analyzes no source. It is UTF-8 text: a JSON header line with k1, b, the
 counts of pairs, terms and postings and the byte widths of the stored
-integers; the pairs as JSONL corpus lines; a line of the terms in row
-order, space-joined; three base64 lines of little-endian unsigned integers,
-per-row df, ``docs`` and integer ``tfs``; and a last line holding the sha256
-of every byte before it, so the digest covers the header too. A load passes
+integers; four JSON array lines, every pair's id, then domain, source and
+target, in index order; a line of the terms in row order, space-joined;
+three base64 lines of little-endian unsigned integers, per-row df, ``docs``
+and integer ``tfs``; and a last line holding the sha256 of every byte
+before it, so the digest covers the header too. A load passes
 the pairs and postings to the constructor a fresh build and ``subset`` use,
 so the document lengths, norms, weights and dense rows have the same bits.
-The postings make the file about 30% larger than the pairs alone on a Zipf
+The postings make the file about 35% larger than the pairs alone on a Zipf
 TM. The bytes follow the index's row numbering: a subset writes its terms in
 its pool's order, not in the order a fresh build of its pairs would give.
 """
@@ -71,7 +72,7 @@ from typing import Iterator
 import numpy as np
 
 from .corpus import SentencePair, TranslationMemory, analyze_for_index, atomic_write, numbered_lines
-from .corpus import _jsonl_line, _read_records, parse_json  # the JSONL record format
+from .corpus import _column_lines, _read_columns, parse_json  # the pairs' column lines
 from .errors import CorpusFormatError, ValidationError
 
 
@@ -295,8 +296,9 @@ def query_top_n(
 
 _CHECKSUM_LINE = re.compile(rb'\{"sha256": "([0-9a-f]{64})"\}\n')
 _REBUILD = "rebuild the index with `ratkit index` or `ratkit scenario`"
-# The lines after the pairs: the terms, then the df, docs and tfs arrays.
-_INDEX_LINES = 4
+# The lines before the checksum line: the header, the id, domain, source and
+# target columns, the terms, then the df, docs and tfs arrays.
+_INDEX_LINES = 9
 
 
 def _doc_bytes(n_pairs: int) -> int:
@@ -309,7 +311,7 @@ def _base64_line(values: np.ndarray, width: int) -> str:
 
 
 def save_index(index: TmIndex, path: str | Path) -> None:
-    """Write a header line, the pairs as ``save_corpus`` writes JSONL, the postings, a sha256 line."""
+    """Write a header line, the pairs' four column lines, the postings, a sha256 line."""
     params = index.params
     doc_bytes = _doc_bytes(index.doc_count)
     tf_bytes = 1 if index.tfs.max() < 1 << 8 else 4
@@ -322,16 +324,16 @@ def save_index(index: TmIndex, path: str | Path) -> None:
         "postings": len(index.docs),
         "terms": len(index.term_rows),
         "tf_bytes": tf_bytes,
-        "version": 5,
+        "version": 6,
     }
     arrays = ((np.diff(index.offsets), doc_bytes), (index.docs, doc_bytes), (index.tfs, tf_bytes))
     digest = hashlib.sha256()
     with atomic_write(path) as out:
         lines = itertools.chain(
             [json.dumps(header, sort_keys=True) + "\n"],
-            map(_jsonl_line, index.pairs),
+            _column_lines(index.pairs),
             [" ".join(index.term_rows) + "\n"],
-            itertools.starmap(_base64_line, arrays),  # made one at a time, as the pair lines are
+            itertools.starmap(_base64_line, arrays),  # made one at a time, as the column lines are
         )
         for line in lines:
             digest.update(line.encode("utf-8"))
@@ -342,22 +344,22 @@ def save_index(index: TmIndex, path: str | Path) -> None:
 def load_index(path: str | Path) -> TmIndex:
     """Load an index written by :func:`save_index`, analyzing no source.
 
-    The sha256 line is checked before anything is parsed. The lines are then
-    read from those very bytes: the header; the pair lines, parsed as
-    :func:`~ratkit.corpus.load_corpus` parses a JSONL corpus, so a line that
-    holds one JSON value and nothing else takes one call of the JSON scanner;
-    and the terms and postings, which give ``term_rows``, ``offsets``,
-    ``docs`` and ``tfs``. The ``TmIndex`` constructor derives the rest, as
-    it does for a fresh build.
+    The sha256 line is checked before anything is parsed. The nine lines
+    before it are then read from those very bytes: the header; the four
+    column lines, one ``json.loads`` each, which give the pairs; and the
+    terms and postings, which give ``term_rows``, ``offsets``, ``docs`` and
+    ``tfs``. The ``TmIndex`` constructor derives the rest, as it does for a
+    fresh build.
 
     A matching digest says the file holds what ``save_index`` wrote, and each
     invariant the index relies on is checked all the same: the header's
-    counts and widths, distinct non-empty terms, df >= 1 summing to the
-    postings count, doc ids below the pair count and ascending within a row,
-    tf >= 1, and, in the constructor, at least one posting per document (a
-    fault named at the docs line). A v1-v4 file, a bad checksum line or
-    digest, or any such fault raises a ValidationError naming the file, and
-    the line where there is one.
+    counts and widths; columns of ``pairs`` strings without lone surrogates,
+    pairs that ``SentencePair`` accepts and unique ids; distinct non-empty
+    terms, df >= 1 summing to the postings count, doc ids below the pair
+    count and ascending within a row, tf >= 1, and, in the constructor, at
+    least one posting per document (a fault named at the docs line). A v1-v5
+    file, a bad checksum line or digest, or any such fault raises a
+    ValidationError naming the file, and the line where there is one.
     """
     path = Path(path)
     try:
@@ -381,23 +383,22 @@ def load_index(path: str | Path) -> TmIndex:
     # checksum line; lines are split on "\n" only, as they were counted.
     n_lines = data.count(b"\n", 0, body_end)
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n") as fh:
-        lines = itertools.islice(numbered_lines(fh, path), n_lines)
+        lines = numbered_lines(fh, path)
         params, header = _read_header(path, next(lines)[1])
-        n_pair_lines = n_lines - 1 - _INDEX_LINES
-        if n_pair_lines < 0:
-            reason = "the file ends before its terms and postings lines"
+        if n_lines != _INDEX_LINES:
+            reason = f"{n_lines} lines precede the checksum line, not {_INDEX_LINES}"
             raise CorpusFormatError(str(path), n_lines, reason)
-        tm = _read_records(path, itertools.islice(lines, n_pair_lines), "jsonl", path.name)
-        postings = _read_postings(path, lines, header, len(tm.pairs))
+        tm = _read_columns(path, lines, header["pairs"], path.name)
+        postings = _read_postings(path, lines, header)
     del data, checksum  # the match holds the file's bytes too; neither is needed for the weights
     try:
         return TmIndex(tm.pairs, params, *postings, _id_rank(tm.pairs))
     except ValidationError as exc:  # a pair without postings, which the docs line shows
-        raise CorpusFormatError(str(path), n_lines - 1, str(exc)) from exc
+        raise CorpusFormatError(str(path), _INDEX_LINES - 1, str(exc)) from exc
 
 
 def _read_header(path: Path, line: str) -> tuple[Bm25Params, dict]:
-    """The BM25 parameters and the header of a v5 index; a fault raises for ``path:1``."""
+    """The BM25 parameters and the header of a v6 index; a fault raises for ``path:1``."""
     header = parse_json(line, path)
     try:
         if not isinstance(header, dict):
@@ -405,9 +406,9 @@ def _read_header(path: Path, line: str) -> tuple[Bm25Params, dict]:
         if header.get("format") != "ratkit-index":
             raise ValidationError(f"header format {header.get('format')!r} is not 'ratkit-index'")
         version = header.get("version")
-        if type(version) is int and version == 4:
-            raise ValidationError(f"index format v4 is no longer supported; {_REBUILD}")
-        if type(version) is not int or version != 5:
+        if type(version) is int and version in (4, 5):
+            raise ValidationError(f"index format v{version} is no longer supported; {_REBUILD}")
+        if type(version) is not int or version != 6:
             raise ValidationError(f"index format version {version!r} is not supported")
         for key in ("k1", "b"):
             if type(header.get(key)) not in (int, float):
@@ -428,18 +429,14 @@ def _read_header(path: Path, line: str) -> tuple[Bm25Params, dict]:
         raise CorpusFormatError(str(path), 1, str(exc)) from exc
 
 
-def _read_postings(path: Path, lines: Iterator[tuple[int, str]], header: dict, n: int) -> tuple:
-    """``term_rows``, ``offsets``, ``docs`` and ``tfs`` in the lines after the ``n`` pairs.
+def _read_postings(path: Path, lines: Iterator[tuple[int, str]], header: dict) -> tuple:
+    """``term_rows``, ``offsets``, ``docs`` and ``tfs`` in the lines after the pairs.
 
     A fault raises a CorpusFormatError naming ``path`` and the line.
     """
     where = str(path)
+    n = header["pairs"]
     lineno, line = next(lines)
-    if n != header["pairs"]:
-        raise CorpusFormatError(
-            where, lineno, f"{n} pairs precede the terms line, the header says {header['pairs']}; "
-            "a line is missing or extra"
-        )
     terms = line.rstrip("\r\n").split(" ")  # a term holds no whitespace
     if len(terms) != header["terms"]:
         raise CorpusFormatError(where, lineno, f"{len(terms)} terms, the header says {header['terms']}")

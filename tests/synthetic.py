@@ -126,8 +126,8 @@ def dense_rows(index) -> dict[str, tuple[str, bytes]]:
     }
 
 
-# The fields of a v5 index header that are not derived from the content.
-INDEX_HEADER = {"b": 0.75, "format": "ratkit-index", "k1": 1.2, "version": 5}
+# The fields of a v6 index header that are not derived from the content.
+INDEX_HEADER = {"b": 0.75, "format": "ratkit-index", "k1": 1.2, "version": 6}
 
 
 def counter_postings(sources):
@@ -157,20 +157,22 @@ def index_postings(sources) -> tuple[list[str], list[int], list[int], list[int]]
     return list(term_rows), np.diff(offsets).tolist(), docs.tolist(), tfs.astype(int).tolist()
 
 
-def index_file(records, header=INDEX_HEADER, sections=None) -> bytes:
+def index_file(records, header=INDEX_HEADER, sections=None, **columns) -> bytes:
     """Index file bytes laid out as the README says, written without
     save_index so that the tests can store invalid content.
 
-    ``records`` are (id, domain, source, target) tuples, each written as
-    json.dumps writes it, or raw line bytes. ``header`` is a dict written as
-    JSON with sorted keys, its missing counts and widths filled in from the
+    ``records`` are (id, domain, source, target) tuples, stored as the four
+    column lines, each a list as json.dumps writes it. A keyword ``id``,
+    ``domain``, ``source`` or ``target`` replaces that column: a list written
+    the same way, or the raw bytes of its line. ``header`` is a dict written
+    as JSON with sorted keys, its missing counts and widths filled in from the
     content, or the raw bytes of the header line. ``sections`` are the terms,
     df, docs and tfs lines, by default the postings of the tuples' sources:
     each a list (terms space-joined, integers in base64 at the header's
     widths), the raw bytes of its line, or None to leave the line out.
     """
     if sections is None:
-        sections = index_postings(r[2] if isinstance(r, tuple) else "" for r in records)
+        sections = index_postings(record[2] for record in records)
     terms, df, docs, tfs = sections
     if isinstance(header, dict):
         pairs = header.get("pairs", len(records))
@@ -187,11 +189,11 @@ def index_file(records, header=INDEX_HEADER, sections=None) -> bytes:
     else:
         widths = {"df": 2, "docs": 2, "tfs": 1}
     lines = [header]
-    for record in records:
-        if isinstance(record, tuple):
-            record = dict(zip(("id", "domain", "src", "tgt"), record))
-            record = json.dumps(record, ensure_ascii=False).encode("utf-8")
-        lines.append(record)
+    for position, label in enumerate(("id", "domain", "source", "target")):
+        column = columns.get(label, [record[position] for record in records])
+        if isinstance(column, list):
+            column = json.dumps(column, ensure_ascii=False).encode("utf-8")
+        lines.append(column)
     if isinstance(terms, list):
         terms = " ".join(terms).encode("utf-8")
     tail = [terms]

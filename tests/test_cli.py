@@ -789,12 +789,13 @@ class TestInputFaults:
         assert message in capsys.readouterr().err
 
 
-# tiny_tm in an index file: pairs on lines 2-4, then the terms (line 5),
-# df (6), docs (7) and tfs (8) of TINY_POSTINGS.
+# tiny_tm in an index file: its id, domain, source and target columns on
+# lines 2-5, then the terms (line 6), df (7), docs (8) and tfs (9) of TINY_POSTINGS.
 TINY_RECORDS = [(p.id, p.domain, p.source, p.target) for p in tiny_tm().pairs]
 TINY_POSTINGS = (["the", "cat", "sat", "dog"], [2, 2, 1, 1], [0, 1, 0, 2, 0, 1], [1] * 6)
 TINY_HEADER = {**INDEX_HEADER, "doc_bytes": 2, "pairs": 3, "postings": 6, "terms": 4, "tf_bytes": 1}
 V4_HEADER = b'{"b": 0.75, "format": "ratkit-index", "k1": 1.2, "version": 4}'
+V5_HEADER = b'{"b": 0.75, "format": "ratkit-index", "k1": 1.2, "version": 5}'
 
 
 def tiny_postings(**changes):
@@ -806,52 +807,9 @@ def tiny_postings(**changes):
 class TestIndexFileFaults:
     """An index file with a valid checksum but faulty content exits 2 naming ``path:line``."""
 
-    @pytest.mark.parametrize(
-        "header, sections, where, reason",
-        [
-            ({}, tiny_postings(df=[2, 2, 1, 2]), ":6", "the df values sum to 7, the header says 6"),
-            ({}, tiny_postings(df=[2, 2, 0, 1], docs=[0, 1, 0, 2, 1]), ":6",
-             "the term 'sat' has a df of 0"),
-            ({}, tiny_postings(docs=[0, 1, 0, 3, 0, 1]), ":7", "doc id 3 is not below the 3 pairs"),
-            ({}, tiny_postings(docs=[0, 1, 2, 0, 0, 1]), ":7",
-             "the doc ids of the term 'cat' are not ascending"),
-            ({}, tiny_postings(docs=[0, 1, 2, 2, 0, 1]), ":7",
-             "the doc ids of the term 'cat' are not ascending"),
-            ({}, tiny_postings(tfs=[1, 1, 0, 1, 1, 1]), ":8", "a tf of 0 for the term 'cat'"),
-            ({}, tiny_postings(terms=["the", "cat", "sat", "cat"]), ":5", "the term 'cat' is repeated"),
-            ({}, tiny_postings(terms=b"the  cat sat"), ":5", "an empty term"),
-            ({"postings": 5}, tiny_postings(df=[2, 1, 1, 1], docs=[0, 1, 0, 0, 1], tfs=[1] * 5), ":7",
-             "pair 'd3' has no postings"),
-            ({}, tiny_postings(df=b"AgACAAEAAQ="), ":6", "the df line is not base64"),
-            ({}, tiny_postings(df=b"AgAC\xc3\xa9AAEAAQA="), ":6", "the df line is not base64"),
-            ({}, tiny_postings(docs=b"AAABAAACAA=="), ":7", "the docs line holds 7 bytes, not a multiple of 2"),
-            ({}, tiny_postings(docs=b"AAABAAAC"), ":7", "the docs line holds 3 values, not 6"),
-            ({}, tiny_postings(tfs=None), ":4", "2 pairs precede the terms line, the header says 3"),
-            ({}, [None] * 4, ":4", "the file ends before its terms and postings lines"),
-            ({"doc_bytes": 4}, TINY_POSTINGS, ":1", "doc_bytes is 4, not 2 for 3 pairs"),
-            ({"tf_bytes": 4}, tiny_postings(tfs=b"AQEBAQEB"), ":8",
-             "the tfs line holds 6 bytes, not a multiple of 4"),
-            ({"tf_bytes": 4}, TINY_POSTINGS, ":8", "tf_bytes is 4, but every tf fits in 1 byte"),
-            ({"tf_bytes": 2}, TINY_POSTINGS, ":1", "tf_bytes is 2, not 1 or 4"),
-            ({"terms": 5}, TINY_POSTINGS, ":5", "4 terms, the header says 5"),
-            ({"postings": 7}, TINY_POSTINGS, ":6", "the df values sum to 6, the header says 7"),
-            ({"pairs": 4}, TINY_POSTINGS, ":5", "3 pairs precede the terms line, the header says 4"),
-            ({"pairs": -1}, TINY_POSTINGS, ":1", "header field 'pairs' is missing or not a count"),
-            ({"postings": True}, TINY_POSTINGS, ":1", "header field 'postings' is missing or not a count"),
-            (V4_HEADER, [None] * 4, ":1", "index format v4 is no longer supported; rebuild the index"),
-        ],
-        ids=["df-sum", "df-zero", "doc-id-past-n", "docs-descending", "docs-repeated", "tf-zero",
-             "term-repeated", "term-empty", "doc-without-posting", "bad-base64", "non-ascii-base64",
-             "length-not-a-multiple-of-the-width", "docs-count", "tail-line-missing",
-             "tail-missing", "doc-width", "tf-width-of-the-data", "tf-width-not-the-narrowest",
-             "tf-width-unknown", "terms-count", "postings-count", "pairs-count", "pairs-negative",
-             "postings-bool", "v4-file"],
-    )
-    def test_exits_2_naming_the_line(self, tmp_path, capsys, header, sections, where, reason):
+    def assert_exits_2_naming(self, tmp_path, capsys, data, where, reason):
         path = tmp_path / "bad.idx"
-        if isinstance(header, dict):
-            header = {**TINY_HEADER, **header}
-        path.write_bytes(index_file(TINY_RECORDS, header, sections))
+        path.write_bytes(data)
         save_corpus(tiny_tm(), tmp_path / "q.jsonl")
         code = run_cli("augment", "--index", path, "--corpus", tmp_path / "q.jsonl", "--k", "1",
                        "--out", tmp_path / "aug")
@@ -859,6 +817,76 @@ class TestIndexFileFaults:
         assert code == 2
         assert f"{path}{where}: {reason}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "header, sections, where, reason",
+        [
+            ({}, tiny_postings(df=[2, 2, 1, 2]), ":7", "the df values sum to 7, the header says 6"),
+            ({}, tiny_postings(df=[2, 2, 0, 1], docs=[0, 1, 0, 2, 1]), ":7",
+             "the term 'sat' has a df of 0"),
+            ({}, tiny_postings(docs=[0, 1, 0, 3, 0, 1]), ":8", "doc id 3 is not below the 3 pairs"),
+            ({}, tiny_postings(docs=[0, 1, 2, 0, 0, 1]), ":8",
+             "the doc ids of the term 'cat' are not ascending"),
+            ({}, tiny_postings(docs=[0, 1, 2, 2, 0, 1]), ":8",
+             "the doc ids of the term 'cat' are not ascending"),
+            ({}, tiny_postings(tfs=[1, 1, 0, 1, 1, 1]), ":9", "a tf of 0 for the term 'cat'"),
+            ({}, tiny_postings(terms=["the", "cat", "sat", "cat"]), ":6", "the term 'cat' is repeated"),
+            ({}, tiny_postings(terms=b"the  cat sat"), ":6", "an empty term"),
+            ({"postings": 5}, tiny_postings(df=[2, 1, 1, 1], docs=[0, 1, 0, 0, 1], tfs=[1] * 5), ":8",
+             "pair 'd3' has no postings"),
+            ({}, tiny_postings(df=b"AgACAAEAAQ="), ":7", "the df line is not base64"),
+            ({}, tiny_postings(df=b"AgAC\xc3\xa9AAEAAQA="), ":7", "the df line is not base64"),
+            ({}, tiny_postings(docs=b"AAABAAACAA=="), ":8", "the docs line holds 7 bytes, not a multiple of 2"),
+            ({}, tiny_postings(docs=b"AAABAAAC"), ":8", "the docs line holds 3 values, not 6"),
+            ({}, tiny_postings(tfs=None), ":8", "8 lines precede the checksum line, not 9"),
+            ({}, [None] * 4, ":5", "5 lines precede the checksum line, not 9"),
+            ({"doc_bytes": 4}, TINY_POSTINGS, ":1", "doc_bytes is 4, not 2 for 3 pairs"),
+            ({"tf_bytes": 4}, tiny_postings(tfs=b"AQEBAQEB"), ":9",
+             "the tfs line holds 6 bytes, not a multiple of 4"),
+            ({"tf_bytes": 4}, TINY_POSTINGS, ":9", "tf_bytes is 4, but every tf fits in 1 byte"),
+            ({"tf_bytes": 2}, TINY_POSTINGS, ":1", "tf_bytes is 2, not 1 or 4"),
+            ({"terms": 5}, TINY_POSTINGS, ":6", "4 terms, the header says 5"),
+            ({"postings": 7}, TINY_POSTINGS, ":7", "the df values sum to 6, the header says 7"),
+            ({"pairs": 4}, TINY_POSTINGS, ":2", "the id line holds 3 values, the header says 4 pairs"),
+            ({"pairs": -1}, TINY_POSTINGS, ":1", "header field 'pairs' is missing or not a count"),
+            ({"postings": True}, TINY_POSTINGS, ":1", "header field 'postings' is missing or not a count"),
+            (V4_HEADER, [None] * 4, ":1", "index format v4 is no longer supported; rebuild the index"),
+            (V5_HEADER, [None] * 4, ":1", "index format v5 is no longer supported; rebuild the index"),
+        ],
+        ids=["df-sum", "df-zero", "doc-id-past-n", "docs-descending", "docs-repeated", "tf-zero",
+             "term-repeated", "term-empty", "doc-without-posting", "bad-base64", "non-ascii-base64",
+             "length-not-a-multiple-of-the-width", "docs-count", "tail-line-missing",
+             "tail-missing", "doc-width", "tf-width-of-the-data", "tf-width-not-the-narrowest",
+             "tf-width-unknown", "terms-count", "postings-count", "pairs-count", "pairs-negative",
+             "postings-bool", "v4-file", "v5-file"],
+    )
+    def test_exits_2_naming_the_line(self, tmp_path, capsys, header, sections, where, reason):
+        if isinstance(header, dict):
+            header = {**TINY_HEADER, **header}
+        data = index_file(TINY_RECORDS, header, sections)
+        self.assert_exits_2_naming(tmp_path, capsys, data, where, reason)
+
+    @pytest.mark.parametrize(
+        "columns, where, reason",
+        [
+            ({"source": b'{"0": "the cat sat"}'}, ":4", "the source line is not a JSON array"),
+            ({"target": ["die Katze sass", 5, "Katze"]}, ":5", "the target at position 1 is not a string"),
+            ({"source": b'["the cat sat", "the dog \\ud800", "cat"]'}, ":4",
+             "the source at position 1 holds a lone surrogate (\\ud800)"),
+            ({"domain": ["a", "a"]}, ":3", "the domain line holds 2 values, the header says 3 pairs"),
+            ({"source": ["the cat sat", " ", "cat"]}, ":4", "pair 'd2': source is empty (position 1)"),
+            ({"target": ["die Katze sass", "der\nHund", "Katze"]}, ":5",
+             "pair 'd2': target contains a line break (position 1)"),
+            ({"id": ["d1", "", "d3"]}, ":2", "sentence pair has an empty id (position 1)"),
+            ({"id": ["d1", "d2", "d1"]}, ":2", "duplicate id 'd1' at positions 0 and 2"),
+            ({"source": b'["the cat sat", "the dog", "cat"'}, ":4", "invalid JSON: Expecting ',' delimiter"),
+        ],
+        ids=["not-a-list", "non-string", "lone-surrogate", "short", "blank-source",
+             "line-break", "empty-id", "repeated-id", "invalid-json"],
+    )
+    def test_column_fault_exits_2_naming_the_line(self, tmp_path, capsys, columns, where, reason):
+        data = index_file(TINY_RECORDS, TINY_HEADER, TINY_POSTINGS, **columns)
+        self.assert_exits_2_naming(tmp_path, capsys, data, where, reason)
 
     def test_the_tiny_postings_load(self, tmp_path):
         # The fault cases above differ from this valid file in one place each.

@@ -20,6 +20,7 @@ from ratkit import CorpusFormatError, ValidationError, load_corpus
 from ratkit.corpus import (
     SentencePair,
     TranslationMemory,
+    _column_lines,
     _jsonl_line,
     _strip_edge_punctuation,
     _tokens_13a,
@@ -278,16 +279,16 @@ _GOOD = ('{"id": "g1", "domain": "d", "src": "a b", "tgt": "c d"}',
          '{"id": "g2", "domain": "d", "src": "e f", "tgt": "g h"}')
 
 
-def _json_loads_oracle(lines, path, skip=0):
+def _json_loads_oracle(lines, path):
     """The pairs, or the CorpusFormatError text, of JSONL record lines parsed
-    by ``json.loads`` one line at a time; the first ``skip`` lines are not records.
+    by ``json.loads`` one line at a time.
 
     Every line is parsed before ids are compared, so a malformed line is named
     even when a repeated id comes before it.
     """
     pairs, linenos = [], []
     for lineno, line in enumerate(lines, start=1):
-        if lineno <= skip or not line.strip():
+        if not line.strip():
             continue
         try:
             record = json.loads(line.rstrip("\n"))
@@ -331,28 +332,101 @@ def _loaded(load, path):
 
 
 def assert_loads_as_json_loads(tmp_path, text: str):
-    """load_corpus and load_index of ``text`` as record lines equal the json.loads oracle."""
-    corpus_path = tmp_path / "tm.jsonl"
-    corpus_path.write_bytes(text.encode("utf-8"))
-    # load_corpus reads with universal newlines, load_index splits on "\n" only.
-    expected = _json_loads_oracle(io.StringIO(text, newline=None), corpus_path)
-    assert _loaded(load_corpus, corpus_path) == expected
-    if not text.endswith("\n"):  # the checksum line starts a line of its own
-        text += "\n"
-    index_path = tmp_path / "tm.idx"
-    expected = _json_loads_oracle(io.StringIO("header\n" + text, newline="\n"), index_path, skip=1)
-    # A v5 index: the header, ``text`` as its pair lines, and the postings of
-    # the pairs the oracle finds there (none when it finds a fault).
+    """load_corpus of ``text`` as record lines equals the json.loads oracle."""
+    path = tmp_path / "tm.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    # load_corpus reads with universal newlines.
+    expected = _json_loads_oracle(io.StringIO(text, newline=None), path)
+    assert _loaded(load_corpus, path) == expected
+    return expected
+
+
+_SOURCES = '"s t u v w", "u v"'
+
+# Index source lines at json.loads' edges (whitespace, a BOM, nesting, the
+# integer digit limit, trailing data) or that break one check of the column
+# reader: each is read as the source line (line 4) of an index of two pairs.
+_CRAFTED_COLUMNS = {
+    "plain": "[%s]" % _SOURCES,
+    "leading-spaces-and-tabs": " \t [%s]" % _SOURCES,
+    "trailing-spaces-and-tabs": "[%s]\t \t" % _SOURCES,
+    "bom": "\ufeff[%s]" % _SOURCES,
+    "nan-element": "[%s, NaN]" % _SOURCES,
+    "nesting-past-the-recursion-limit": "[%s, %s%s]" % (_SOURCES, "[" * _DEPTH, "]" * _DEPTH),
+    "int-past-the-digit-limit": "[%s, %s]" % (_SOURCES, "7" * 5000),
+    "two-values": "[%s] [%s]" % (_SOURCES, _SOURCES),
+    "extra-bracket": "[%s]]" % _SOURCES,
+    "object": '{"0": "s t", "1": "u v"}',
+    "string": '"s t"',
+    "number": "7",
+    "null-element": '["s t", null]',
+    "lone-surrogate-escape": '["s t", "u \\ud800"]',
+    "escaped-newline": '["s\\nt", "u v"]',
+    "blank": '["s t", " "]',
+    "short": '["s t"]',
+    "long": '["s t", "u v", "w"]',
+    "unterminated": "[%s" % _SOURCES,
+    "unterminated-string": '["s t", "u v',
+    "whitespace-only": " \t ",
+}
+
+
+def _column_oracle(line: str, path, ids) -> tuple | str:
+    """The pairs, or the CorpusFormatError text, of an index whose id line
+    holds ``ids`` and whose source line is ``line``, parsed by ``json.loads``.
+
+    Every pair's domain is "d" and its target "t".
+    """
+    try:
+        column = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return f"{path}:{4 + exc.lineno - 1}: invalid JSON: {exc.msg}"
+    except (ValueError, RecursionError) as exc:
+        return f"{path}:4: invalid JSON: {exc}"
+    if not isinstance(column, list):
+        return f"{path}:4: the source line is not a JSON array"
+    for position, value in enumerate(column):
+        if not isinstance(value, str):
+            return f"{path}:4: the source at position {position} is not a string"
+    for position, value in enumerate(column):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            surrogate = ord(exc.object[exc.start])
+            return f"{path}:4: the source at position {position} holds a lone surrogate (\\u{surrogate:04x})"
+    if len(column) != len(ids):
+        return f"{path}:4: the source line holds {len(column)} values, the header says {len(ids)} pairs"
+    pairs = []
+    for position, (id_, source) in enumerate(zip(ids, column)):
+        try:
+            pairs.append(SentencePair(id=id_, source=source, target="t", domain="d"))
+        except ValidationError as exc:
+            return f"{path}:4: {exc} (position {position})"
+    first_seen = {}
+    for position, id_ in enumerate(ids):
+        if id_ in first_seen:
+            return f"{path}:2: duplicate id {id_!r} at positions {first_seen[id_]} and {position}"
+        first_seen[id_] = position
+    return tuple(pairs)
+
+
+def assert_column_loads_as_json_loads(tmp_path, line: str, ids=("g1", "g2")):
+    """load_index of an index whose source line is ``line`` equals the json.loads oracle."""
+    path = tmp_path / "tm.idx"
+    expected = _column_oracle(line, path, ids)
+    # The postings of the pairs the oracle finds (none when it finds a fault).
     pairs = expected if isinstance(expected, tuple) else ()
-    header = {**INDEX_HEADER, "pairs": len(pairs)}
     postings = index_postings(pair.source for pair in pairs)
-    index_path.write_bytes(index_file([text.encode("utf-8")[:-1]], header, postings))
-    assert _loaded(load_index, index_path) == expected
+    records = [(id_, "d", "", "t") for id_ in ids]
+    header = {**INDEX_HEADER, "pairs": len(ids)}
+    path.write_bytes(index_file(records, header, postings, source=line.encode("utf-8")))
+    assert _loaded(load_index, path) == expected
     return expected
 
 
 class TestJsonFastPath:
-    """A record line parses as ``json.loads`` parses it, or fails with its error."""
+    """A corpus record line parses as ``json.loads`` parses it, or fails with
+    its error; so does an index column line."""
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("line", list(_CRAFTED_LINES.values()), ids=list(_CRAFTED_LINES))
@@ -364,41 +438,65 @@ class TestJsonFastPath:
         elif line == _CRAFTED_LINES["bom"]:
             assert first.endswith(": invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)")
 
+    # The index's lines end with "\n" alone or with "\r\n".
+    @pytest.mark.parametrize("eol", ["", "\r"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("line", list(_CRAFTED_COLUMNS.values()), ids=list(_CRAFTED_COLUMNS))
+    def test_crafted_column_loads_as_json_loads_does(self, tmp_path, line, eol):
+        loaded = assert_column_loads_as_json_loads(tmp_path, line + eol)
+        if line == _CRAFTED_COLUMNS["plain"]:
+            assert [pair.source for pair in loaded] == ["s t u v w", "u v"]
+        elif line == _CRAFTED_COLUMNS["bom"]:
+            assert loaded.endswith(": invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)")
+
     def test_malformed_line_is_named_before_an_earlier_repeated_id(self, tmp_path):
-        # The index file's header line puts each record one line further down.
         text = "\n".join([_GOOD[0], _GOOD[1], _GOOD[0], _CRAFTED_LINES["unterminated"]]) + "\n"
         assert assert_loads_as_json_loads(tmp_path, text).endswith(
-            "tm.idx:5: invalid JSON: Expecting ',' delimiter"
-        )
-        assert _loaded(load_corpus, tmp_path / "tm.jsonl").endswith(
             "tm.jsonl:4: invalid JSON: Expecting ',' delimiter"
         )
         # Without the malformed line, the repeated id is the fault.
         text = "\n".join([_GOOD[0], _GOOD[1], _GOOD[0]]) + "\n"
         assert assert_loads_as_json_loads(tmp_path, text).endswith(
-            "tm.idx:4: duplicate id 'g1' (first seen on line 2)"
-        )
-        assert _loaded(load_corpus, tmp_path / "tm.jsonl").endswith(
             "tm.jsonl:3: duplicate id 'g1' (first seen on line 1)"
         )
+        # In an index, the source line comes after the id line and is named first.
+        ids = ("g1", "g2", "g1")
+        assert assert_column_loads_as_json_loads(tmp_path, '["a", "b", "c"', ids).endswith(
+            "tm.idx:4: invalid JSON: Expecting ',' delimiter"
+        )
+        assert assert_column_loads_as_json_loads(tmp_path, '["a", "b", "c"]', ids).endswith(
+            "tm.idx:2: duplicate id 'g1' at positions 0 and 2"
+        )
+
+    PIECES = ["{", "}", "[", "]", '"', ":", ",", " ", "\t", "\r", "\\", "\\u", "\\ud800",
+              "\\n", "\\\\", "NaN", "1e999", "-", "0", "7" * 4400, "null", "\x00", "\ufeff", "é"]
+
+    def _edited(self, rng, line):
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(line) + 1)
+            if rng.random() < 0.3:
+                line = line[:at] + line[at + 1:]
+            else:
+                line = line[:at] + rng.choice(self.PIECES) + line[at:]
+        return line
 
     def test_random_edits_load_as_json_loads_does(self, tmp_path):
-        pieces = ["{", "}", "[", "]", '"', ":", ",", " ", "\t", "\r", "\\", "\\u", "\\ud800",
-                  "\\n", "\\\\", "NaN", "1e999", "-", "0", "7" * 4400, "null", "\x00", "\ufeff", "é"]
         rng = random.Random(18)
         outcomes = set()
         for _ in range(300):
-            line = "{%s}" % _RECORD
-            for _ in range(rng.randint(1, 3)):
-                at = rng.randrange(len(line) + 1)
-                if rng.random() < 0.3:
-                    line = line[:at] + line[at + 1:]
-                else:
-                    line = line[:at] + rng.choice(pieces) + line[at:]
+            line = self._edited(rng, "{%s}" % _RECORD)
             result = assert_loads_as_json_loads(tmp_path, "\n".join([_GOOD[0], line, _GOOD[1]]))
             outcomes.add(type(result).__name__ if isinstance(result, tuple) else result.split(": ")[1])
         # Both accepted lines and several kinds of fault came up.
         assert {"tuple", "invalid JSON", "missing or non-string field 'src'"} <= outcomes
+
+    def test_random_column_edits_load_as_json_loads_does(self, tmp_path):
+        rng = random.Random(19)
+        outcomes = set()
+        for _ in range(300):
+            result = assert_column_loads_as_json_loads(tmp_path, self._edited(rng, "[%s]" % _SOURCES))
+            outcomes.add(type(result).__name__ if isinstance(result, tuple) else result.split(": ")[1])
+        surrogate = "the source at position 1 holds a lone surrogate (\\ud800)"
+        assert {"tuple", "invalid JSON", surrogate, "pair 'g2'"} <= outcomes
 
 
 def _dumps_line(pair) -> str:
@@ -429,6 +527,10 @@ class TestJsonlLine:
         pair = SimpleNamespace(id=self.TEXTS[0], domain=self.TEXTS[2], source=self.TEXTS[1],
                                target=self.TEXTS[3])
         assert _jsonl_line(pair) == _dumps_line(pair)
+
+    def test_index_column_lines_equal_json_dumps(self):
+        pairs = [SimpleNamespace(id=text, domain=text, source=text, target=text) for text in self.TEXTS]
+        assert list(_column_lines(pairs)) == [json.dumps(self.TEXTS, ensure_ascii=False) + "\n"] * 4
 
 
 class TestAnalyzeForIndex:

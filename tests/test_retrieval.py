@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratkit import Bm25Params, ValidationError, build_index, query_top_n
-from ratkit.corpus import SentencePair, TranslationMemory, analyze_for_index, save_corpus
-from ratkit import retrieval
+from ratkit.corpus import SentencePair, TranslationMemory, analyze_for_index
+from ratkit import corpus, retrieval
 from ratkit.retrieval import TmIndex, load_index, save_index
 
 from synthetic import (
@@ -628,7 +628,11 @@ class TestRoundTrip:
         def no_analysis(text):
             raise AssertionError("load_index analyzed a source")
 
+        def no_record(*args):
+            raise AssertionError("load_index parsed a JSONL record line")
+
         monkeypatch.setattr(retrieval, "analyze_for_index", no_analysis)
+        monkeypatch.setattr(corpus, "_parse_record", no_record)
         loaded = load_index(path)
         monkeypatch.undo()
 
@@ -751,14 +755,18 @@ class TestPersistence:
         lines = data.decode("utf-8").splitlines(keepends=True)
         assert lines[0] == (
             '{"b": 0.75, "doc_bytes": 2, "format": "ratkit-index", "k1": 1.2, "pairs": 3, '
-            '"postings": 6, "terms": 4, "tf_bytes": 1, "version": 5}\n'
+            '"postings": 6, "terms": 4, "tf_bytes": 1, "version": 6}\n'
         )
-        # The pair lines are what save_corpus writes for JSONL.
-        save_corpus(tm, tmp_path / "tm.jsonl")
-        assert "".join(lines[1:4]) == (tmp_path / "tm.jsonl").read_text(encoding="utf-8")
+        # Every pair's id, domain, source and target, each line one json.dumps.
+        assert lines[1:5] == [
+            '["d1", "d2", "d3"]\n',
+            '["a", "a", "a"]\n',
+            '["the cat sat", "the dog", "cat"]\n',
+            '["die Katze sass", "der Hund", "Katze"]\n',
+        ]
         # The terms in row order, then df, docs and tfs as little-endian u2, u2, u1.
-        assert lines[4] == "the cat sat dog\n"
-        arrays = [base64.b64decode(line) for line in lines[5:8]]
+        assert lines[5] == "the cat sat dog\n"
+        arrays = [base64.b64decode(line) for line in lines[6:9]]
         assert arrays == [
             np.array([2, 2, 1, 1], "<u2").tobytes(),
             np.array([0, 1, 0, 2, 0, 1], "<u2").tobytes(),
@@ -772,31 +780,31 @@ class TestPersistence:
         "docs, header, where, reason",
         [
             (TINY_DOCS[:2] + [("d3", "a", " ", "Katze")], HEADER, ":4", "source is empty"),
-            (TINY_DOCS[:2] + [("d3", "a", "...", "Katze")], HEADER, ":7", "source without terms"),
-            (TINY_DOCS[:2] + [("d3", "a", "cat", "Kat\nze")], HEADER, ":4", "line break"),
-            (TINY_DOCS[:2] + [("d1", "a", "cat", "Katze")], HEADER, ":4",
-             r"duplicate id 'd1' \(first seen on line 2\)"),
-            ([], HEADER, "", "contains no records"),
+            (TINY_DOCS[:2] + [("d3", "a", "...", "Katze")], HEADER, ":8", "source without terms"),
+            (TINY_DOCS[:2] + [("d3", "a", "cat", "Kat\nze")], HEADER, ":5", "line break"),
+            (TINY_DOCS[:2] + [("d1", "a", "cat", "Katze")], HEADER, ":2",
+             "duplicate id 'd1' at positions 0 and 2"),
+            ([], HEADER, ":2", "translation memory 'bad.idx' is empty"),
             (TINY_DOCS, {**HEADER, "k1": math.nan}, ":1", "k1 must be finite"),
             (TINY_DOCS, b"k1=1.2 b=0.75", ":1", "invalid JSON"),
             (TINY_DOCS, b"[0.75, 1.2]", ":1", "header is not a JSON object"),
             (TINY_DOCS, {**HEADER, "format": "ratkit"}, ":1", "format 'ratkit' is not"),
             (TINY_DOCS, {**HEADER, "version": 3}, ":1", "version 3 is not supported"),
-            (TINY_DOCS, {**HEADER, "version": 5.0}, ":1", "version 5.0 is not supported"),
+            (TINY_DOCS, {**HEADER, "version": 6.0}, ":1", "version 6.0 is not supported"),
             (TINY_DOCS, {**HEADER, "k1": "1.2"}, ":1", "'k1' is missing or not a number"),
             (TINY_DOCS, {**HEADER, "b": True}, ":1", "'b' is missing or not a number"),
             (TINY_DOCS, {**HEADER, "k1": 10**400}, ":1", "too large to convert to float"),
             pytest.param(
-                TINY_DOCS, b'{"b": 0.75, "format": "ratkit-index", "k1": 1%s, "version": 5}'
+                TINY_DOCS, b'{"b": 0.75, "format": "ratkit-index", "k1": 1%s, "version": 6}'
                 % (b"0" * 5000), ":1", "invalid JSON: Exceeds the limit",
                 marks=pytest.mark.skipif(
                     not hasattr(sys, "get_int_max_str_digits"),
                     reason="this Python has no int digit limit",
                 ),
             ),
-            (TINY_DOCS, {"b": 0.75, "format": "ratkit-index", "version": 5}, ":1",
+            (TINY_DOCS, {"b": 0.75, "format": "ratkit-index", "version": 6}, ":1",
              "'k1' is missing"),
-            (TINY_DOCS[:2] + [b'{"id": "d3", "domain": "a", "src": "caf\xe9", "tgt": "Katze"}'],
+            ({"records": TINY_DOCS, "source": b'["the cat sat", "the dog", "caf\xe9"]'},
              HEADER, ":4", "not valid UTF-8"),
         ],
         ids=["blank-source", "source-without-terms", "line-break", "duplicate-id",
@@ -808,8 +816,10 @@ class TestPersistence:
     def test_invalid_content_with_valid_checksum_rejected(
         self, tmp_path, docs, header, where, reason
     ):
+        # ``docs``: the pairs, or index_file's keyword arguments.
+        kwargs = docs if isinstance(docs, dict) else {"records": docs}
         path = tmp_path / "bad.idx"
-        path.write_bytes(index_file(docs, header))
+        path.write_bytes(index_file(header=header, **kwargs))
         with pytest.raises(ValidationError, match=rf"bad\.idx{where}: .*{reason}"):
             load_index(path)
 
@@ -863,13 +873,13 @@ class TestPersistence:
         save_index(build_index(make_random_tm(n_pairs=3000, seed=23)), path)
         size = path.stat().st_size
         held = []
-        read_records = retrieval._read_records
+        read_columns = retrieval._read_columns
 
         def measured(*args):
             held.append(tracemalloc.get_traced_memory()[0])
-            return read_records(*args)
+            return read_columns(*args)
 
-        monkeypatch.setattr(retrieval, "_read_records", measured)
+        monkeypatch.setattr(retrieval, "_read_columns", measured)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

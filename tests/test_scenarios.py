@@ -130,7 +130,7 @@ class TestPoolSubset:
                 save_index(fresh, tmp_path / "fresh.idx")
                 # An index file stores the terms and postings in row order, and
                 # a cut numbers its rows in the pool's term order: the header
-                # and pair lines are the same bytes, the postings the same per term.
+                # and column lines are the same bytes, the postings the same per term.
                 cut_lines = (tmp_path / "cut.idx").read_bytes().splitlines()
                 fresh_lines = (tmp_path / "fresh.idx").read_bytes().splitlines()
                 assert cut_lines[:-5] == fresh_lines[:-5]
