@@ -18,9 +18,7 @@ A JSONL corpus record line first goes through the C scanner behind
 ``json.loads``, in one call; only a line whose value does not end exactly at
 the line's end (whitespace, a BOM, a syntax error, nesting or an integer
 past the interpreter's limits) is parsed again by :func:`parse_json`, which
-gives ``json.loads``' result or its error. Each of an index file's four
-column lines, which hold a field of every pair, is one :func:`parse_json`
-call.
+gives ``json.loads``' result or its error.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
-import operator
 import os
 import re
 import sys
@@ -39,8 +36,7 @@ from typing import Iterable, Iterator, TextIO
 
 from .errors import CorpusFormatError, ValidationError
 
-# The column order of a TSV row (files carry no header) and of the column
-# lines of an index file; each is a SentencePair field.
+# The column order of a TSV row (files carry no header); each is a SentencePair field.
 _COLUMNS = ("id", "domain", "source", "target")
 # The JSONL record key of each TSV column, in the order _jsonl_line writes them.
 _JSONL_KEYS = ("id", "domain", "src", "tgt")
@@ -157,75 +153,6 @@ def _read_records(
         raise
 
 
-def _read_columns(
-    path: Path, lines: Iterator[tuple[int, str]], count: int, name: str
-) -> TranslationMemory:
-    """The TM in the next four numbered lines: JSON arrays of every pair's id,
-    domain, source and target, in this order; a fault names ``path:line``.
-
-    Each line is one :func:`parse_json` call and must hold a list of
-    ``count`` strings, none with a lone surrogate. The pairs then go through
-    the checks of SentencePair and TranslationMemory.
-    """
-    where = str(path)
-    columns: list[list[str]] = []
-    linenos: list[int] = []
-    for label in _COLUMNS:
-        lineno, line = next(lines)
-        column = parse_json(line.rstrip("\n"), path, lineno)
-        if type(column) is not list:
-            raise CorpusFormatError(where, lineno, f"the {label} line is not a JSON array")
-        if set(map(type, column)) - {str}:
-            position = next(i for i, value in enumerate(column) if type(value) is not str)
-            raise CorpusFormatError(where, lineno, f"the {label} at position {position} is not a string")
-        # Only a \u escape can put a lone surrogate into decoded JSON text.
-        if "\\u" in line:
-            for position, value in enumerate(column):
-                try:
-                    value.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    surrogate = ord(exc.object[exc.start])
-                    reason = f"the {label} at position {position} holds a lone surrogate (\\u{surrogate:04x})"
-                    raise CorpusFormatError(where, lineno, reason) from exc
-        if len(column) != count:
-            reason = f"the {label} line holds {len(column)} values, the header says {count} pairs"
-            raise CorpusFormatError(where, lineno, reason)
-        columns.append(column)
-        linenos.append(lineno)
-    ids, domains, sources, targets = columns
-    try:
-        pairs = tuple(map(SentencePair, ids, sources, targets, domains))
-    except ValidationError:
-        # Each field is set in line order over valid stand-ins, so the first
-        # construction that fails has its fault in the line just set.
-        for position, values in enumerate(zip(*columns)):
-            fields = dict.fromkeys(_COLUMNS, "-")
-            for lineno, label, value in zip(linenos, _COLUMNS, values):
-                fields[label] = value
-                try:
-                    SentencePair(**fields)
-                except ValidationError as exc:
-                    raise CorpusFormatError(where, lineno, f"{exc} (position {position})") from None
-        raise
-    try:
-        return TranslationMemory(name=name, pairs=pairs)
-    except ValidationError as exc:  # no pairs, or a repeated id: a fault of the id line
-        first_seen: dict[str, int] = {}
-        for position, id_ in enumerate(ids):
-            if id_ in first_seen:
-                reason = f"duplicate id {id_!r} at positions {first_seen[id_]} and {position}"
-                raise CorpusFormatError(where, linenos[0], reason) from None
-            first_seen[id_] = position
-        raise CorpusFormatError(where, linenos[0], str(exc)) from None
-
-
-def _column_lines(pairs: tuple[SentencePair, ...]) -> Iterator[str]:
-    """The four lines :func:`_read_columns` reads, newlines included: each one
-    ``json.dumps`` of a field of every pair, non-ASCII text kept readable."""
-    for label in _COLUMNS:
-        yield json.dumps(list(map(operator.attrgetter(label), pairs)), ensure_ascii=False) + "\n"
-
-
 def text_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
     """:func:`numbered_lines` of a file; one that cannot be opened raises a ValidationError."""
     try:
@@ -277,14 +204,10 @@ def _parse_record(path: str, lineno: int, line: str, fmt: str) -> SentencePair:
             values.append(value)
         # Only a \u escape can put a lone surrogate into decoded JSON text; one
         # would load here and fail later, when the text is written as UTF-8.
-        if "\\u" in line:
-            for key, value in zip(_JSONL_KEYS, values):
-                try:
-                    value.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    surrogate = ord(exc.object[exc.start])
-                    reason = f"field {key!r} holds a lone surrogate (\\u{surrogate:04x})"
-                    raise CorpusFormatError(path, lineno, reason) from exc
+        if "\\u" in line and (found := lone_surrogate(values)):
+            position, escape = found
+            reason = f"field {_JSONL_KEYS[position]!r} holds a lone surrogate ({escape})"
+            raise CorpusFormatError(path, lineno, reason)
     else:
         values = line[:end].split("\t")
         if len(values) != len(_COLUMNS):
@@ -310,6 +233,17 @@ def parse_json(text: str, path: str | Path, line: int = 1, **kwargs):
         raise CorpusFormatError(str(path), line + exc.lineno - 1, f"invalid JSON: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:
         raise CorpusFormatError(str(path), line, f"invalid JSON: {exc}") from exc
+
+
+def lone_surrogate(texts: Iterable[str]) -> tuple[int, str] | None:
+    """The position of the first text holding a lone surrogate, which UTF-8
+    cannot encode, and that surrogate as a ``\\uXXXX`` escape; None if there is none."""
+    for position, text in enumerate(texts):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            return position, f"\\u{ord(exc.object[exc.start]):04x}"
+    return None
 
 
 def _jsonl_line(pair: SentencePair) -> str:

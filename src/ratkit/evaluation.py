@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from itertools import chain
 
@@ -509,10 +508,22 @@ class CellResult:
 
 @dataclass(frozen=True)
 class GroupAverage:
-    """Cross-domain, cross-k arithmetic means for one (system, scenario) group."""
+    """Arithmetic means over a group of cells: a scenario's, or a report.md row's."""
 
     bleu: float
     overlap_pct: float | None
+
+    @classmethod
+    def of(cls, results: list[CellResult | str | None]) -> GroupAverage | None:
+        """The means of ``results``, or None unless every one is a CellResult: BLEU
+        summed in order, and overlap over the cells that have one (None if none has)."""
+        if not all(isinstance(r, CellResult) for r in results):
+            return None
+        overlaps = [r.overlap_pct for r in results if r.overlap_pct is not None]
+        return cls(
+            bleu=sum(r.bleu.score for r in results) / len(results),
+            overlap_pct=sum(overlaps) / len(overlaps) if overlaps else None,
+        )
 
 
 @dataclass
@@ -572,13 +583,12 @@ def report_to_markdown(report: EvalReport) -> str:
     for (system, scenario), avg in sorted(report.averages.items()):
         lines.append(f"| {system} | {scenario} | {avg.bleu:.2f} |")
 
-    cells = list(report.cells.values())
-    domains = sorted({c.domain for c in cells})
-    scenarios = sorted({c.scenario for c in cells})
-    systems = sorted({c.system for c in cells})
-    ks = sorted({c.k for c in cells})
-
-    def grid(metric: Callable[[CellResult], float | None], title: str, fmt: str) -> None:
+    # Failed cells keep their domain's column and their row, shown as "-".
+    keys = [*report.cells, *report.failed]
+    domains, ks, scenarios, systems = (sorted({key[i] for key in keys}) for i in range(4))
+    for title, metric in (
+        ("BLEU per domain", "bleu"), ("Suggestion token overlap (%) per domain", "overlap_pct")
+    ):
         lines.append("")
         lines.append(f"## {title}")
         for scenario in scenarios:
@@ -589,19 +599,12 @@ def report_to_markdown(report: EvalReport) -> str:
             lines.append("|---" * (len(domains) + 3) + "|")
             for system in systems:
                 for k in ks:
-                    row = [system, str(k)]
-                    values = []
-                    for domain in domains:
-                        cell = report.cells.get((domain, k, scenario, system))
-                        value = None if cell is None else metric(cell)
-                        row.append("-" if value is None else format(value, fmt))
-                        if value is not None:
-                            values.append(value)
-                    row.append(format(sum(values) / len(values), fmt) if values else "-")
-                    lines.append("| " + " | ".join(row) + " |")
-
-    grid(lambda cell: cell.bleu.score, "BLEU per domain", ".2f")
-    grid(lambda cell: cell.overlap_pct, "Suggestion token overlap (%) per domain", ".2f")
+                    # Each value is GroupAverage.of its cells: a domain's one, then the row's.
+                    row = [report.cells.get((domain, k, scenario, system)) for domain in domains]
+                    means = [*(GroupAverage.of([cell]) for cell in row), GroupAverage.of(row)]
+                    values = [None if mean is None else getattr(mean, metric) for mean in means]
+                    shown = ["-" if value is None else f"{value:.2f}" for value in values]
+                    lines.append("| " + " | ".join([system, str(k), *shown]) + " |")
 
     if report.significance:
         lines.append("")

@@ -26,7 +26,7 @@ from pathlib import Path
 from .augmentation import AugmentationConfig, AugmentedExample, augment_corpus, write_augmented
 from .augmentation import _select, read_augmented
 from .corpus import TranslationMemory, atomic_write, load_corpus, parse_json, read_lines, text_lines
-from .corpus import _tokens_13a, make_dirs, write_lines
+from .corpus import _tokens_13a, lone_surrogate, make_dirs, write_lines
 from .errors import ConfigurationError, CorpusFormatError, RatkitError, TranslatorError, ValidationError
 from .evaluation import (
     BootstrapConfig,
@@ -247,7 +247,7 @@ def _typed(value, kind: type, name: str):
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigurationError(f"manifest field {name!r} must be {_KINDS[kind]}, got {value!r}")
     # A NUL cannot be in a file name, and a lone surrogate cannot be written as UTF-8.
-    if kind is str and any(c == "\0" or "\ud800" <= c <= "\udfff" for c in value):
+    if kind is str and ("\0" in value or lone_surrogate([value])):
         raise ConfigurationError(f"manifest field {name!r} holds a NUL or a lone surrogate, got {value!r}")
     try:
         return kind(value)
@@ -436,6 +436,9 @@ def _read_outcome(cell_dir: Path, labels: dict) -> str | None:
     record = _read_json(failed, "failed cell record")
     if not isinstance(record, dict) or not isinstance(record.get("error"), str):
         raise ValidationError(f'{failed}: malformed failed cell record; expected {{"error": <text>}}')
+    # The error text goes into report.md, which is written as UTF-8.
+    if found := lone_surrogate([record["error"]]):
+        raise ValidationError(f"{failed}: the error text holds a lone surrogate ({found[1]})")
     return record["error"]
 
 
@@ -710,9 +713,9 @@ def _write_report(
 
     ``results`` holds each grid cell's CellResult or error text. Per (domain, k)
     whose relevant and less_relevant cells both succeeded, a paired bootstrap
-    resamples their BLEU statistics. A scenario's average is the mean of its
-    cells over domains x k, summed in grid order, and is given only when every
-    one of its cells succeeded.
+    resamples their BLEU statistics. A scenario's average is
+    ``GroupAverage.of`` its cells over domains x k, in grid order, so it is
+    given only when every one of its cells succeeded.
     """
     system = manifest.translator.kind
     cells = {r.key: r for r in results.values() if isinstance(r, CellResult)}
@@ -732,13 +735,8 @@ def _write_report(
     averages: dict[tuple[str, str], GroupAverage] = {}
     for scenario in manifest.scenarios:
         group = [results[(d, k, scenario)] for d, k in product(manifest.domains, manifest.k_values)]
-        if any(isinstance(r, str) for r in group):
-            continue
-        overlaps = [r.overlap_pct for r in group if r.overlap_pct is not None]
-        averages[(system, scenario)] = GroupAverage(
-            bleu=sum(r.bleu.score for r in group) / len(group),
-            overlap_pct=sum(overlaps) / len(overlaps) if overlaps else None,
-        )
+        if (average := GroupAverage.of(group)) is not None:
+            averages[(system, scenario)] = average
     report = EvalReport(cells=cells, averages=averages, significance=significance, failed=failed)
     _write_json(manifest.out_dir / "report.json", report.to_dict())
     with atomic_write(manifest.out_dir / "report.md") as fh:

@@ -48,7 +48,8 @@ integers; four JSON array lines, every pair's id, then domain, source and
 target, in index order; a line of the terms in row order, space-joined;
 three base64 lines of little-endian unsigned integers, per-row df, ``docs``
 and integer ``tfs``; and a last line holding the sha256 of every byte
-before it, so the digest covers the header too. A load passes
+before it, so the digest covers the header too. Each column line, which
+holds one field of every pair, is one ``parse_json`` call. A load passes
 the pairs and postings to the constructor a fresh build and ``subset`` use,
 so the document lengths, norms, weights and dense rows have the same bits.
 The postings make the file about 35% larger than the pairs alone on a Zipf
@@ -64,6 +65,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,8 +73,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .corpus import SentencePair, TranslationMemory, analyze_for_index, atomic_write, numbered_lines
-from .corpus import _column_lines, _read_columns, parse_json  # the pairs' column lines
+from .corpus import SentencePair, TranslationMemory, analyze_for_index, atomic_write, lone_surrogate
+from .corpus import numbered_lines, parse_json
 from .errors import CorpusFormatError, ValidationError
 
 
@@ -296,8 +298,10 @@ def query_top_n(
 
 _CHECKSUM_LINE = re.compile(rb'\{"sha256": "([0-9a-f]{64})"\}\n')
 _REBUILD = "rebuild the index with `ratkit index` or `ratkit scenario`"
-# The lines before the checksum line: the header, the id, domain, source and
-# target columns, the terms, then the df, docs and tfs arrays.
+# The SentencePair field of each column line, in file order.
+_PAIR_FIELDS = ("id", "domain", "source", "target")
+# The lines before the checksum line: the header, the four column lines, the
+# terms, then the df, docs and tfs arrays.
 _INDEX_LINES = 9
 
 
@@ -388,11 +392,11 @@ def load_index(path: str | Path) -> TmIndex:
         if n_lines != _INDEX_LINES:
             reason = f"{n_lines} lines precede the checksum line, not {_INDEX_LINES}"
             raise CorpusFormatError(str(path), n_lines, reason)
-        tm = _read_columns(path, lines, header["pairs"], path.name)
+        pairs = _read_columns(path, lines, header["pairs"])
         postings = _read_postings(path, lines, header)
     del data, checksum  # the match holds the file's bytes too; neither is needed for the weights
     try:
-        return TmIndex(tm.pairs, params, *postings, _id_rank(tm.pairs))
+        return TmIndex(pairs, params, *postings, _id_rank(pairs))
     except ValidationError as exc:  # a pair without postings, which the docs line shows
         raise CorpusFormatError(str(path), _INDEX_LINES - 1, str(exc)) from exc
 
@@ -427,6 +431,66 @@ def _read_header(path: Path, line: str) -> tuple[Bm25Params, dict]:
         return params, header
     except (ValidationError, OverflowError) as exc:  # OverflowError: an int beyond float
         raise CorpusFormatError(str(path), 1, str(exc)) from exc
+
+
+def _column_lines(pairs: tuple[SentencePair, ...]) -> Iterator[str]:
+    """The four lines :func:`_read_columns` reads, newlines included: each one
+    ``json.dumps`` of a field of every pair, non-ASCII text kept readable."""
+    for label in _PAIR_FIELDS:
+        yield json.dumps(list(map(operator.attrgetter(label), pairs)), ensure_ascii=False) + "\n"
+
+
+def _read_columns(path: Path, lines: Iterator[tuple[int, str]], count: int) -> tuple[SentencePair, ...]:
+    """The pairs in the next four numbered lines, a fault named ``path:line``.
+
+    Each line is one :func:`parse_json` call and must hold a list of ``count``
+    strings, none with a lone surrogate. The pairs must pass SentencePair's
+    checks, and there must be at least one, with unique ids.
+    """
+    where = str(path)
+    columns: list[list[str]] = []
+    linenos: list[int] = []
+    for label in _PAIR_FIELDS:
+        lineno, line = next(lines)
+        column = parse_json(line.rstrip("\n"), path, lineno)
+        if type(column) is not list:
+            raise CorpusFormatError(where, lineno, f"the {label} line is not a JSON array")
+        if set(map(type, column)) - {str}:
+            position = next(i for i, value in enumerate(column) if type(value) is not str)
+            raise CorpusFormatError(where, lineno, f"the {label} at position {position} is not a string")
+        # Only a \u escape can put a lone surrogate into decoded JSON text.
+        if "\\u" in line and (found := lone_surrogate(column)):
+            position, escape = found
+            reason = f"the {label} at position {position} holds a lone surrogate ({escape})"
+            raise CorpusFormatError(where, lineno, reason)
+        if len(column) != count:
+            reason = f"the {label} line holds {len(column)} values, the header says {count} pairs"
+            raise CorpusFormatError(where, lineno, reason)
+        columns.append(column)
+        linenos.append(lineno)
+    ids, domains, sources, targets = columns
+    try:
+        pairs = tuple(map(SentencePair, ids, sources, targets, domains))
+    except ValidationError:
+        # Each field is set in line order over valid stand-ins, so the first
+        # construction that fails has its fault in the line just set.
+        for position, values in enumerate(zip(*columns)):
+            fields = dict.fromkeys(_PAIR_FIELDS, "-")
+            for lineno, label, value in zip(linenos, _PAIR_FIELDS, values):
+                fields[label] = value
+                try:
+                    SentencePair(**fields)
+                except ValidationError as exc:
+                    raise CorpusFormatError(where, lineno, f"{exc} (position {position})") from None
+        raise
+    if not pairs or len(set(ids)) != count:  # no pairs, or a repeated id: a fault of the id line
+        first_seen: dict[str, int] = {}
+        for position, id_ in enumerate(ids):
+            if (first := first_seen.setdefault(id_, position)) != position:
+                reason = f"duplicate id {id_!r} at positions {first} and {position}"
+                raise CorpusFormatError(where, linenos[0], reason)
+        raise CorpusFormatError(where, linenos[0], f"translation memory {path.name!r} is empty")
+    return pairs
 
 
 def _read_postings(path: Path, lines: Iterator[tuple[int, str]], header: dict) -> tuple:

@@ -475,6 +475,19 @@ class TestReportCommand:
         assert code == 2
         assert f"{record}{error}" in capsys.readouterr().err
 
+    def test_lone_surrogate_in_a_failed_cell_error_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = run_grid(tmp_path)
+        cell = tmp_path / "out" / "cells" / "med__k1__relevant"
+        (cell / "cell.json").unlink()
+        record = cell / "failed.json"
+        record.write_text('{"error": "boom \\ud800"}\n', encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli("report", "--manifest", path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{record}: the error text holds a lone surrogate (\\ud800)" in err
+        assert "Traceback" not in err
+
     def test_cells_of_another_system_exit_2(self, tmp_path, capsys):
         translator = {"kind": "external_command", "command": "cp {input} {output}"}
         path = run_grid(tmp_path, translator=translator)

@@ -20,7 +20,6 @@ from ratkit import CorpusFormatError, ValidationError, load_corpus
 from ratkit.corpus import (
     SentencePair,
     TranslationMemory,
-    _column_lines,
     _jsonl_line,
     _strip_edge_punctuation,
     _tokens_13a,
@@ -31,7 +30,7 @@ from ratkit.corpus import (
     save_corpus,
     write_lines,
 )
-from ratkit.retrieval import load_index
+from ratkit.retrieval import _column_lines, load_index
 
 from synthetic import INDEX_HEADER, index_file, index_postings
 

@@ -695,3 +695,36 @@ class TestMarkdownReport:
         assert "## Suggestion token overlap (%) per domain" in text
         assert "| it | med | AVER |" in text
         assert "31.00" in text
+
+    def test_a_failed_cell_keeps_its_column_and_blanks_its_rows_aver(self):
+        cells = [make_cell(d, 1, score=score, overlap=None) for d, score in (("it", 10.0), ("law", 20.0))]
+        cells.append(make_cell("med", 2, score=40.0))
+        report = EvalReport(
+            cells={cell.key: cell for cell in cells},
+            averages={},
+            significance={},
+            failed={("med", 1, "relevant", "sys"): "boom", ("law", 2, "relevant", "sys"): "boom"},
+        )
+        text = report_to_markdown(report)
+        assert text.count("| System | k | it | law | med | AVER |") == 2
+        # BLEU, then overlap: a row with a failed or missing cell has no AVER.
+        assert "| sys | 1 | 10.00 | 20.00 | - | - |" in text
+        assert "| sys | 2 | - | - | 40.00 | - |" in text
+        assert "| sys | 1 | - | - | - | - |" in text
+        assert "| sys | 2 | - | - | 80.00 | - |" in text
+
+
+class TestGroupAverage:
+    def test_means_only_a_group_whose_every_cell_succeeded(self):
+        cells = [make_cell("it", 1, score=10.0, overlap=None), make_cell("med", 1, score=20.0, overlap=60.0)]
+        assert GroupAverage.of(cells) == GroupAverage(bleu=15.0, overlap_pct=60.0)
+        assert GroupAverage.of([cells[0]]) == GroupAverage(bleu=10.0, overlap_pct=None)
+        assert GroupAverage.of([*cells, "ValidationError: boom"]) is None
+        assert GroupAverage.of([*cells, None]) is None
+
+    def test_bleu_is_summed_in_the_given_order(self):
+        scores = [0.1, 1e16, -1e16]  # a float sum that depends on its order
+        cells = [make_cell("it", k, score=score) for k, score in enumerate(scores)]
+        assert GroupAverage.of(cells).bleu == sum(scores) / 3
+        assert GroupAverage.of(cells[::-1]).bleu == sum(scores[::-1]) / 3
+        assert sum(scores) != sum(scores[::-1])

@@ -978,6 +978,44 @@ class TestRunExperiment:
         # The failed cells take out their own scenario's average only.
         assert set(report.averages) == {("baseline_copy_first", "less_relevant")}
 
+    def test_one_failed_cell_takes_out_its_rows_and_scenarios_averages_only(self, tmp_path, monkeypatch):
+        def translate_but_med_k2_relevant(spec, examples):
+            suggestions = [s for ex in examples for s in ex.suggestions]
+            if (
+                examples[0].pair_id.startswith("med-")
+                and any(len(ex.suggestions) == 2 for ex in examples)
+                and all(s.domain == "med" for s in suggestions)
+            ):
+                raise TranslatorError("boom")
+            return translate(spec, examples)
+
+        monkeypatch.setattr("ratkit.pipeline.translate", translate_but_med_k2_relevant)
+        report = self.run(tmp_path)
+        system = "baseline_copy_first"
+        assert set(report.failed) == {("med", 2, "relevant", system)}
+        assert len(report.cells) == 7
+        payload = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert [a["scenario"] for a in payload["averages"]] == ["less_relevant"]
+        markdown = (tmp_path / "out" / "report.md").read_text(encoding="utf-8")
+
+        def table_rows(title: str, scenario: str) -> dict[int, list[str]]:
+            table = markdown.split(f"## {title}\n")[1].split(f"### {scenario}\n")[1].split("\n\n")[0]
+            rows = [line.strip("| ").split(" | ") for line in table.strip().splitlines()[2:]]
+            return {int(row[1]): row[2:] for row in rows}
+
+        for title, value in (
+            ("BLEU per domain", lambda cell: cell.bleu.score),
+            ("Suggestion token overlap (%) per domain", lambda cell: cell.overlap_pct),
+        ):
+            for scenario, k in product(("relevant", "less_relevant"), (1, 2)):
+                cells = [report.cells.get((d, k, scenario, system)) for d in ("it", "med")]
+                shown = table_rows(title, scenario)[k]
+                if (scenario, k) == ("relevant", 2):
+                    assert shown == [f"{value(cells[0]):.2f}", "-", "-"], title
+                else:
+                    it, med = map(value, cells)
+                    assert shown == [f"{it:.2f}", f"{med:.2f}", f"{(it + med) / 2:.2f}"], (title, scenario, k)
+
     @pytest.mark.parametrize("grid", ["failed", "clean"])
     def test_report_bytes_equal_the_golden_files(self, tmp_path, monkeypatch, grid):
         # Relative paths keep tmp_path out of the error texts.
