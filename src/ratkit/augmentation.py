@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .corpus import TranslationMemory, atomic_write, make_dirs, parse_json, text_lines, write_lines
+from .corpus import TranslationMemory, atomic_write, make_dirs, parse_json, text_lines
 from .corpus import _json_str  # the string encoder of json.dumps
 from .errors import ValidationError
 from .retrieval import FuzzyMatch, TmIndex, query_top_n
@@ -92,8 +92,16 @@ def augment_corpus(
     index: TmIndex,
     cfg: AugmentationConfig,
 ) -> Iterator[AugmentedExample]:
-    """Yield one augmented example per pair of ``tm``, in corpus order."""
+    """One augmented example per pair of ``tm``, in corpus order, each made as it is read.
+
+    The separator is checked at the call, so a bad one raises before any
+    output is opened.
+    """
     _validate_separator(cfg.separator, tm, index)
+    return _augmented(tm, index, cfg)
+
+
+def _augmented(tm: TranslationMemory, index: TmIndex, cfg: AugmentationConfig) -> Iterator[AugmentedExample]:
     n = cfg.pool_size if cfg.mode == "shuffle" else cfg.k
     # exclude_self keeps out a pair's own id and every indexed pair with its
     # source; only the sources of ``tm`` are looked up in the index.
@@ -150,17 +158,23 @@ def _select(
 def write_augmented(
     examples: Iterable[AugmentedExample], prefix: str | Path
 ) -> tuple[Path, Path, Path]:
-    """Write ``<prefix>.jsonl`` plus the aligned flat-input and reference files."""
+    """Write ``<prefix>.jsonl`` plus the aligned flat-input and reference files.
+
+    The three files are written in one pass over ``examples``, so a generator
+    is never held whole. If it raises, none of the three files is replaced
+    and no temporary file is left.
+    """
     prefix = Path(prefix)
     make_dirs(prefix.parent)
     jsonl_path = prefix.with_name(prefix.name + ".jsonl")
     flat_path = prefix.with_name(prefix.name + ".flat.txt")
     ref_path = prefix.with_name(prefix.name + ".ref.txt")
-    examples = list(examples)
-    with atomic_write(jsonl_path) as fh:
-        fh.writelines(map(_augmented_line, examples))
-    write_lines((e.flat_input for e in examples), flat_path)
-    write_lines((e.reference for e in examples), ref_path)
+    # Nested so that the .jsonl file is moved into place first, then .flat.txt and .ref.txt.
+    with atomic_write(ref_path) as ref, atomic_write(flat_path) as flat, atomic_write(jsonl_path) as jsonl:
+        for example in examples:
+            jsonl.write(_augmented_line(example))
+            flat.write(example.flat_input + "\n")
+            ref.write(example.reference + "\n")
     return jsonl_path, flat_path, ref_path
 
 

@@ -67,9 +67,8 @@ def _cmd_augment(args: argparse.Namespace) -> int:
         exclude_self=args.exclude_self,
         separator=args.separator,
     )
-    examples = list(augment_corpus(corpus, index, config))
-    paths = write_augmented(examples, args.out)
-    print(f"augmented {len(examples)} examples -> " + ", ".join(str(p) for p in paths))
+    paths = write_augmented(augment_corpus(corpus, index, config), args.out)
+    print(f"augmented {len(corpus)} examples -> " + ", ".join(str(p) for p in paths))
     return 0
 
 

@@ -41,32 +41,37 @@ that score included, and sorts those by descending score and ascending pair
 id. No result of the full ranking can score below that cut, so the top n are
 the same as a sort of every hit.
 
-The index file (format v6) stores the pairs and the postings, so loading
-it analyzes no source. It is UTF-8 text: a JSON header line with k1, b, the
+The index file (format v7) stores the pairs and the postings, so loading it
+analyzes no source. It is UTF-8 text: a JSON header line with k1, b, the
 counts of pairs, terms and postings and the byte widths of the stored
 integers; four JSON array lines, every pair's id, then domain, source and
 target, in index order; a line of the terms in row order, space-joined;
 three base64 lines of little-endian unsigned integers, per-row df, ``docs``
-and integer ``tfs``; and a last line holding the sha256 of every byte
-before it, so the digest covers the header too. Each column line, which
-holds one field of every pair, is one ``parse_json`` call. A load passes
-the pairs and postings to the constructor a fresh build and ``subset`` use,
-so the document lengths, norms, weights and dense rows have the same bits.
-The postings make the file about 35% larger than the pairs alone on a Zipf
-TM. The bytes follow the index's row numbering: a subset writes its terms in
-its pool's order, not in the order a fresh build of its pairs would give.
+and integer ``tfs``; and a last line holding the BLAKE2b-256 digest of every
+byte before it, so the digest covers the header too. BLAKE2b comes from the
+interpreter's own ``_blake2`` module: importing ``hashlib`` for sha256 would
+map OpenSSL's libcrypto into every process that loads an index (about 3.6 MB
+of RSS), and the built-in sha256 hashes about three times slower than
+BLAKE2b. A v6 file differs only in its version and its sha256 line. Each
+column line, which holds one field of every pair, is one ``parse_json``
+call. A load passes the pairs and postings to the constructor a fresh build
+and ``subset`` use, so the document lengths, norms, weights and dense rows
+have the same bits. The postings make the file about 35% larger than the
+pairs alone on a Zipf TM. The bytes follow the index's row numbering: a
+subset writes its terms in its pool's order, not in the order a fresh build
+of its pairs would give.
 """
 
 from __future__ import annotations
 
 import base64
-import hashlib
 import io
 import itertools
 import json
 import math
 import operator
 import re
+from _blake2 import blake2b
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -166,9 +171,11 @@ class TmIndex:
         k1, b = params.k1, params.b
         self.norms = k1 * (1.0 - b + b * np.array(self.doc_lengths) / self.avg_doc_length)
         df = np.diff(offsets)
-        # math.log per row, not np.log, whose last bit may differ from it.
-        idf_args = (1.0 + (self.doc_count - df + 0.5) / (df + 0.5)).tolist()
-        idf = np.fromiter(map(math.log, idf_args), dtype=np.float64, count=len(idf_args))
+        # math.log, not np.log, whose last bit may differ from it; once per
+        # distinct df (a few hundred values), each row then takes its df's idf.
+        df_values, df_of_row = np.unique(df, return_inverse=True)
+        idf_args = (1.0 + (self.doc_count - df_values + 0.5) / (df_values + 0.5)).tolist()
+        idf = np.fromiter(map(math.log, idf_args), dtype=np.float64, count=len(idf_args))[df_of_row]
         # The module formula's operand order, so each weight has the bits of
         # the scalar expression.
         self.weights = np.repeat(idf, df) * tfs * (k1 + 1.0) / (tfs + self.norms[docs])
@@ -296,13 +303,18 @@ def query_top_n(
 
 # --- persistence ------------------------------------------------------------
 
-_CHECKSUM_LINE = re.compile(rb'\{"sha256": "([0-9a-f]{64})"\}\n')
+_CHECKSUM_LINE = re.compile(rb'\{"blake2b": "([0-9a-f]{64})"\}\n')
+# The last line of a v4-v6 file, whose header then names its version.
+_SHA256_LINE = re.compile(rb'\n\{"sha256": "[0-9a-f]{64}"\}\n\Z')
 _REBUILD = "rebuild the index with `ratkit index` or `ratkit scenario`"
 # The SentencePair field of each column line, in file order.
 _PAIR_FIELDS = ("id", "domain", "source", "target")
 # The lines before the checksum line: the header, the four column lines, the
 # terms, then the df, docs and tfs arrays.
 _INDEX_LINES = 9
+# A column line is written from json.dumps of at most this many values at a
+# time, so saving holds no whole column's text.
+_COLUMN_CHUNK = 512
 
 
 def _doc_bytes(n_pairs: int) -> int:
@@ -315,7 +327,7 @@ def _base64_line(values: np.ndarray, width: int) -> str:
 
 
 def save_index(index: TmIndex, path: str | Path) -> None:
-    """Write a header line, the pairs' four column lines, the postings, a sha256 line."""
+    """Write a header line, the pairs' four column lines, the postings, a BLAKE2b line."""
     params = index.params
     doc_bytes = _doc_bytes(index.doc_count)
     tf_bytes = 1 if index.tfs.max() < 1 << 8 else 4
@@ -328,27 +340,27 @@ def save_index(index: TmIndex, path: str | Path) -> None:
         "postings": len(index.docs),
         "terms": len(index.term_rows),
         "tf_bytes": tf_bytes,
-        "version": 6,
+        "version": 7,
     }
     arrays = ((np.diff(index.offsets), doc_bytes), (index.docs, doc_bytes), (index.tfs, tf_bytes))
-    digest = hashlib.sha256()
+    digest = blake2b(digest_size=32)
     with atomic_write(path) as out:
         lines = itertools.chain(
             [json.dumps(header, sort_keys=True) + "\n"],
             _column_lines(index.pairs),
             [" ".join(index.term_rows) + "\n"],
-            itertools.starmap(_base64_line, arrays),  # made one at a time, as the column lines are
+            itertools.starmap(_base64_line, arrays),  # made one at a time, as the column chunks are
         )
-        for line in lines:
-            digest.update(line.encode("utf-8"))
-            out.write(line)
-        out.write(f'{{"sha256": "{digest.hexdigest()}"}}\n')
+        for text in lines:
+            digest.update(text.encode("utf-8"))
+            out.write(text)
+        out.write(f'{{"blake2b": "{digest.hexdigest()}"}}\n')
 
 
 def load_index(path: str | Path) -> TmIndex:
     """Load an index written by :func:`save_index`, analyzing no source.
 
-    The sha256 line is checked before anything is parsed. The nine lines
+    The BLAKE2b line is checked before anything is parsed. The nine lines
     before it are then read from those very bytes: the header; the four
     column lines, one ``json.loads`` each, which give the pairs; and the
     terms and postings, which give ``term_rows``, ``offsets``, ``docs`` and
@@ -361,9 +373,10 @@ def load_index(path: str | Path) -> TmIndex:
     pairs that ``SentencePair`` accepts and unique ids; distinct non-empty
     terms, df >= 1 summing to the postings count, doc ids below the pair
     count and ascending within a row, tf >= 1, and, in the constructor, at
-    least one posting per document (a fault named at the docs line). A v1-v5
+    least one posting per document (a fault named at the docs line). A v1-v6
     file, a bad checksum line or digest, or any such fault raises a
-    ValidationError naming the file, and the line where there is one.
+    ValidationError naming the file, and the line where there is one; a
+    v4-v6 file, which ends in a sha256 line, is named by its header's version.
     """
     path = Path(path)
     try:
@@ -374,13 +387,15 @@ def load_index(path: str | Path) -> TmIndex:
         raise ValidationError(
             f"{path}: index format v{data[6:7].decode()} is no longer supported; {_REBUILD}"
         )
-    body_end = data.rfind(b'\n{"sha256": ') + 1
+    body_end = data.rfind(b'\n{"blake2b": ') + 1
     checksum = _CHECKSUM_LINE.match(data, body_end) if body_end else None
     if checksum is None:
+        if _SHA256_LINE.search(data):  # a v4-v6 header raises "no longer supported"
+            _read_header(path, data[: data.find(b"\n")].decode("utf-8", "replace"))
         raise ValidationError(f"{path}: no checksum line; truncated or not a ratkit index")
     if checksum.end() != len(data):
         raise ValidationError(f"{path}: trailing bytes after the checksum line")
-    if hashlib.sha256(memoryview(data)[:body_end]).hexdigest().encode() != checksum[1]:
+    if blake2b(memoryview(data)[:body_end], digest_size=32).hexdigest().encode() != checksum[1]:
         raise ValidationError(f"{path}: checksum mismatch; the index file is corrupt")
     # BytesIO shares a bytes object (it would copy a slice of one), so the
     # parser reads the very bytes checksummed above and stops before the
@@ -402,7 +417,7 @@ def load_index(path: str | Path) -> TmIndex:
 
 
 def _read_header(path: Path, line: str) -> tuple[Bm25Params, dict]:
-    """The BM25 parameters and the header of a v6 index; a fault raises for ``path:1``."""
+    """The BM25 parameters and the header of a v7 index; a fault raises for ``path:1``."""
     header = parse_json(line, path)
     try:
         if not isinstance(header, dict):
@@ -410,9 +425,9 @@ def _read_header(path: Path, line: str) -> tuple[Bm25Params, dict]:
         if header.get("format") != "ratkit-index":
             raise ValidationError(f"header format {header.get('format')!r} is not 'ratkit-index'")
         version = header.get("version")
-        if type(version) is int and version in (4, 5):
+        if type(version) is int and version in (4, 5, 6):
             raise ValidationError(f"index format v{version} is no longer supported; {_REBUILD}")
-        if type(version) is not int or version != 6:
+        if type(version) is not int or version != 7:
             raise ValidationError(f"index format version {version!r} is not supported")
         for key in ("k1", "b"):
             if type(header.get(key)) not in (int, float):
@@ -434,10 +449,20 @@ def _read_header(path: Path, line: str) -> tuple[Bm25Params, dict]:
 
 
 def _column_lines(pairs: tuple[SentencePair, ...]) -> Iterator[str]:
-    """The four lines :func:`_read_columns` reads, newlines included: each one
-    ``json.dumps`` of a field of every pair, non-ASCII text kept readable."""
+    """The four lines :func:`_read_columns` reads, newlines included, in pieces.
+
+    Each line is the text of ``json.dumps`` of a field of every pair,
+    non-ASCII text kept readable. It is yielded as ``[``, then each run of up
+    to ``_COLUMN_CHUNK`` values as json.dumps writes them inside a list,
+    joined by ``", "``, then ``]`` and the newline.
+    """
     for label in _PAIR_FIELDS:
-        yield json.dumps(list(map(operator.attrgetter(label), pairs)), ensure_ascii=False) + "\n"
+        field = operator.attrgetter(label)
+        yield "["
+        for start in range(0, len(pairs), _COLUMN_CHUNK):
+            values = list(map(field, pairs[start : start + _COLUMN_CHUNK]))
+            yield (", " if start else "") + json.dumps(values, ensure_ascii=False)[1:-1]
+        yield "]\n"
 
 
 def _read_columns(path: Path, lines: Iterator[tuple[int, str]], count: int) -> tuple[SentencePair, ...]:

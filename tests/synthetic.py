@@ -126,8 +126,8 @@ def dense_rows(index) -> dict[str, tuple[str, bytes]]:
     }
 
 
-# The fields of a v6 index header that are not derived from the content.
-INDEX_HEADER = {"b": 0.75, "format": "ratkit-index", "k1": 1.2, "version": 6}
+# The fields of a v7 index header that are not derived from the content.
+INDEX_HEADER = {"b": 0.75, "format": "ratkit-index", "k1": 1.2, "version": 7}
 
 
 def counter_postings(sources):
@@ -203,7 +203,12 @@ def index_file(records, header=INDEX_HEADER, sections=None, **columns) -> bytes:
         tail.append(values)
     lines += [line for line in tail if line is not None]
     body = b"".join(line + b"\n" for line in lines)
-    return body + b'{"sha256": "%s"}\n' % hashlib.sha256(body).hexdigest().encode()
+    return body + checksum_line(body)
+
+
+def checksum_line(body: bytes) -> bytes:
+    """The last line of an index file whose other lines are ``body``: their BLAKE2b-256 digest."""
+    return b'{"blake2b": "%s"}\n' % hashlib.blake2b(body, digest_size=32).hexdigest().encode()
 
 
 def tiny_tm() -> TranslationMemory:

@@ -16,6 +16,7 @@ from ratkit import (
     augment_corpus,
     build_index,
 )
+from ratkit import augmentation
 from ratkit.augmentation import (
     AugmentedExample,
     _augmented_line,
@@ -24,7 +25,7 @@ from ratkit.augmentation import (
     write_augmented,
 )
 from ratkit.corpus import SentencePair, TranslationMemory
-from ratkit.retrieval import FuzzyMatch
+from ratkit.retrieval import FuzzyMatch, query_top_n
 from ratkit.seeding import derive_seed, derived_rng
 
 from synthetic import make_random_tm, tiny_tm
@@ -335,8 +336,47 @@ class TestSerialization:
         assert {path: path.read_bytes() for path in paths} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
 
+    def test_a_failing_query_leaves_no_file(self, tmp_path, monkeypatch):
+        # write_augmented consumes augment_corpus's generator as it writes.
+        tm = make_random_tm(n_pairs=6, seed=32)
+        index = build_index(tm)
+        calls = []
+
+        def query(*args):
+            calls.append(args)
+            if len(calls) == 4:
+                raise ValidationError("query 4 failed")
+            return query_top_n(*args)
+
+        monkeypatch.setattr(augmentation, "query_top_n", query)
+        with pytest.raises(ValidationError, match="query 4 failed"):
+            write_augmented(augment_corpus(tm, index, AugmentationConfig(k=2)), tmp_path / "aug")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_generator_writes_the_bytes_of_its_list(self, tmp_path):
+        tm = make_random_tm(n_pairs=30, seed=33)
+        index = build_index(tm)
+        cfg = AugmentationConfig(k=3, pool_size=5, mode="shuffle", seed=2, exclude_self=True)
+        examples = list(augment_corpus(tm, index, cfg))
+        streamed = write_augmented(augment_corpus(tm, index, cfg), tmp_path / "streamed")
+        listed = write_augmented(examples, tmp_path / "listed")
+        assert [p.read_bytes() for p in streamed] == [p.read_bytes() for p in listed]
+        jsonl, flat, ref = (p.read_text(encoding="utf-8") for p in streamed)
+        assert jsonl == "".join(map(json_dumps_line, examples))
+        assert flat == "".join(ex.flat_input + "\n" for ex in examples)
+        assert ref == "".join(ex.reference + "\n" for ex in examples)
+
 
 class TestSeedDerivation:
+    def test_seeds_keep_their_values(self):
+        # Literal values, so that no change of hash, packing or encoding
+        # goes unnoticed; _blake2.blake2b is hashlib.blake2b on CPython.
+        assert derive_seed(0) == 1786884285633530058
+        assert derive_seed(4, "p1") == 5084915345396236822
+        assert derive_seed(2**64 - 1, "it", 3) == 2049293270678838079
+        assert derive_seed(-1, "schließen", "") == 16653189863317729491
+        assert derive_seed(12345, "tm_it", "relevant", 7) == 6781098679660381614
+
     def test_distinct_parts_give_distinct_seeds(self):
         seeds = {derive_seed(7, f"pair{i}") for i in range(1000)}
         assert len(seeds) == 1000

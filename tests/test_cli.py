@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +18,7 @@ from ratkit.cli import main
 from ratkit.corpus import load_corpus, read_lines, save_corpus, write_lines
 from ratkit.retrieval import build_index, load_index, save_index
 
-from synthetic import INDEX_HEADER, index_file, make_three_domain, tiny_tm
+from synthetic import INDEX_HEADER, checksum_line, index_file, make_three_domain, tiny_tm
 
 
 def write_corpora(root):
@@ -174,6 +177,15 @@ class TestAugmentCommand:
         refs = (corpus_files / "aug.ref.txt").read_text().splitlines()
         assert len(flat) == len(refs) == 15
         assert flat == [ex.flat_input for ex in examples]
+
+    def test_a_bad_separator_exits_2_creating_nothing(self, corpus_files, capsys):
+        save_index(build_index(load_corpus(corpus_files / "tm.jsonl")), corpus_files / "tm.idx")
+        target = load_corpus(corpus_files / "tm.jsonl").pairs[0].target.split()[0]
+        code = run_cli("augment", "--index", corpus_files / "tm.idx", "--corpus", corpus_files / "tm.jsonl",
+                       "--k", "1", "--separator", target, "--out", corpus_files / "new" / "aug")
+        assert code == 2
+        assert f"separator {target!r} occurs" in capsys.readouterr().err
+        assert not (corpus_files / "new").exists()
 
     def test_shuffle_mode_seed_controls_output(self, corpus_files):
         idx = corpus_files / "it_rel.idx"
@@ -742,7 +754,7 @@ def deep_index_header(root):
     save_index(build_index(tiny_tm()), path)
     lines = path.read_bytes().splitlines(keepends=True)
     body = b'{"deep": %s}\n' % DEEP.encode() + b"".join(lines[1:-1])
-    path.write_bytes(body + b'{"sha256": "%s"}\n' % hashlib.sha256(body).hexdigest().encode())
+    path.write_bytes(body + checksum_line(body))
     argv = ["augment", "--index", path, "--corpus", root / "tm.jsonl", "--k", "1",
             "--out", root / "aug"]
     return argv, f"{path}:1: invalid JSON"
@@ -901,12 +913,58 @@ class TestIndexFileFaults:
         data = index_file(TINY_RECORDS, TINY_HEADER, TINY_POSTINGS, **columns)
         self.assert_exits_2_naming(tmp_path, capsys, data, where, reason)
 
+    def test_a_v6_file_exits_2_asking_for_a_rebuild(self, tmp_path, capsys):
+        # The bytes save_index wrote for tiny_tm as v6: the header's version
+        # and a sha256 line are all that differ from v7.
+        save_index(build_index(tiny_tm()), tmp_path / "v7.idx")
+        lines = (tmp_path / "v7.idx").read_bytes().splitlines(keepends=True)
+        body = lines[0].replace(b'"version": 7', b'"version": 6') + b"".join(lines[1:-1])
+        data = body + b'{"sha256": "%s"}\n' % hashlib.sha256(body).hexdigest().encode()
+        reason = "index format v6 is no longer supported; rebuild the index"
+        self.assert_exits_2_naming(tmp_path, capsys, data, ":1", reason)
+
     def test_the_tiny_postings_load(self, tmp_path):
         # The fault cases above differ from this valid file in one place each.
         path = tmp_path / "tiny.idx"
         path.write_bytes(index_file(TINY_RECORDS, TINY_HEADER, TINY_POSTINGS))
         save_index(build_index(tiny_tm()), tmp_path / "saved.idx")
         assert path.read_bytes() == (tmp_path / "saved.idx").read_bytes()
+
+
+# Runs each argv list of the JSON array in sys.argv[1] through cli.main, then
+# prints which of hashlib and _hashlib (OpenSSL's libcrypto) were imported.
+NO_HASHLIB_SCRIPT = """
+import json, sys
+from ratkit.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+"""
+
+
+class TestNoOpenSsl:
+    def test_index_augment_and_run_never_import_hashlib(self, corpus_files):
+        # Importing hashlib maps OpenSSL's libcrypto, about 3.6 MB of RSS in
+        # every process; seeds and index checksums use the built-in BLAKE2b.
+        root = corpus_files
+        commands = [
+            ["index", "--corpus", root / "tm.jsonl", "--out", root / "tm.idx"],
+            ["augment", "--index", root / "tm.idx", "--corpus", root / "tm.jsonl", "--k", "2",
+             "--mode", "shuffle", "--exclude-self", "--out", root / "aug" / "tm"],
+            ["run", "--manifest", write_manifest(root, k_values=[1, 2]), "--workers", "2"],
+        ]
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_HASHLIB_SCRIPT, json.dumps([list(map(str, c)) for c in commands])],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert len(read_augmented(root / "aug" / "tm.jsonl")) == 75
+        assert (root / "out" / "report.json").is_file()
 
 
 class TestParser:

@@ -27,6 +27,7 @@ from ratkit.retrieval import TmIndex, load_index, save_index
 from synthetic import (
     INDEX_HEADER,
     brute_force_top_n,
+    checksum_line,
     counter_postings,
     dense_rows,
     fresh_index,
@@ -685,6 +686,31 @@ class TestPersistence:
         save_index(load_index(first), second)
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_column_lines_at_the_chunk_edges_equal_json_dumps(self, tmp_path, offset):
+        chunk = retrieval._COLUMN_CHUNK
+        count = chunk + offset
+        pairs = tuple(
+            SentencePair(id=f"p{i}", source=f"w{i % 5} über {i}", target=f"«t» \"{i}\"", domain="d")
+            for i in range(count)
+        )
+        pieces = list(retrieval._column_lines(pairs))
+        # "[", one piece per run of up to `chunk` values, then "]\n", per column.
+        assert len(pieces) == 4 * (2 + -(-count // chunk))
+        columns = [json.dumps([getattr(p, f) for p in pairs], ensure_ascii=False) for f in retrieval._PAIR_FIELDS]
+        assert "".join(pieces).split("\n") == columns + [""]
+        path = tmp_path / "tm.idx"
+        save_index(fresh_index(pairs), path)
+        assert path.read_text(encoding="utf-8").split("\n")[1:5] == columns
+
+    def test_a_sha256_line_is_no_v7_checksum(self, tmp_path):
+        path = tmp_path / "tm.idx"
+        save_index(build_index(tiny_tm()), path)
+        body = path.read_bytes().rsplit(b"\n", 2)[0] + b"\n"
+        path.write_bytes(body + b'{"sha256": "%s"}\n' % hashlib.sha256(body).hexdigest().encode())
+        with pytest.raises(ValidationError, match="no checksum line"):
+            load_index(path)
+
     def test_loaded_index_answers_queries_identically(self, tmp_path):
         tm = make_random_tm(n_pairs=150, seed=14)
         index = build_index(tm)
@@ -755,7 +781,7 @@ class TestPersistence:
         lines = data.decode("utf-8").splitlines(keepends=True)
         assert lines[0] == (
             '{"b": 0.75, "doc_bytes": 2, "format": "ratkit-index", "k1": 1.2, "pairs": 3, '
-            '"postings": 6, "terms": 4, "tf_bytes": 1, "version": 6}\n'
+            '"postings": 6, "terms": 4, "tf_bytes": 1, "version": 7}\n'
         )
         # Every pair's id, domain, source and target, each line one json.dumps.
         assert lines[1:5] == [
@@ -773,7 +799,7 @@ class TestPersistence:
             bytes([1] * 6),
         ]
         body = "".join(lines[:-1]).encode("utf-8")
-        assert lines[-1] == '{"sha256": "%s"}\n' % hashlib.sha256(body).hexdigest()
+        assert lines[-1] == '{"blake2b": "%s"}\n' % hashlib.blake2b(body, digest_size=32).hexdigest()
         assert postings(load_index(path)) == dict(TINY_TERMS)
 
     @pytest.mark.parametrize(
@@ -790,19 +816,19 @@ class TestPersistence:
             (TINY_DOCS, b"[0.75, 1.2]", ":1", "header is not a JSON object"),
             (TINY_DOCS, {**HEADER, "format": "ratkit"}, ":1", "format 'ratkit' is not"),
             (TINY_DOCS, {**HEADER, "version": 3}, ":1", "version 3 is not supported"),
-            (TINY_DOCS, {**HEADER, "version": 6.0}, ":1", "version 6.0 is not supported"),
+            (TINY_DOCS, {**HEADER, "version": 7.0}, ":1", "version 7.0 is not supported"),
             (TINY_DOCS, {**HEADER, "k1": "1.2"}, ":1", "'k1' is missing or not a number"),
             (TINY_DOCS, {**HEADER, "b": True}, ":1", "'b' is missing or not a number"),
             (TINY_DOCS, {**HEADER, "k1": 10**400}, ":1", "too large to convert to float"),
             pytest.param(
-                TINY_DOCS, b'{"b": 0.75, "format": "ratkit-index", "k1": 1%s, "version": 6}'
+                TINY_DOCS, b'{"b": 0.75, "format": "ratkit-index", "k1": 1%s, "version": 7}'
                 % (b"0" * 5000), ":1", "invalid JSON: Exceeds the limit",
                 marks=pytest.mark.skipif(
                     not hasattr(sys, "get_int_max_str_digits"),
                     reason="this Python has no int digit limit",
                 ),
             ),
-            (TINY_DOCS, {"b": 0.75, "format": "ratkit-index", "version": 6}, ":1",
+            (TINY_DOCS, {"b": 0.75, "format": "ratkit-index", "version": 7}, ":1",
              "'k1' is missing"),
             ({"records": TINY_DOCS, "source": b'["the cat sat", "the dog", "caf\xe9"]'},
              HEADER, ":4", "not valid UTF-8"),
@@ -856,7 +882,7 @@ class TestPersistence:
                 line[rng.randrange(len(line))] = rng.choice(alphabet)
             edited[at] = bytes(line) + b"\n"
             body = b"".join(edited)
-            path.write_bytes(body + b'{"sha256": "%s"}\n' % hashlib.sha256(body).hexdigest().encode())
+            path.write_bytes(body + checksum_line(body))
             try:
                 loaded = load_index(path)
             except ValidationError as exc:
@@ -897,5 +923,5 @@ class TestPersistence:
         save_index(index, path)
         lines = path.read_bytes().splitlines(keepends=True)
         body = b"".join(line.replace(b"\n", b"\r\n") for line in lines[:-1])
-        path.write_bytes(body + b'{"sha256": "%s"}\n' % hashlib.sha256(body).hexdigest().encode())
+        path.write_bytes(body + checksum_line(body))
         assert load_index(path).pairs == index.pairs
