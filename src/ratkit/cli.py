@@ -20,7 +20,7 @@ from .errors import RatkitError, ValidationError
 from .evaluation import BootstrapConfig, bleu_corpus, paired_bootstrap, suggestion_overlap
 from .pipeline import load_manifest, report_experiment, run_experiment
 from .retrieval import Bm25Params, build_index, load_index, save_index
-from .scenarios import build_scenario, write_scenario_sidecar
+from .scenarios import build_scenario, scenario_name, write_scenario_sidecar
 
 
 def _format_bleu(score) -> str:
@@ -44,8 +44,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
+    relevance = scenario_name(args.relevance)
     tms = [load_corpus(Path(p)) for p in args.tms.split(",") if p]
-    relevance = args.relevance.replace("-", "_")
     spec, index = build_scenario(args.test_domain, tms, relevance, Bm25Params(args.k1, args.b))
     save_index(index, args.out)
     sidecar = write_scenario_sidecar(spec, args.out)
@@ -156,9 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scenario", help="build a relevance-filtered scenario index")
     p.add_argument("--test-domain", required=True)
-    p.add_argument(
-        "--relevance", required=True, choices=["relevant", "less-relevant", "less_relevant"]
-    )
+    p.add_argument("--relevance", required=True, help="the scenario: relevant or less_relevant")
     p.add_argument("--tms", required=True, help="comma-separated corpus files")
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--k1", type=float, default=Bm25Params.k1)

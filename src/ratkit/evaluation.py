@@ -385,6 +385,9 @@ class BootstrapConfig:
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValidationError(f"n_samples must be >= 1, got {self.n_samples}")
+        # numpy counts bytes in an intp; _resample_sums keeps 2 x 10 int64s per resample.
+        if self.n_samples > (most := np.iinfo(np.intp).max // (8 * 2 * (2 * _NGRAM_ORDER + 2))):
+            raise ValidationError(f"n_samples must be at most {most} to resample, got {self.n_samples}")
         if not 0.0 < self.threshold < 1.0:
             raise ValidationError(f"threshold must be in (0, 1), got {self.threshold}")
 
@@ -411,7 +414,10 @@ def _resample_sums(stats: np.ndarray, n_samples: int, rng: random.Random) -> np.
     stats = stats.astype(np.float64)
     rows = max(1, _BLOCK_DRAWS // num_sentences)
     offsets = np.arange(rows)[:, None] * num_sentences
-    sums = np.empty((n_samples, stats.shape[1]), dtype=np.int64)
+    try:
+        sums = np.empty((n_samples, stats.shape[1]), dtype=np.int64)
+    except MemoryError as exc:
+        raise ValidationError(f"no memory for {n_samples} bootstrap resamples") from exc
     for start in range(0, n_samples, rows):
         block = min(rows, n_samples - start)
         picks = _choices(rng, num_sentences, block * num_sentences).reshape(block, num_sentences)

@@ -40,8 +40,8 @@ from .evaluation import (
     suggestion_overlap,
 )
 from .retrieval import Bm25Params, TmIndex, save_index
-from .scenarios import RELEVANCES, ScenarioSpec, build_pool, build_scenario, validate_scenario
-from .scenarios import write_scenario_sidecar
+from .scenarios import ScenarioSpec, admitted_domains, build_pool, build_scenario, scenario_name
+from .scenarios import validate_scenario, write_scenario_sidecar
 from .seeding import derive_seed
 
 _TRANSLATOR_KINDS = (
@@ -199,11 +199,7 @@ class ExperimentManifest:
             raise ConfigurationError(f"duplicate k values: {self.k_values}")
         if not self.scenarios:
             raise ConfigurationError("manifest lists no scenarios")
-        for scenario in self.scenarios:
-            if scenario not in RELEVANCES:
-                raise ConfigurationError(
-                    f"unknown scenario {scenario!r}; expected one of {RELEVANCES}"
-                )
+        object.__setattr__(self, "scenarios", tuple(map(scenario_name, self.scenarios)))
         if len(set(self.scenarios)) != len(self.scenarios):
             raise ConfigurationError(f"duplicate scenarios: {self.scenarios}")
         for domain in self.domains:
@@ -354,7 +350,7 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
         test_sets=test_sets,
         domains=_list_of(data["domains"], str, "domains"),
         k_values=_list_of(data["k_values"], int, "k_values"),
-        scenarios=tuple(s.replace("-", "_") for s in _list_of(data["scenarios"], str, "scenarios")),
+        scenarios=_list_of(data["scenarios"], str, "scenarios"),
         translator=_config(TranslatorSpec, "translator", translator),
         out_dir=_resolve(base, data["out_dir"], "out_dir"),
         augmentation=_section(data, "augmentation"),
@@ -663,7 +659,7 @@ def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> EvalReport
         in_domain = Counter(pair.domain for pair in pool_index.pairs)
         queries = {d: 0 if isinstance(t, str) else len(t) for d, t in test_sets.items()}
         costs = [
-            (1 + queries[d]) * (in_domain[d] if s == "relevant" else pool_index.doc_count - in_domain[d])
+            (1 + queries[d]) * sum(in_domain[x] for x in admitted_domains(d, s, in_domain))
             for d, s in groups
         ]
         results = _run_forked(run_share, _deal(groups, costs, n), manifest.k_values)

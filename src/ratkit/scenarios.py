@@ -1,9 +1,9 @@
 """Compose relevant vs less-relevant TM retrieval settings for a test domain.
 
-``relevant`` indexes only the pairs whose domain matches the test set.
-``less_relevant`` deliberately mismatches: it indexes the pairs of every
-*other* domain, merged into a single search pool so BM25 statistics are
-global and scores comparable across the contributing TMs.
+``relevant`` admits only the test set's domain; ``less_relevant`` deliberately
+mismatches, admitting every *other* domain into one search pool, so BM25
+statistics are global and scores comparable across the contributing TMs. This
+module alone decides which TM domains a scenario admits and how it is spelt.
 
 Every scenario index is cut from one pool index over the pairs of all TMs
 (:func:`build_pool`), so a run analyzes each pair once. A cut equals a fresh
@@ -16,17 +16,18 @@ data in here, or retrieval leaks the references.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .augmentation import AugmentedExample
-from .corpus import SentencePair, TranslationMemory, atomic_write
+from .corpus import TranslationMemory, atomic_write
 from .errors import ConfigurationError, ValidationError
 from .retrieval import Bm25Params, TmIndex, build_index
 
-RELEVANCES = ("relevant", "less_relevant")
+_RELEVANCES = ("relevant", "less_relevant")
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,21 @@ class ScenarioValidation:
     passed: bool
     domain_counts: dict[str, int]
     violations: tuple[tuple[str, str, str], ...]  # (example pair_id, suggestion id, domain)
+
+
+def scenario_name(spelling: str) -> str:
+    """The scenario a manifest or CLI spelling names (``-`` reads as ``_``); unknown ones raise."""
+    name = spelling.replace("-", "_")
+    if name not in _RELEVANCES:
+        raise ConfigurationError(f"unknown scenario {spelling!r}; expected one of {_RELEVANCES}")
+    return name
+
+
+def admitted_domains(test_domain: str, relevance: str, domains: Iterable[str]) -> frozenset[str]:
+    """Which of the TM ``domains`` a (test_domain, relevance) scenario indexes."""
+    if relevance not in _RELEVANCES:
+        raise ConfigurationError(f"relevance must be one of {_RELEVANCES}, got {relevance!r}")
+    return frozenset(d for d in domains if (d == test_domain) == (relevance == "relevant"))
 
 
 def build_pool(tms: list[TranslationMemory], params: Bm25Params = Bm25Params()) -> TmIndex:
@@ -75,35 +91,18 @@ def build_scenario(
     params: Bm25Params = Bm25Params(),
     pool: TmIndex | None = None,
 ) -> tuple[ScenarioSpec, TmIndex]:
-    """Merge the eligible pairs of all TMs and index them for one scenario.
+    """Index the pairs of all TMs whose domain the scenario admits (:func:`admitted_domains`).
 
     The index is cut from ``pool``, the :func:`build_pool` index of the same
     TMs and parameters; without one, the pool is built here. It equals a fresh
     index over the merged pairs, but for its rows, numbered in the pool's term order.
     """
-    if relevance not in RELEVANCES:
-        raise ConfigurationError(f"relevance must be one of {RELEVANCES}, got {relevance!r}")
+    all_domains = set().union(*(tm.domains for tm in tms))
+    admitted = admitted_domains(test_domain, relevance, all_domains)
     if not tms:
         raise ConfigurationError("no translation memories given")
-
-    relevant = relevance == "relevant"
-    keep: list[bool] = []
-    selected: list[SentencePair] = []
-    sources: list[str] = []
-    for tm in tms:
-        contributed = False
-        for pair in tm.pairs:
-            kept = (pair.domain == test_domain) == relevant
-            keep.append(kept)
-            if kept:
-                selected.append(pair)
-                contributed = True
-        if contributed:
-            sources.append(tm.name)
-
-    all_domains = set().union(*(tm.domains for tm in tms))
-    if not selected:
-        if relevant:
+    if not admitted:
+        if relevance == "relevant":
             raise ConfigurationError(
                 f"domain {test_domain!r} not present in any TM (domains: {sorted(all_domains)})"
             )
@@ -118,10 +117,10 @@ def build_scenario(
     spec = ScenarioSpec(
         test_domain=test_domain,
         relevance=relevance,
-        tm_sources=tuple(sources),
-        resolved_domains=frozenset(pair.domain for pair in selected),
+        tm_sources=tuple(tm.name for tm in tms if tm.domains & admitted),
+        resolved_domains=admitted,
     )
-    return spec, pool.subset(np.array(keep))
+    return spec, pool.subset(np.array([pair.domain in admitted for pair in pool.pairs]))
 
 
 def validate_scenario(

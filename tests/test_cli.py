@@ -160,6 +160,15 @@ class TestScenarioCommand:
         assert code == 2
         assert "finance" in capsys.readouterr().err
 
+    def test_unknown_relevance_exits_2(self, corpus_files, capsys):
+        code = run_cli("scenario", "--test-domain", "it", "--relevance", "sideways",
+                       "--tms", corpus_files / "tm.jsonl", "--out", corpus_files / "x.idx")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unknown scenario 'sideways'" in err
+        assert "Traceback" not in err
+        assert not (corpus_files / "x.idx").exists()
+
 
 class TestAugmentCommand:
     def test_writes_three_aligned_files(self, corpus_files, capsys):
@@ -357,6 +366,20 @@ class TestCompareCommand:
         assert code == 2
         assert captured.out == ""
         assert "threshold must be in (0, 1)" in captured.err
+
+    # Counts too large for any array, so none of them allocates.
+    @pytest.mark.parametrize("count", [2**62, 2**63, 10**400], ids=["2**62", "2**63", "10**400"])
+    def test_bootstrap_count_too_large_to_resample_exits_2(self, tmp_path, capsys, count):
+        refs = [f"zeile nummer {i}" for i in range(20)]
+        write_lines(refs, tmp_path / "a.txt")
+        write_lines(refs, tmp_path / "ref.txt")
+        code = run_cli("compare", "--hyp-a", tmp_path / "a.txt", "--hyp-b", tmp_path / "a.txt",
+                       "--ref", tmp_path / "ref.txt", "--bootstrap", count)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"n_samples must be at most 57646075230342348 to resample, got {count}" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_hypothesis_file_one_line_short_exits_2(self, tmp_path, capsys):
         refs = [f"zeile nummer {i}" for i in range(20)]
@@ -641,6 +664,9 @@ class TestRunCommand:
             {"domains": ["a\0b"], "test_sets": {"a\0b": "test_it.jsonl"}},
             {"domains": ["\ud800"], "test_sets": {"\ud800": "test_it.jsonl"}},
             {"out_dir": "g\0rid"},
+            {"bootstrap": {"n": 2**62}},
+            {"bootstrap": {"n": 2**63}},
+            {"bootstrap": {"n": 10**400}},
         ],
         ids=["bootstrap-int", "retrieval-list", "pool-str", "k-str", "k-float", "n-float",
              "timeout-str", "separator-int", "separator-space", "exclude-self-str",
@@ -648,7 +674,7 @@ class TestRunCommand:
              "unknown-top-level-key", "unknown-translator-key", "unknown-augmentation-key",
              "unknown-bootstrap-key", "unknown-retrieval-key", "duplicate-key",
              "timeout-huge-int", "k1-huge-int", "domain-nul", "domain-lone-surrogate",
-             "out-dir-nul"],
+             "out-dir-nul", "bootstrap-2**62", "bootstrap-2**63", "bootstrap-10**400"],
     )
     def test_malformed_manifest_field_exits_2(self, corpus_files, capsys, override):
         path = write_manifest(corpus_files)

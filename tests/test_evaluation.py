@@ -470,6 +470,16 @@ class TestPairedBootstrap:
         with pytest.raises(ValidationError, match="n_samples"):
             bootstrap_lines(["a"], ["a"], ["a"], n_samples=0)
 
+    def test_no_memory_for_the_resamples_raises_a_validation_error(self, monkeypatch):
+        bleu = bleu_corpus(["a b c"], ["a b c"])
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(evaluation.np, "empty", out_of_memory)
+        with pytest.raises(ValidationError, match="no memory for 10 bootstrap resamples"):
+            paired_bootstrap(bleu, bleu, n_samples=10)
+
     def test_options_are_keyword_only(self):
         bleu = bleu_corpus(["a"], ["a"])
         with pytest.raises(TypeError):

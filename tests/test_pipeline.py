@@ -802,6 +802,31 @@ class TestRunExperiment:
         # 20 test sentences in each of 2 domains, for each of 2 scenarios.
         assert len(queries) == 20 * 2 * 2
 
+    def test_each_group_is_dealt_at_its_queries_times_its_scenario_index_size(self, tmp_path, monkeypatch):
+        tm, test_sets = make_three_domain(tm_per_domain=30, test_per_domain=20)
+        # Domains of unequal size, so that no wrong rule gives the same costs by chance.
+        tm = TranslationMemory(tm.name, tuple(p for p in tm.pairs if not p.id.startswith("law-tm-000")))
+        for domain, size in (("law", 5), ("med", 12)):
+            test_sets[domain] = TranslationMemory(test_sets[domain].name, test_sets[domain].pairs[:size])
+        materialize(tmp_path, tm, test_sets)
+        domains = ["it", "law", "med"]
+        path = write_manifest(tmp_path / "exp.json", domains=domains,
+                              test_sets={d: f"test_{d}.jsonl" for d in domains})
+        costs = {}
+        deal = pipeline._deal
+
+        def recording(groups, group_costs, n):
+            costs.update(zip(groups, group_costs))
+            return deal(groups, group_costs, n)
+
+        monkeypatch.setattr(pipeline, "_deal", recording)
+        run_experiment(load_manifest(path))
+        assert set(costs) == set(product(domains, ("relevant", "less_relevant")))
+        tms = [load_corpus(tmp_path / "tm.jsonl")]
+        for (domain, scenario), cost in costs.items():
+            _, index = build_scenario(domain, tms, scenario)
+            assert cost == (1 + len(test_sets[domain])) * index.doc_count, (domain, scenario)
+
     def test_one_stats_matrix_call_per_cell_and_none_per_bootstrap(self, tmp_path, monkeypatch):
         rows = []
         stats_matrix = evaluation._stats_matrix
