@@ -32,7 +32,7 @@ import sys
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Hashable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import CorpusFormatError, ValidationError
 
@@ -87,14 +87,10 @@ class TranslationMemory:
     def __post_init__(self):
         if not self.pairs:
             raise ValidationError(f"translation memory {self.name!r} is empty")
-        if len({pair.id for pair in self.pairs}) != len(self.pairs):
-            seen: set[str] = set()
-            for pair in self.pairs:
-                if pair.id in seen:
-                    raise ValidationError(
-                        f"translation memory {self.name!r}: duplicate pair id {pair.id!r}"
-                    )
-                seen.add(pair.id)
+        if repeat := first_repeat([pair.id for pair in self.pairs]):
+            raise ValidationError(
+                f"translation memory {self.name!r}: duplicate pair id {self.pairs[repeat[1]].id!r}"
+            )
         object.__setattr__(self, "domains", frozenset(p.domain for p in self.pairs))
 
     def __len__(self) -> int:
@@ -144,13 +140,9 @@ def _read_records(
     try:
         return TranslationMemory(name=name, pairs=tuple(pairs))
     except ValidationError:  # its one fault left is a repeated id: name the lines
-        first_seen: dict[str, int] = {}
-        for lineno, pair in zip(linenos, pairs):
-            if pair.id in first_seen:
-                reason = f"duplicate id {pair.id!r} (first seen on line {first_seen[pair.id]})"
-                raise CorpusFormatError(where, lineno, reason) from None
-            first_seen[pair.id] = lineno
-        raise
+        first, repeat = first_repeat([pair.id for pair in pairs])
+        reason = f"duplicate id {pairs[repeat].id!r} (first seen on line {linenos[first]})"
+        raise CorpusFormatError(where, linenos[repeat], reason) from None
 
 
 def text_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
@@ -244,6 +236,17 @@ def lone_surrogate(texts: Iterable[str]) -> tuple[int, str] | None:
         except UnicodeEncodeError as exc:
             return position, f"\\u{ord(exc.object[exc.start]):04x}"
     return None
+
+
+def first_repeat(values: Sequence[Hashable]) -> tuple[int, int] | None:
+    """``(first, repeat)``: ``repeat`` is the earliest position whose value occurs
+    before it, ``first`` that value's first position; None if the values are distinct."""
+    if len(set(values)) == len(values):
+        return None
+    positions: dict[Hashable, int] = {}
+    for position, value in enumerate(values):
+        if (first := positions.setdefault(value, position)) != position:
+            return first, position
 
 
 def _jsonl_line(pair: SentencePair) -> str:

@@ -52,14 +52,13 @@ byte before it, so the digest covers the header too. BLAKE2b comes from the
 interpreter's own ``_blake2`` module: importing ``hashlib`` for sha256 would
 map OpenSSL's libcrypto into every process that loads an index (about 3.6 MB
 of RSS), and the built-in sha256 hashes about three times slower than
-BLAKE2b. A v6 file differs only in its version and its sha256 line. Each
-column line, which holds one field of every pair, is one ``parse_json``
-call. A load passes the pairs and postings to the constructor a fresh build
-and ``subset`` use, so the document lengths, norms, weights and dense rows
-have the same bits. The postings make the file about 35% larger than the
-pairs alone on a Zipf TM. The bytes follow the index's row numbering: a
-subset writes its terms in its pool's order, not in the order a fresh build
-of its pairs would give.
+BLAKE2b. Each column line, which holds one field of every pair, is one
+``parse_json`` call. A load passes the pairs and postings to the constructor
+a fresh build and ``subset`` use, so the document lengths, norms, weights
+and dense rows have the same bits. The postings make the file about 35%
+larger than the pairs alone on a Zipf TM. The bytes follow the index's row
+numbering: a subset writes its terms in its pool's order, not in the order a
+fresh build of its pairs would give.
 """
 
 from __future__ import annotations
@@ -78,8 +77,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .corpus import SentencePair, TranslationMemory, analyze_for_index, atomic_write, lone_surrogate
-from .corpus import numbered_lines, parse_json
+from .corpus import SentencePair, TranslationMemory, analyze_for_index, atomic_write, first_repeat
+from .corpus import lone_surrogate, numbered_lines, parse_json
 from .errors import CorpusFormatError, ValidationError
 
 
@@ -169,7 +168,6 @@ class TmIndex:
         self.doc_lengths = lengths.astype(np.int64).tolist()
         self.avg_doc_length = sum(self.doc_lengths) / self.doc_count
         k1, b = params.k1, params.b
-        self.norms = k1 * (1.0 - b + b * np.array(self.doc_lengths) / self.avg_doc_length)
         df = np.diff(offsets)
         # math.log, not np.log, whose last bit may differ from it; once per
         # distinct df (a few hundred values), each row then takes its df's idf.
@@ -177,8 +175,13 @@ class TmIndex:
         idf_args = (1.0 + (self.doc_count - df_values + 0.5) / (df_values + 0.5)).tolist()
         idf = np.fromiter(map(math.log, idf_args), dtype=np.float64, count=len(idf_args))[df_of_row]
         # The module formula's operand order, so each weight has the bits of
-        # the scalar expression.
-        self.weights = np.repeat(idf, df) * tfs * (k1 + 1.0) / (tfs + self.norms[docs])
+        # the scalar expression; a k1 near the float maximum overflows one.
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                self.norms = k1 * (1.0 - b + b * np.array(self.doc_lengths) / self.avg_doc_length)
+                self.weights = np.repeat(idf, df) * tfs * (k1 + 1.0) / (tfs + self.norms[docs])
+        except FloatingPointError as exc:
+            raise ValidationError(f"k1 = {k1!r} is too large: a BM25 weight overflows") from exc
         # Each dense row is filled from its own postings slice; no array over
         # every posting is made for them.
         self.dense_rows = {}
@@ -304,8 +307,6 @@ def query_top_n(
 # --- persistence ------------------------------------------------------------
 
 _CHECKSUM_LINE = re.compile(rb'\{"blake2b": "([0-9a-f]{64})"\}\n')
-# The last line of a v4-v6 file, whose header then names its version.
-_SHA256_LINE = re.compile(rb'\n\{"sha256": "[0-9a-f]{64}"\}\n\Z')
 _REBUILD = "rebuild the index with `ratkit index` or `ratkit scenario`"
 # The SentencePair field of each column line, in file order.
 _PAIR_FIELDS = ("id", "domain", "source", "target")
@@ -373,26 +374,21 @@ def load_index(path: str | Path) -> TmIndex:
     pairs that ``SentencePair`` accepts and unique ids; distinct non-empty
     terms, df >= 1 summing to the postings count, doc ids below the pair
     count and ascending within a row, tf >= 1, and, in the constructor, at
-    least one posting per document (a fault named at the docs line). A v1-v6
-    file, a bad checksum line or digest, or any such fault raises a
-    ValidationError naming the file, and the line where there is one; a
-    v4-v6 file, which ends in a sha256 line, is named by its header's version.
+    least one posting per document (a fault named at the docs line) and a
+    k1 that leaves every weight finite (named at the header line). A file
+    without the v7 checksum line, a v1-v6 file among them, a bad digest, a
+    header of another version, or any such fault raises a ValidationError
+    naming the file, and the line where there is one.
     """
     path = Path(path)
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read index file {path}: {exc}") from exc
-    if data.startswith((b"RATIDX1\0", b"RATIDX2\0", b"RATIDX3\0")):
-        raise ValidationError(
-            f"{path}: index format v{data[6:7].decode()} is no longer supported; {_REBUILD}"
-        )
     body_end = data.rfind(b'\n{"blake2b": ') + 1
     checksum = _CHECKSUM_LINE.match(data, body_end) if body_end else None
     if checksum is None:
-        if _SHA256_LINE.search(data):  # a v4-v6 header raises "no longer supported"
-            _read_header(path, data[: data.find(b"\n")].decode("utf-8", "replace"))
-        raise ValidationError(f"{path}: no checksum line; truncated or not a ratkit index")
+        raise ValidationError(f"{path}: no checksum line; truncated or not a ratkit index of format v7; {_REBUILD}")
     if checksum.end() != len(data):
         raise ValidationError(f"{path}: trailing bytes after the checksum line")
     if blake2b(memoryview(data)[:body_end], digest_size=32).hexdigest().encode() != checksum[1]:
@@ -412,8 +408,9 @@ def load_index(path: str | Path) -> TmIndex:
     del data, checksum  # the match holds the file's bytes too; neither is needed for the weights
     try:
         return TmIndex(pairs, params, *postings, _id_rank(pairs))
-    except ValidationError as exc:  # a pair without postings, which the docs line shows
-        raise CorpusFormatError(str(path), _INDEX_LINES - 1, str(exc)) from exc
+    except ValidationError as exc:  # a k1 that overflows a weight, or a pair without postings
+        line = 1 if isinstance(exc.__cause__, FloatingPointError) else _INDEX_LINES - 1
+        raise CorpusFormatError(str(path), line, str(exc)) from exc
 
 
 def _read_header(path: Path, line: str) -> tuple[Bm25Params, dict]:
@@ -425,10 +422,8 @@ def _read_header(path: Path, line: str) -> tuple[Bm25Params, dict]:
         if header.get("format") != "ratkit-index":
             raise ValidationError(f"header format {header.get('format')!r} is not 'ratkit-index'")
         version = header.get("version")
-        if type(version) is int and version in (4, 5, 6):
-            raise ValidationError(f"index format v{version} is no longer supported; {_REBUILD}")
         if type(version) is not int or version != 7:
-            raise ValidationError(f"index format version {version!r} is not supported")
+            raise ValidationError(f"index format version {version!r} is not supported; {_REBUILD}")
         for key in ("k1", "b"):
             if type(header.get(key)) not in (int, float):
                 raise ValidationError(f"header field {key!r} is missing or not a number")
@@ -508,12 +503,11 @@ def _read_columns(path: Path, lines: Iterator[tuple[int, str]], count: int) -> t
                 except ValidationError as exc:
                     raise CorpusFormatError(where, lineno, f"{exc} (position {position})") from None
         raise
-    if not pairs or len(set(ids)) != count:  # no pairs, or a repeated id: a fault of the id line
-        first_seen: dict[str, int] = {}
-        for position, id_ in enumerate(ids):
-            if (first := first_seen.setdefault(id_, position)) != position:
-                reason = f"duplicate id {id_!r} at positions {first} and {position}"
-                raise CorpusFormatError(where, linenos[0], reason)
+    if repeat := first_repeat(ids):  # a repeated id, or no pairs, is a fault of the id line
+        first, position = repeat
+        reason = f"duplicate id {ids[position]!r} at positions {first} and {position}"
+        raise CorpusFormatError(where, linenos[0], reason)
+    if not pairs:
         raise CorpusFormatError(where, linenos[0], f"translation memory {path.name!r} is empty")
     return pairs
 
@@ -533,8 +527,7 @@ def _read_postings(path: Path, lines: Iterator[tuple[int, str]], header: dict) -
     if "" in term_rows:
         raise CorpusFormatError(where, lineno, "an empty term")
     if len(term_rows) != len(terms):
-        seen: set[str] = set()
-        repeated = next(term for term in terms if term in seen or seen.add(term))
+        repeated = terms[first_repeat(terms)[1]]
         raise CorpusFormatError(where, lineno, f"the term {repeated!r} is repeated")
 
     lineno, line = next(lines)

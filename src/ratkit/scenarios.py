@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .augmentation import AugmentedExample
-from .corpus import TranslationMemory, atomic_write
+from .corpus import TranslationMemory, atomic_write, first_repeat
 from .errors import ConfigurationError, ValidationError
 from .retrieval import Bm25Params, TmIndex, build_index
 
@@ -68,20 +68,23 @@ def build_pool(tms: list[TranslationMemory], params: Bm25Params = Bm25Params()) 
     """One index over the pairs of all TMs, concatenated in the given order.
 
     Every scenario index of a run is a subset of it, so each pair is analyzed
-    once per run. An id repeated across TMs, or a pair that cannot be indexed,
-    raises a ValidationError.
+    once per run. The pool's ``TranslationMemory`` checks that no id repeats;
+    an id found in two TMs raises a ValidationError naming both, as does a
+    pair that cannot be indexed or a k1 that overflows a weight.
     """
-    seen_ids: dict[str, str] = {}
-    for tm in tms:
-        for pair in tm.pairs:
-            if pair.id in seen_ids:
-                raise ValidationError(
-                    f"pair id {pair.id!r} occurs in both {seen_ids[pair.id]!r} and {tm.name!r}; "
-                    "scenario merging requires globally unique ids"
-                )
-            seen_ids[pair.id] = tm.name
     pairs = tuple(pair for tm in tms for pair in tm.pairs)
-    return build_index(TranslationMemory(name="pool", pairs=pairs), params)
+    try:
+        pool = TranslationMemory(name="pool", pairs=pairs)
+    except ValidationError:  # no TMs, or an id in two of them
+        if not pairs:
+            raise
+        first, position = first_repeat([pair.id for pair in pairs])
+        owners = [tm.name for tm in tms for _ in tm.pairs]
+        raise ValidationError(
+            f"pair id {pairs[position].id!r} occurs in both {owners[first]!r} and {owners[position]!r}; "
+            "scenario merging requires globally unique ids"
+        ) from None
+    return build_index(pool, params)
 
 
 def build_scenario(

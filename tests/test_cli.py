@@ -131,6 +131,20 @@ class TestIndexCommand:
         assert f"{corpus}:1: field 'src' holds a lone surrogate" in capsys.readouterr().err
         assert not (tmp_path / "x.idx").exists()
 
+    def test_a_k1_that_overflows_a_weight_exits_2(self, tmp_path, capsys):
+        # A rare term said three times: idf * tf * (k1 + 1) passes the float maximum.
+        corpus = tmp_path / "tm.jsonl"
+        lines = [
+            json.dumps({"id": f"p{i}", "domain": "it", "src": f"common words item{i}" + " rare" * 3 * (i == 7),
+                        "tgt": f"ziel {i}"})
+            for i in range(50)
+        ]
+        write_lines(lines, corpus)
+        code = run_cli("index", "--corpus", corpus, "--out", tmp_path / "x.idx", "--k1", "1e308")
+        assert code == 2
+        assert capsys.readouterr().err == "error: k1 = 1e+308 is too large: a BM25 weight overflows\n"
+        assert not (tmp_path / "x.idx").exists()
+
 
 class TestScenarioCommand:
     def test_relevant_scenario_with_sidecar(self, corpus_files, capsys):
@@ -467,6 +481,16 @@ class TestReportCommand:
             assert sorted(p.name for p in (tmp_path / "out" / "cells" / cell).iterdir()) == [
                 "failed.json"
             ]
+
+    def test_reproduces_a_run_whose_k1_overflows_a_weight(self, tmp_path, capsys):
+        # No TM set can be indexed with this k1, so every cell fails as it does
+        # for a pair id found in two TMs, and no score is inf.
+        path = run_grid(tmp_path, retrieval={"k1": 1e308})
+        report = self.assert_reproduces_the_run(path, capsys, 1)
+        assert report["cells"] == []
+        assert len(report["failed_cells"]) == 4
+        errors = {cell["error"] for cell in report["failed_cells"]}
+        assert errors == {"ValidationError: k1 = 1e+308 is too large: a BM25 weight overflows"}
 
     def test_rerun_that_fails_leaves_no_earlier_outcome(self, tmp_path, capsys):
         path = run_grid(tmp_path, k_values=[1, 2], translator={"kind": "baseline_oracle_copy"})
@@ -901,15 +925,16 @@ class TestIndexFileFaults:
             ({"pairs": 4}, TINY_POSTINGS, ":2", "the id line holds 3 values, the header says 4 pairs"),
             ({"pairs": -1}, TINY_POSTINGS, ":1", "header field 'pairs' is missing or not a count"),
             ({"postings": True}, TINY_POSTINGS, ":1", "header field 'postings' is missing or not a count"),
-            (V4_HEADER, [None] * 4, ":1", "index format v4 is no longer supported; rebuild the index"),
-            (V5_HEADER, [None] * 4, ":1", "index format v5 is no longer supported; rebuild the index"),
+            (V4_HEADER, [None] * 4, ":1", "index format version 4 is not supported; rebuild the index"),
+            (V5_HEADER, [None] * 4, ":1", "index format version 5 is not supported; rebuild the index"),
+            ({"k1": 1.7e308}, TINY_POSTINGS, ":1", "k1 = 1.7e+308 is too large: a BM25 weight overflows"),
         ],
         ids=["df-sum", "df-zero", "doc-id-past-n", "docs-descending", "docs-repeated", "tf-zero",
              "term-repeated", "term-empty", "doc-without-posting", "bad-base64", "non-ascii-base64",
              "length-not-a-multiple-of-the-width", "docs-count", "tail-line-missing",
              "tail-missing", "doc-width", "tf-width-of-the-data", "tf-width-not-the-narrowest",
              "tf-width-unknown", "terms-count", "postings-count", "pairs-count", "pairs-negative",
-             "postings-bool", "v4-file", "v5-file"],
+             "postings-bool", "v4-file", "v5-file", "k1-overflows-a-weight"],
     )
     def test_exits_2_naming_the_line(self, tmp_path, capsys, header, sections, where, reason):
         if isinstance(header, dict):
@@ -946,8 +971,13 @@ class TestIndexFileFaults:
         lines = (tmp_path / "v7.idx").read_bytes().splitlines(keepends=True)
         body = lines[0].replace(b'"version": 7', b'"version": 6') + b"".join(lines[1:-1])
         data = body + b'{"sha256": "%s"}\n' % hashlib.sha256(body).hexdigest().encode()
-        reason = "index format v6 is no longer supported; rebuild the index"
-        self.assert_exits_2_naming(tmp_path, capsys, data, ":1", reason)
+        reason = "no checksum line; truncated or not a ratkit index of format v7; rebuild the index"
+        self.assert_exits_2_naming(tmp_path, capsys, data, "", reason)
+
+    @pytest.mark.parametrize("magic", [b"RATIDX1\0", b"RATIDX2\0", b"RATIDX3\0"])
+    def test_a_v1_to_v3_file_exits_2_asking_for_a_rebuild(self, tmp_path, capsys, magic):
+        reason = "no checksum line; truncated or not a ratkit index of format v7; rebuild the index"
+        self.assert_exits_2_naming(tmp_path, capsys, magic + b"\0" * 64, "", reason)
 
     def test_the_tiny_postings_load(self, tmp_path):
         # The fault cases above differ from this valid file in one place each.

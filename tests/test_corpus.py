@@ -13,7 +13,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratkit import CorpusFormatError, ValidationError, load_corpus
@@ -25,6 +25,7 @@ from ratkit.corpus import (
     _tokens_13a,
     analyze_for_index,
     atomic_write,
+    first_repeat,
     make_dirs,
     read_lines,
     save_corpus,
@@ -129,6 +130,17 @@ class TestTranslationMemory:
         tm = make_tm()
         assert len(tm) == 3
         assert [p.id for p in tm] == ["a1", "a2", "a3"]
+
+
+class TestFirstRepeat:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.one_of(st.lists(st.integers(0, 9), max_size=20), st.lists(st.text(max_size=3), unique=True)))
+    @example([])
+    @example(["a", "b", "b", "a"])
+    def test_equals_a_brute_force_first_duplicate_search(self, values):
+        # The earliest position whose value occurs before it, with that value's first position.
+        expected = next(((values.index(v), j) for j, v in enumerate(values) if v in values[:j]), None)
+        assert first_repeat(values) == expected
 
 
 class TestLoadCorpus:

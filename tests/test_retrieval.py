@@ -156,6 +156,22 @@ class TestOneConstructor:
             build_index(TranslationMemory(name="bare", pairs=pairs))
         assert str(raised.value) == message
 
+    def test_a_k1_that_overflows_a_norm_or_weight_is_named(self, tmp_path):
+        # tiny_tm's longest document has norm 1.375 * k1, which passes the
+        # float maximum from k1 = 1.31e308; below that the index saves and loads.
+        index = build_index(tiny_tm(), Bm25Params(k1=1.3e308))
+        assert np.isfinite(index.weights).all() and (index.weights > 0).all()
+        save_index(index, tmp_path / "tm.idx")
+        assert load_index(tmp_path / "tm.idx").weights.tolist() == index.weights.tolist()
+        # With b = 0 every norm is k1, but idf * tf * (k1 + 1) passes the
+        # maximum where idf * tf > 1: "cat" has tf 2 and idf 0.98.
+        sources = ["cat cat", "dog", "bird"]
+        repeated = TranslationMemory("tf2", tuple(SentencePair(f"p{i}", s, "t", "d") for i, s in enumerate(sources)))
+        for tm, k1, b in ((tiny_tm(), 1.31e308, 0.75), (repeated, 1e308, 0.0)):
+            with pytest.raises(ValidationError) as raised:
+                build_index(tm, Bm25Params(k1=k1, b=b))
+            assert str(raised.value) == f"k1 = {k1!r} is too large: a BM25 weight overflows"
+
 
 # The defaults, other values, no tf saturation (k1 = 0) and no length norm (b = 0).
 PARAMS = [Bm25Params(1.2, 0.75), Bm25Params(0.9, 0.4), Bm25Params(0.0, 1.0), Bm25Params(1.5, 0.0)]
